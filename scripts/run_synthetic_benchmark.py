@@ -23,7 +23,6 @@ import ssdml
 from ssdml import evaluation, metric
 from ssdml.data import split_validation
 from ssdml.encoder import l2_normalize_rows
-from ssdml.mining import triplet_index_array
 from ssdml.trainer import TrainConfig, train
 
 
@@ -47,7 +46,7 @@ def pipeline_diagnostics(blobs, semi, config):
     purity = float((y_true[graph.neighbors] == y_true[:, None]).mean())
     aff = ssdml.propagate(ssdml.neighbor_matrix(graph),
                           ssdml.seed_affinity(semi.labels[rows]), config.gamma)
-    idx = triplet_index_array(ssdml.mine_triplets(aff.W, graph))
+    idx = ssdml.mine_triplets(aff.W, graph)
     pos_ok = y_true[idx[:, 0]] == y_true[idx[:, 1]]
     neg_ok = y_true[idx[:, 0]] == y_true[idx[:, 2]]
     d = semi.dim

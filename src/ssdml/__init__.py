@@ -16,7 +16,7 @@ from .graph import NeighborGraph, build_knn, laplacian, neighbor_matrix, seed_af
 from .manifold import optimize_L, retract_qr, tangent_project
 from .metric import (angular_loss, angular_loss_grad_embeddings,
                      angular_loss_grad_L, angular_margin, embed, mahalanobis_sq)
-from .mining import Triplet, batch_triplets, mine_triplets, sorted_neighborhood
+from .mining import batch_triplets, mine_triplets, sorted_neighborhood
 from .propagation import (AffinityMatrix, propagate, propagate_direct,
                           propagate_iterative, symmetrize)
 from .trainer import (Model, TrainConfig, evaluate_checkpoint, load_model,
@@ -27,7 +27,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AffinityMatrix", "ConfigError", "ConvergenceError", "DataFormatError",
     "Dataset", "EvalReport", "Model", "NeighborGraph", "NumericalError",
-    "Partition", "SsdmlError", "TrainConfig", "Triplet", "angular_loss",
+    "Partition", "SsdmlError", "TrainConfig", "angular_loss",
     "angular_loss_grad_L", "angular_loss_grad_embeddings", "angular_margin",
     "batch_triplets", "build_knn", "embed", "evaluate_checkpoint",
     "evaluate_embeddings", "kmeans", "laplacian", "load_csv", "load_model",

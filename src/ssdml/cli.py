@@ -164,8 +164,8 @@ def _cmd_mine(args) -> int:
     triplets = mine_triplets(aff.W, graph)
     with _out_stream(args.out) as out:
         out.write("anchor,positive,negative\n")
-        for t in triplets:
-            out.write(f"{t.anchor},{t.positive},{t.negative}\n")
+        for a, p, n in triplets.tolist():
+            out.write(f"{a},{p},{n}\n")
     return 0
 
 
@@ -192,8 +192,6 @@ def _cmd_gradcheck(args) -> int:
 def build_parser() -> _Parser:
     parser = _Parser(prog="ssdml", description=__doc__,
                      formatter_class=argparse.ArgumentDefaultsHelpFormatter)
-    parser.add_argument("--threads", type=int, default=1,
-                        help="worker threads (1 = reproducible default)")
     sub = parser.add_subparsers(dest="command", required=True)
     fmt = dict(formatter_class=argparse.ArgumentDefaultsHelpFormatter)
 
@@ -278,7 +276,7 @@ def run(argv=None) -> int:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except SsdmlError as exc:
+    except (SsdmlError, OSError) as exc:  # OSError: unreadable input, unwritable output
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except np.linalg.LinAlgError as exc:

@@ -193,8 +193,16 @@ def load_csv(path, label_column: str | None = "label") -> Dataset:
         raise DataFormatError(f"{path}: no data rows")
     if not feature_cols:
         raise DataFormatError(f"{path}: no feature columns")
+    features = np.array(rows, dtype=np.float64)
+    bad = np.argwhere(~np.isfinite(features))
+    if bad.size:
+        i, j = bad[0]
+        raise DataFormatError(
+            f"{path}: row {i + 1}, column {header[feature_cols[j]]!r}: "
+            f"non-finite value {features[i, j]!r}"
+        )
     labels, n_classes = _parse_label_cells(label_cells)
-    return Dataset(np.array(rows, dtype=np.float64), labels, n_classes)
+    return Dataset(features, labels, n_classes)
 
 
 def write_csv(dataset: Dataset, path_or_file) -> None:

@@ -55,22 +55,75 @@ def embed(L: np.ndarray, X: np.ndarray) -> np.ndarray:
     return X @ L
 
 
-def _batch_diffs(embeddings, batch_idx):
-    """u = z - z+ and v = z- - (z + z+)/2 for each triplet row."""
+def batch_rows(batch_idx):
+    """(nodes, local): the sorted distinct rows a (T, 3) batch touches, and
+    the batch re-indexed into them, so nodes[local] == batch_idx."""
+    nodes, local = np.unique(batch_idx, return_inverse=True)
+    return nodes, local.reshape(np.shape(batch_idx))
+
+
+def triplet_diffs(embeddings, batch_idx):
+    """(U, V) with rows u = z - z+ and v = z- - (z + z+)/2, one per triplet.
+
+    The embeddings are fixed while a mini-batch's metric steps run, so the
+    trainer builds (U, V) once per batch and hands them to loss_and_grad.
+    """
     Z = np.asarray(embeddings, dtype=np.float64)
+    batch_idx = np.asarray(batch_idx, dtype=np.int64)
+    if batch_idx.size == 0:
+        raise ValueError("batch must be non-empty")
     a, p, n = batch_idx[:, 0], batch_idx[:, 1], batch_idx[:, 2]
     U = Z[a] - Z[p]
     V = Z[n] - (Z[a] + Z[p]) / 2.0
     return U, V
 
 
-def angular_margins(L, embeddings, batch_idx, alpha_deg):
-    """Vector of margins m_i for a (T, 3) index batch."""
-    t = tan2(alpha_deg)
-    U, V = _batch_diffs(embeddings, batch_idx)
+def _margins(L, U, V, t):
+    """The one margin computation behind every loss and gradient here:
+    m = |L^T u|^2 - 4t |L^T v|^2, returned with UL = U L and VL = V L."""
     UL = U @ L
     VL = V @ L
-    return np.einsum("ij,ij->i", UL, UL) - 4.0 * t * np.einsum("ij,ij->i", VL, VL)
+    return np.einsum("ij,ij->i", UL, UL) - 4.0 * t * np.einsum("ij,ij->i", VL, VL), UL, VL
+
+
+def loss_and_grad(L, U, V, alpha_deg):
+    """Batch loss sum_i softplus(m_i) and its gradient with respect to L.
+
+    d loss / dL = sum_i sigma(m_i) [2 u_i (u_i^T L) - 8 tan^2(a) v_i (v_i^T L)],
+    factored through u (u^T L) so the cost stays O(d*l) per triplet.
+    """
+    t = tan2(alpha_deg)
+    m, UL, VL = _margins(L, U, V, t)
+    s = sigmoid(m)
+    grad = 2.0 * U.T @ (s[:, None] * UL) - 8.0 * t * V.T @ (s[:, None] * VL)
+    return float(softplus(m).sum()), grad
+
+
+def embedding_grad(L, U, V, batch_idx, n_rows, alpha_deg) -> np.ndarray:
+    """Gradient of the batch loss with respect to the n_rows embeddings that
+    batch_idx indexes (U, V built from those rows by triplet_diffs).
+
+    With Mu meaning L(L^T u): dm/dz = 2Mu + 4tMv, dm/dz+ = -2Mu + 4tMv,
+    dm/dz- = -8tMv; each scaled by sigma(m) and accumulated over the
+    triplets sharing a row.
+    """
+    t = tan2(alpha_deg)
+    m, UL, VL = _margins(L, U, V, t)
+    s = sigmoid(m)
+    MU = (s[:, None] * UL) @ L.T  # sigma(m) * L L^T u per triplet
+    MV = (s[:, None] * VL) @ L.T
+    grad = np.zeros((n_rows, L.shape[0]))
+    a, p, n = batch_idx[:, 0], batch_idx[:, 1], batch_idx[:, 2]
+    np.add.at(grad, a, 2.0 * MU + 4.0 * t * MV)
+    np.add.at(grad, p, -2.0 * MU + 4.0 * t * MV)
+    np.add.at(grad, n, -8.0 * t * MV)
+    return grad
+
+
+def angular_margins(L, embeddings, batch_idx, alpha_deg):
+    """Vector of margins m_i for a (T, 3) index batch."""
+    U, V = triplet_diffs(embeddings, batch_idx)
+    return _margins(L, U, V, tan2(alpha_deg))[0]
 
 
 def angular_margin(L, z, z_pos, z_neg, alpha_deg) -> float:
@@ -82,47 +135,18 @@ def angular_margin(L, z, z_pos, z_neg, alpha_deg) -> float:
 
 def angular_loss(L, embeddings, batch_idx, alpha_deg) -> float:
     """Sum of softplus(m_i) over the batch's triplets."""
-    batch_idx = np.asarray(batch_idx, dtype=np.int64)
-    if batch_idx.size == 0:
-        raise ValueError("batch must be non-empty")
     return float(softplus(angular_margins(L, embeddings, batch_idx, alpha_deg)).sum())
 
 
 def angular_loss_grad_L(L, embeddings, batch_idx, alpha_deg) -> np.ndarray:
-    """d loss / dL = sum_i sigma(m_i) [2 u_i (u_i^T L) - 8 tan^2(a) v_i (v_i^T L)].
-
-    Factored through u (u^T L) so the cost stays O(d*l) per triplet.
-    """
-    t = tan2(alpha_deg)
-    batch_idx = np.asarray(batch_idx, dtype=np.int64)
-    U, V = _batch_diffs(embeddings, batch_idx)
-    UL = U @ L
-    VL = V @ L
-    m = np.einsum("ij,ij->i", UL, UL) - 4.0 * t * np.einsum("ij,ij->i", VL, VL)
-    s = sigmoid(m)
-    return 2.0 * U.T @ (s[:, None] * UL) - 8.0 * t * V.T @ (s[:, None] * VL)
+    """d loss / dL for a (T, 3) index batch (see loss_and_grad)."""
+    return loss_and_grad(L, *triplet_diffs(embeddings, batch_idx), alpha_deg)[1]
 
 
 def angular_loss_grad_embeddings(L, embeddings, batch_idx, alpha_deg) -> np.ndarray:
-    """Per-node gradient of the batch loss with respect to the embeddings.
-
-    With Mu meaning L(L^T u): dm/dz = 2Mu + 4tMv, dm/dz+ = -2Mu + 4tMv,
-    dm/dz- = -8tMv; each scaled by sigma(m) and accumulated over the
-    triplets sharing a node.
-    """
-    t = tan2(alpha_deg)
+    """Per-node gradient of the batch loss with respect to all embeddings
+    (see embedding_grad)."""
     Z = np.asarray(embeddings, dtype=np.float64)
     batch_idx = np.asarray(batch_idx, dtype=np.int64)
-    U, V = _batch_diffs(Z, batch_idx)
-    UL = U @ L
-    VL = V @ L
-    m = np.einsum("ij,ij->i", UL, UL) - 4.0 * t * np.einsum("ij,ij->i", VL, VL)
-    s = sigmoid(m)
-    MU = (s[:, None] * UL) @ L.T  # sigma(m) * L L^T u per triplet
-    MV = (s[:, None] * VL) @ L.T
-    grad = np.zeros_like(Z)
-    a, p, n = batch_idx[:, 0], batch_idx[:, 1], batch_idx[:, 2]
-    np.add.at(grad, a, 2.0 * MU + 4.0 * t * MV)
-    np.add.at(grad, p, -2.0 * MU + 4.0 * t * MV)
-    np.add.at(grad, n, -8.0 * t * MV)
-    return grad
+    U, V = triplet_diffs(Z, batch_idx)
+    return embedding_grad(L, U, V, batch_idx, Z.shape[0], alpha_deg)

@@ -2,19 +2,20 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ConfigError
 from .graph import NeighborGraph
 
 
-@dataclass(frozen=True)
-class Triplet:
-    anchor: int
-    positive: int
-    negative: int
+def _rank_neighbors(W: np.ndarray, graph: NeighborGraph, anchors: np.ndarray) -> np.ndarray:
+    """(A, k) neighbor lists of the anchors, by descending propagated affinity;
+    affinity ties break toward the smaller node index."""
+    nbrs = graph.neighbors[anchors]
+    affinities = W[anchors[:, None], nbrs]
+    # lexsort keys are least significant first: index ascending, then
+    # affinity descending; each row sorts on its own.
+    return np.take_along_axis(nbrs, np.lexsort((nbrs, -affinities), axis=-1), axis=-1)
 
 
 def sorted_neighborhood(W: np.ndarray, graph: NeighborGraph, anchor: int) -> np.ndarray:
@@ -22,49 +23,41 @@ def sorted_neighborhood(W: np.ndarray, graph: NeighborGraph, anchor: int) -> np.
 
     Affinity ties break toward the smaller node index.
     """
-    nbrs = graph.neighbors[anchor]
-    affinities = W[anchor, nbrs]
-    # lexsort keys are least significant first: index ascending, then
-    # affinity descending.
-    order = np.lexsort((nbrs, -affinities))
-    return nbrs[order]
+    return _rank_neighbors(W, graph, np.array([anchor], dtype=np.int64))[0]
 
 
-def mine_triplets(W: np.ndarray, graph: NeighborGraph, anchors=None) -> list[Triplet]:
+def mine_triplets(W: np.ndarray, graph: NeighborGraph, anchors=None) -> np.ndarray:
     """Pair the top half of each sorted neighborhood against the bottom half.
 
     The rank-i entry becomes the positive and the rank-(k/2+i) entry the
-    negative of one triplet, giving k/2 triplets per anchor.
+    negative of one triplet, giving k/2 triplets per anchor.  Returns a
+    (T, 3) int64 array of (anchor, positive, negative) rows, anchor by
+    anchor and rank by rank.
     """
     if graph.k % 2 != 0:
         raise ConfigError(f"triplet mining needs an even k (got {graph.k})")
-    if anchors is None:
-        anchors = range(graph.n)
+    anchors = np.arange(graph.n) if anchors is None else np.asarray(anchors, dtype=np.int64)
+    ranked = _rank_neighbors(W, graph, anchors)
     half = graph.k // 2
-    triplets = []
-    for a in anchors:
-        ranked = sorted_neighborhood(W, graph, a)
-        for i in range(half):
-            triplets.append(Triplet(int(a), int(ranked[i]), int(ranked[half + i])))
-    return triplets
+    triplets = np.empty((anchors.size, half, 3), dtype=np.int64)
+    triplets[:, :, 0] = anchors[:, None]
+    triplets[:, :, 1] = ranked[:, :half]
+    triplets[:, :, 2] = ranked[:, half:]
+    return triplets.reshape(-1, 3)
 
 
 def batch_triplets(triplets, batch_size: int, seed=0, epoch: int = 0):
-    """Shuffle triplets and chunk them into batches of `batch_size`.
+    """Shuffle the rows of a (T, 3) triplet array and chunk them into
+    batches of `batch_size` rows.
 
     The shuffle seed is derived from (seed, epoch) so every epoch gets a
     fresh deterministic order; only the final batch may come up short.
     """
     if batch_size < 1:
         raise ConfigError("batch_size must be >= 1")
-    if not triplets:
+    triplets = np.asarray(triplets, dtype=np.int64).reshape(-1, 3)
+    if len(triplets) == 0:
         raise ConfigError("no triplets mined; cannot form batches")
     rng = np.random.default_rng(np.random.SeedSequence([int(seed) & (2**63 - 1), epoch]))
-    order = rng.permutation(len(triplets))
-    shuffled = [triplets[i] for i in order]
+    shuffled = triplets[rng.permutation(len(triplets))]
     return [shuffled[i:i + batch_size] for i in range(0, len(shuffled), batch_size)]
-
-
-def triplet_index_array(batch) -> np.ndarray:
-    """(T, 3) int array of (anchor, positive, negative) node indices."""
-    return np.array([[t.anchor, t.positive, t.negative] for t in batch], dtype=np.int64)

@@ -11,7 +11,6 @@ keeps the checkpoint with the best validation Recall@1.
 from __future__ import annotations
 
 import json
-import logging
 import math
 from dataclasses import asdict, dataclass, field
 
@@ -24,10 +23,8 @@ from .data import Dataset, sample_partition, split_validation
 from .errors import ConfigError, NumericalError
 from .graph import build_knn, knn_adjacency, laplacian, neighbor_matrix, seed_affinity
 from .manifold import optimize_L
-from .mining import batch_triplets, mine_triplets, triplet_index_array
+from .mining import batch_triplets, mine_triplets
 from .propagation import propagate
-
-logger = logging.getLogger(__name__)
 
 METHODS = ("ours", "seraph", "lrml")
 
@@ -221,11 +218,17 @@ def _train_ours(config, train_ds, val_ds, n_clusters, n_p,
                                      seed=batch_seed, epoch=epoch)
             epoch_loss = 0.0
             for batch in batches:
-                idx = triplet_index_array(batch)
+                # batch-local step: only the rows this batch's triplets touch
+                nodes, local = metric.batch_rows(batch)
+                if encoder is None:
+                    Zb = Z[nodes]
+                else:
+                    Xb = X[nodes]
+                    Zb = enc_mod.forward(encoder, Xb)
+                U, V = metric.triplet_diffs(Zb, local)
 
-                def fun_and_grad(Lm, idx=idx, Zc=Z):
-                    return (metric.angular_loss(Lm, Zc, idx, config.alpha_deg),
-                            metric.angular_loss_grad_L(Lm, Zc, idx, config.alpha_deg))
+                def fun_and_grad(Lm, U=U, V=V):
+                    return metric.loss_and_grad(Lm, U, V, config.alpha_deg)
 
                 res = optimize_L(L, fun_and_grad, max_iter=config.inner_l_iters,
                                  step0=step_carry, use_cg=config.orth,
@@ -236,11 +239,10 @@ def _train_ours(config, train_ds, val_ds, n_clusters, n_p,
                 if not np.isfinite(epoch_loss):
                     raise TrainingDiverged("angular loss became non-finite", history)
                 if encoder is not None and config.lr > 0:
-                    upstream = metric.angular_loss_grad_embeddings(
-                        L, Z, idx, config.alpha_deg)
-                    grads = enc_mod.backward(encoder, X, upstream)
+                    upstream = metric.embedding_grad(L, U, V, local, nodes.size,
+                                                     config.alpha_deg)
+                    grads = enc_mod.backward(encoder, Xb, upstream)
                     encoder = enc_mod.sgd_update(encoder, grads, config.lr)
-                    Z = enc_mod.forward(encoder, X)
 
             v_nmi, v_r1 = _val_metrics(L, encoder, config.normalize, val_ds,
                                        n_clusters, eval_seed)
@@ -267,7 +269,6 @@ def _train_baseline(config, train_ds, val_ds, n_clusters, n_p,
                                n_clusters, eval_seed)
     _record(history, 0, None, None, v_nmi, v_r1)
     best = (v_r1, L_eval, None)
-    logdet_warned = False
 
     epoch = 0
     step_carry = 1.0
@@ -328,12 +329,6 @@ def _train_baseline(config, train_ds, val_ds, n_clusters, n_p,
                 if not np.isfinite(epoch_loss):
                     raise TrainingDiverged("baseline objective became non-finite",
                                            history)
-
-            if config.method == "lrml" and not logdet_warned:
-                sign, logdet = np.linalg.slogdet(M + 1e-300 * np.eye(d))
-                if sign <= 0 or logdet < 0:
-                    logger.debug("lrml: log|M| >= 0 constraint violated (ignored)")
-                    logdet_warned = True
 
             L_eval = bl.factor_metric(M, l)
             v_nmi, v_r1 = _val_metrics(L_eval, None, config.normalize, val_ds,
@@ -422,12 +417,20 @@ def load_model(path) -> Model:
         encoder = enc_mod.Encoder(A=A, b=b, normalize=bool(norm))
     config = None
     history = []
-    for ln in lines[pos:]:
+    for lineno, ln in enumerate(lines[pos:], start=pos + 1):
         if not ln.strip():
             continue
-        rec = json.loads(ln)
+        try:
+            rec = json.loads(ln)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"{path}: line {lineno}: bad JSON record ({exc.msg})") from None
+        if not isinstance(rec, dict):
+            raise ConfigError(f"{path}: line {lineno}: record is not a JSON object")
         if "config" in rec:
-            config = TrainConfig(**rec["config"])
+            try:
+                config = TrainConfig(**rec["config"])
+            except TypeError as exc:
+                raise ConfigError(f"{path}: line {lineno}: bad config ({exc})") from None
         else:
             history.append(rec)
     return Model(L=L, encoder=encoder, config=config, history=history,

@@ -156,8 +156,7 @@ def test_criterion_5_mining_oracle():
         Z = rng.standard_normal((n, 2))
         graph = ssdml.build_knn(Z, k)
         W = rng.standard_normal((n, n))
-        got = [(t.anchor, t.positive, t.negative)
-               for t in ssdml.mine_triplets(W, graph)]
+        got = [tuple(t) for t in ssdml.mine_triplets(W, graph).tolist()]
         want = []
         for a in range(n):
             nbrs = sorted(graph.neighbors[a].tolist(),

@@ -111,12 +111,6 @@ class TestMethodsViaCli:
         assert 0.0 <= report["nmi"] <= 1.0
         assert 0.0 <= report["r@1"] <= 100.0
 
-    def test_threads_flag_accepted(self, blob_csv):
-        code = run_cli(["--threads", 1, "train", "--data", blob_csv, "--k", 4,
-                        "--embed-dim", 3, "--batch-triplets", 40,
-                        "--max-epochs", 1, "--epochs-per-partition", 1])
-        assert code == 0
-
 
 class TestPropagateMine:
     def test_propagate_dumps_square_csv(self, blob_csv, tmp_path):
@@ -202,6 +196,33 @@ class TestExitCodes:
         bad = tmp_path / "bad.model"
         bad.write_text("ssdml-model v1 2 1 0 1\n0.5\nnot-a-number\n")
         assert run_cli(["eval", "--data", blob_csv, "--model", bad]) == 2
+
+    def test_threads_flag_is_one(self, blob_csv, capsys):
+        # the flag was parsed and ignored; it is gone, so it is a usage error
+        assert run_cli(["--threads", 1, "train", "--data", blob_csv]) == 1
+        assert "usage error" in capsys.readouterr().err
+
+    def test_missing_data_file_is_two(self, tmp_path, capsys):
+        assert run_cli(["train", "--data", tmp_path / "absent.csv"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "absent.csv" in err
+        assert len(err.strip().splitlines()) == 1
+
+    def test_unwritable_out_is_two(self, tmp_path, capsys):
+        out = tmp_path / "no-such-dir" / "blobs.csv"
+        assert run_cli(["blobs", "--classes", 2, "--per-class", 3,
+                        "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("record", ['{"epoch": 0,', "5"])
+    def test_corrupt_model_json_line_is_two(self, blob_csv, tmp_path, capsys,
+                                            record):
+        bad = tmp_path / "bad.model"
+        bad.write_text(f"ssdml-model v1 2 1 0 1\n0.5\n0.5\n{record}\n")
+        assert run_cli(["eval", "--data", blob_csv, "--model", bad]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "line 4" in err
 
 
 def test_train_flag_defaults_equal_train_config():

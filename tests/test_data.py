@@ -43,6 +43,13 @@ class TestLoadCsv:
         with pytest.raises(DataFormatError, match="row 2.*f1"):
             ssdml.load_csv(p)
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity"])
+    def test_non_finite_cell_names_coordinates(self, tmp_path, cell):
+        p = tmp_path / "d.csv"
+        write_lines(p, ["f0,f1,label", "1.0,2.0,0", f"3.0,{cell},1", "nan,1.0,"])
+        with pytest.raises(DataFormatError, match="row 2, column 'f1'.*non-finite"):
+            ssdml.load_csv(p)
+
     def test_string_labels_first_appearance_order(self, tmp_path):
         p = tmp_path / "d.csv"
         write_lines(p, ["f0,label", "1.0,cat", "2.0,dog", "3.0,cat"])

@@ -154,6 +154,33 @@ class TestGradients:
                                    g(L, Z, a, 40.0) + g(L, Z, b, 40.0),
                                    atol=1e-12)
 
+    @staticmethod
+    def random_batches(seed, count=50):
+        rng = np.random.default_rng(seed)
+        for _ in range(count):
+            n, d = int(rng.integers(3, 40)), int(rng.integers(2, 9))
+            l = int(rng.integers(1, d + 1))
+            T = int(rng.integers(1, 30))
+            idx = np.array([rng.choice(n, size=3, replace=False) for _ in range(T)])
+            yield (rng.standard_normal((d, l)), rng.standard_normal((n, d)), idx,
+                   float(rng.uniform(15.0, 75.0)))
+
+    def test_fused_loss_and_grad_bitwise_equal_to_separate_calls(self):
+        for L, Z, idx, alpha in self.random_batches(6):
+            loss, grad = metric.loss_and_grad(L, *metric.triplet_diffs(Z, idx), alpha)
+            assert loss == ssdml.angular_loss(L, Z, idx, alpha)
+            assert np.array_equal(grad, ssdml.angular_loss_grad_L(L, Z, idx, alpha))
+
+    def test_batch_local_embedding_grad_scatters_to_full_rows_grad(self):
+        for L, Z, idx, alpha in self.random_batches(7):
+            nodes, local = metric.batch_rows(idx)
+            assert np.array_equal(nodes[local], idx)
+            U, V = metric.triplet_diffs(Z[nodes], local)
+            scattered = np.zeros_like(Z)
+            scattered[nodes] = metric.embedding_grad(L, U, V, local, nodes.size, alpha)
+            full = ssdml.angular_loss_grad_embeddings(L, Z, idx, alpha)
+            assert np.array_equal(scattered, full)
+
     def test_embedding_grads_sum_to_zero_per_triplet(self):
         # m depends only on differences, so the three role-gradients cancel
         rng = np.random.default_rng(5)

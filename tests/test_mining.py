@@ -6,7 +6,7 @@ import pytest
 import ssdml
 from ssdml.errors import ConfigError
 from ssdml.graph import NeighborGraph
-from ssdml.mining import batch_triplets, sorted_neighborhood, triplet_index_array
+from ssdml.mining import batch_triplets, sorted_neighborhood
 
 
 def graph_of(neighbors):
@@ -54,15 +54,14 @@ class TestMineTriplets:
         W[0, [1, 2, 3, 4]] = [0.9, 0.7, 0.3, 0.1]
         g = graph_of([[1, 2, 3, 4]] * 5)
         triplets = ssdml.mine_triplets(W, g, anchors=[0])
-        assert [(t.anchor, t.positive, t.negative) for t in triplets] == \
-            [(0, 1, 3), (0, 2, 4)]
+        assert triplets.tolist() == [[0, 1, 3], [0, 2, 4]]
 
     def test_k2_single_triplet_best_vs_worst(self):
         W = np.zeros((4, 4))
         W[0, 1], W[0, 3] = -0.2, 0.4
         g = graph_of([[1, 3]] * 4)
         (t,) = ssdml.mine_triplets(W, g, anchors=[0])
-        assert (t.anchor, t.positive, t.negative) == (0, 3, 1)
+        assert tuple(t) == (0, 3, 1)
 
     def test_count_formula(self):
         rng = np.random.default_rng(0)
@@ -88,8 +87,7 @@ class TestMineTriplets:
             Z = rng.standard_normal((n, 2))
             g = ssdml.build_knn(Z, k)
             W = rng.standard_normal((n, n))
-            got = [(t.anchor, t.positive, t.negative)
-                   for t in ssdml.mine_triplets(W, g)]
+            got = [tuple(t) for t in ssdml.mine_triplets(W, g).tolist()]
             assert got == brute_force_mine(W, g)
 
     def test_positive_affinity_at_least_negative(self):
@@ -97,24 +95,24 @@ class TestMineTriplets:
         Z = rng.standard_normal((40, 2))
         g = ssdml.build_knn(Z, 6)
         W = rng.standard_normal((40, 40))
-        for t in ssdml.mine_triplets(W, g):
-            assert W[t.anchor, t.positive] >= W[t.anchor, t.negative]
+        for a, p, n in ssdml.mine_triplets(W, g):
+            assert W[a, p] >= W[a, n]
 
     def test_triplet_members_distinct_and_neighbors(self):
         rng = np.random.default_rng(13)
         Z = rng.standard_normal((25, 2))
         g = ssdml.build_knn(Z, 4)
         W = rng.standard_normal((25, 25))
-        for t in ssdml.mine_triplets(W, g):
-            assert len({t.anchor, t.positive, t.negative}) == 3
-            assert t.positive in g.neighbors[t.anchor]
-            assert t.negative in g.neighbors[t.anchor]
+        for a, p, n in ssdml.mine_triplets(W, g):
+            assert len({a, p, n}) == 3
+            assert p in g.neighbors[a]
+            assert n in g.neighbors[a]
 
 
 class TestBatchTriplets:
     @staticmethod
     def toy_triplets(n):
-        return [ssdml.Triplet(i, i + 1, i + 2) for i in range(n)]
+        return np.arange(n)[:, None] + np.arange(3)
 
     def test_sizes_100_100_50(self):
         batches = batch_triplets(self.toy_triplets(250), 100, seed=0)
@@ -124,26 +122,29 @@ class TestBatchTriplets:
         t = self.toy_triplets(37)
         a = batch_triplets(t, 10, seed=5, epoch=2)
         b = batch_triplets(t, 10, seed=5, epoch=2)
-        assert [[x.anchor for x in batch] for batch in a] == \
-            [[x.anchor for x in batch] for batch in b]
+        assert [batch.tolist() for batch in a] == [batch.tolist() for batch in b]
 
     def test_epochs_reshuffle(self):
         t = self.toy_triplets(64)
         a = batch_triplets(t, 64, seed=5, epoch=0)[0]
         b = batch_triplets(t, 64, seed=5, epoch=1)[0]
-        assert [x.anchor for x in a] != [x.anchor for x in b]
+        assert a[:, 0].tolist() != b[:, 0].tolist()
 
     def test_shuffle_is_permutation(self):
         t = self.toy_triplets(33)
         batches = batch_triplets(t, 10, seed=9)
-        seen = sorted(x.anchor for b in batches for x in b)
-        assert seen == list(range(33))
+        seen = np.concatenate(batches)
+        assert sorted(seen[:, 0].tolist()) == list(range(33))
+        assert (seen[:, 1:] == seen[:, :1] + [1, 2]).all()  # rows move whole
 
     def test_empty_rejected(self):
         with pytest.raises(ConfigError, match="no triplets"):
             batch_triplets([], 10, seed=0)
 
 
-def test_triplet_index_array_layout():
-    t = [ssdml.Triplet(3, 1, 2), ssdml.Triplet(0, 4, 5)]
-    assert triplet_index_array(t).tolist() == [[3, 1, 2], [0, 4, 5]]
+def test_mine_triplets_array_layout():
+    rng = np.random.default_rng(14)
+    g = ssdml.build_knn(rng.standard_normal((12, 2)), 4)
+    triplets = ssdml.mine_triplets(rng.standard_normal((12, 12)), g)
+    assert triplets.dtype == np.int64 and triplets.shape == (12 * 2, 3)
+    assert triplets[:, 0].tolist() == np.repeat(np.arange(12), 2).tolist()

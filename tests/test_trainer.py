@@ -1,10 +1,14 @@
 """Orchestration: alternation, model selection, serialization, determinism."""
 
+import math
+
 import numpy as np
 import pytest
 
 import ssdml
-from ssdml.data import Dataset
+from ssdml import encoder as enc_mod
+from ssdml import metric, trainer
+from ssdml.data import Dataset, sample_partition, split_validation
 from ssdml.errors import ConfigError
 from ssdml.trainer import (Model, TrainConfig, TrainingDiverged,
                            evaluate_checkpoint, load_model, save_model, train)
@@ -25,6 +29,65 @@ def shuffled_signal_dataset(seed=1):
 
 FAST = dict(k=4, embed_dim=4, batch_triplets=50, max_epochs=4,
             epochs_per_partition=2, inner_l_iters=5)
+
+
+def full_rows_train_ours(dataset, config):
+    """Oracle for train(method="ours", encoder=True): the same alternation,
+    but the loss, the embedding gradient and the encoder run on every row
+    of the partition, and the rows are re-encoded after each encoder step.
+
+    Returns (history, L, encoder) of the best-validation checkpoint.
+    """
+    n_partitions = math.ceil(config.max_epochs / config.epochs_per_partition)
+    state = np.random.SeedSequence(config.seed).generate_state(4 + n_partitions)
+    split_seed, batch_seed, eval_seed, _ = (int(s) for s in state[:4])
+    train_ds, val_ds = split_validation(dataset, config.val_fraction, split_seed)
+    n_clusters = min(dataset.n_classes, val_ds.n)
+    n_p = train_ds.unlabeled_indices.size
+    L = trainer._initial_L(train_ds.dim, config.embed_dim)
+    encoder = enc_mod.Encoder.initial(train_ds.dim, normalize=config.normalize)
+    alpha = config.alpha_deg
+
+    def validate(epoch, partition, loss):
+        v_nmi, v_r1 = trainer._val_metrics(L, encoder, config.normalize, val_ds,
+                                           n_clusters, eval_seed)
+        trainer._record(history, epoch, partition, loss, v_nmi, v_r1)
+        return v_r1
+
+    history = []
+    best = (validate(0, None, None), L.copy(), encoder.copy())
+    epoch, step = 0, trainer.METRIC_MAX_STEP
+    for p, part_seed in enumerate(int(s) for s in state[4:]):
+        rows = sample_partition(train_ds, n_p, part_seed).node_rows
+        X = train_ds.features[rows]
+        Z = enc_mod.forward(encoder, X)
+        graph = ssdml.build_knn(Z, config.k)
+        aff = ssdml.propagate(ssdml.neighbor_matrix(graph),
+                              ssdml.seed_affinity(train_ds.labels[rows]), config.gamma)
+        triplets = ssdml.mine_triplets(aff.W, graph)
+        for _ in range(config.epochs_per_partition):
+            if epoch >= config.max_epochs:
+                break
+            epoch += 1
+            epoch_loss = 0.0
+            for idx in ssdml.batch_triplets(triplets, config.batch_triplets,
+                                            seed=batch_seed, epoch=epoch):
+                def fun_and_grad(Lm, idx=idx, Z=Z):
+                    return (metric.angular_loss(Lm, Z, idx, alpha),
+                            metric.angular_loss_grad_L(Lm, Z, idx, alpha))
+
+                res = ssdml.optimize_L(L, fun_and_grad, max_iter=config.inner_l_iters,
+                                       step0=step, max_step=trainer.METRIC_MAX_STEP)
+                L, step = res.L, res.step
+                epoch_loss += res.objective
+                upstream = metric.angular_loss_grad_embeddings(L, Z, idx, alpha)
+                grads = enc_mod.backward(encoder, X, upstream)
+                encoder = enc_mod.sgd_update(encoder, grads, config.lr)
+                Z = enc_mod.forward(encoder, X)
+            r1 = validate(epoch, p, epoch_loss / len(triplets))
+            if r1 > best[0]:
+                best = (r1, L.copy(), encoder.copy())
+    return history, best[1], best[2]
 
 
 def test_protocol_defaults_pinned():
@@ -117,6 +180,26 @@ class TestTrainOurs:
         Z = forward(model.encoder, ds.features)
         assert np.abs(np.linalg.norm(Z, axis=1) - 1.0).max() <= 1e-12
 
+    def test_batch_local_step_matches_full_rows_oracle(self):
+        # only the float summation order of the encoder step differs
+        ds = shuffled_signal_dataset()
+        cfg = TrainConfig(encoder=True, lr=1e-3, seed=1, k=6, embed_dim=5,
+                          batch_triplets=60, max_epochs=4, epochs_per_partition=2,
+                          inner_l_iters=5)
+        model = train(ds, cfg)
+        history, L, encoder = full_rows_train_ours(ds, cfg)
+        # the checkpoint compared below is a trained one, not the start
+        assert max(history, key=lambda h: h["val_r1"])["epoch"] > 0
+        assert len(model.history) == len(history) == 5
+        for got, want in zip(model.history, history):
+            assert got.keys() == want.keys()
+            for key, value in want.items():
+                assert got[key] == (value if value is None or isinstance(value, int)
+                                    else pytest.approx(value, rel=1e-9)), key
+        np.testing.assert_allclose(model.L, L, rtol=1e-9, atol=1e-12)
+        np.testing.assert_allclose(model.encoder.A, encoder.A, rtol=1e-9, atol=1e-12)
+        np.testing.assert_allclose(model.encoder.b, encoder.b, rtol=1e-9, atol=1e-12)
+
     def test_frozen_encoder_equals_linear_training_on_raw(self):
         # identity encoder, normalize off, lr 0  ==  plain linear metric
         # learning on raw features
@@ -203,6 +286,13 @@ class TestModelIO:
         path = tmp_path / "junk.model"
         path.write_text("something else\n")
         with pytest.raises(ConfigError):
+            load_model(path)
+
+    def test_unknown_config_key_rejected(self, tmp_path):
+        path = tmp_path / "m.model"
+        path.write_text('ssdml-model v1 2 1 0 1\n1\n0\n'
+                        '{"config": {"seed": 0, "bogus_knob": 3}}\n')
+        with pytest.raises(ConfigError, match="line 4.*bogus_knob"):
             load_model(path)
 
 
