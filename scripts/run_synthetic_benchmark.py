@@ -44,8 +44,7 @@ def pipeline_diagnostics(blobs, semi, config):
     y_true = blobs.labels[rows]
     graph = ssdml.build_knn(Z, config.k)
     purity = float((y_true[graph.neighbors] == y_true[:, None]).mean())
-    aff = ssdml.propagate(ssdml.neighbor_matrix(graph),
-                          ssdml.seed_affinity(semi.labels[rows]), config.gamma)
+    aff = ssdml.propagate(graph, semi.labels[rows], config.gamma)
     idx = ssdml.mine_triplets(aff.W, graph)
     pos_ok = y_true[idx[:, 0]] == y_true[idx[:, 1]]
     neg_ok = y_true[idx[:, 0]] == y_true[idx[:, 2]]

@@ -20,7 +20,7 @@ from .data import (load_csv, make_blobs, parse_idx, sample_partition, strip_labe
                    write_csv)
 from .encoder import l2_normalize_rows
 from .errors import SsdmlError
-from .graph import build_knn, neighbor_matrix, seed_affinity
+from .graph import build_knn
 from .mining import mine_triplets
 from .propagation import propagate
 from .trainer import TrainConfig, evaluate_checkpoint, load_model, save_model, train
@@ -146,8 +146,7 @@ def _partition_affinity(args):
     rows = part.node_rows
     Z = l2_normalize_rows(dataset.features[rows])
     graph = build_knn(Z, args.k)
-    aff = propagate(neighbor_matrix(graph), seed_affinity(dataset.labels[rows]),
-                    args.gamma)
+    aff = propagate(graph, dataset.labels[rows], args.gamma)
     return graph, aff
 
 

@@ -7,6 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
+from .graph import _exact_knn
 
 KMEANS_RESTARTS = 10
 DEFAULT_RECALL_KS = (1, 2, 4, 8)
@@ -141,19 +142,10 @@ def recall_at_k(Z, labels, ks=DEFAULT_RECALL_KS) -> dict:
     ks = sorted(int(k) for k in ks)
     if not ks or ks[0] < 1 or ks[-1] >= n:
         raise ConfigError(f"recall Ks must lie in [1, n-1] (n={n}, Ks={ks})")
-    kmax = ks[-1]
-    hits = {k: 0 for k in ks}
-    idx = np.arange(n)
-    for i in range(n):
-        diff = Z - Z[i]
-        d2 = np.einsum("ij,ij->i", diff, diff)
-        d2[i] = np.inf
-        order = np.lexsort((idx, d2))[:kmax]
-        same = y[order] == y[i]
-        for k in ks:
-            if same[:k].any():
-                hits[k] += 1
-    return {k: 100.0 * hits[k] / n for k in ks}
+    same = y[_exact_knn(Z, ks[-1])] == y[:, None]
+    # hits[k - 1]: points with a same-class neighbor among their k nearest
+    hits = np.logical_or.accumulate(same, axis=1).sum(axis=0)
+    return {k: 100.0 * int(hits[k - 1]) / n for k in ks}
 
 
 def evaluate_embeddings(Z, labels, n_classes=None, ks=DEFAULT_RECALL_KS,

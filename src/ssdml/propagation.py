@@ -8,13 +8,17 @@ nonsingular and the iteration converges for gamma < 1.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, ConvergenceError, NumericalError
+from .graph import NeighborGraph, seed_affinity
 
-DIRECT_SOLVE_MAX_N = 2000
+# n x n float64 arrays alive at the peak of propagate(): I - gamma*Q, the
+# right-hand side, the solver's copies of both, and the solution.
+DENSE_SOLVE_ARRAYS = 5
 ITERATIVE_TOL = 1e-8
 ITERATIVE_MAX_ITER = 10_000
 
@@ -81,15 +85,53 @@ def symmetrize(Wstar: np.ndarray) -> np.ndarray:
     return (Wstar + Wstar.T) / 2.0
 
 
-def propagate(Q, W0, gamma) -> AffinityMatrix:
-    """Propagate and symmetrize, picking the solver by problem size.
+def _physical_memory_bytes():
+    """Installed physical memory, or None where the OS does not report it."""
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, OSError, ValueError):
+        return None
 
-    Dense direct solve up to DIRECT_SOLVE_MAX_N nodes, fixed-point
-    iteration above that.
+
+def _check_fits_in_memory(n: int):
+    need = DENSE_SOLVE_ARRAYS * n * n * 8
+    have = _physical_memory_bytes()
+    if have is not None and need > have:
+        raise ConfigError(
+            f"propagation over n={n} nodes needs about {need / 2**30:.1f} GiB "
+            f"for its dense n x n solve, more than the {have / 2**30:.1f} GiB of "
+            f"physical memory; use a smaller --partition-size")
+
+
+def propagate(graph: NeighborGraph, labels, gamma: float) -> AffinityMatrix:
+    """Propagate the labels' seed affinities over the kNN graph, symmetrized.
+
+    One dense direct solve of (I - gamma*Q) W* = (1 - gamma) W0, with
+    I - gamma*Q built straight from the neighbor lists and every
+    temporary freed before symmetrizing in place.  Each entry comes from
+    the same float operations as
+    symmetrize(propagate_direct(neighbor_matrix(graph), seed_affinity(labels), gamma)).
+    Raises ConfigError before allocating anything n x n when the solve
+    cannot fit in physical memory.
     """
-    n = np.asarray(Q).shape[0]
-    if n <= DIRECT_SOLVE_MAX_N:
-        Wstar = propagate_direct(Q, W0, gamma)
-    else:
-        Wstar, _ = propagate_iterative(Q, W0, gamma)
-    return AffinityMatrix(W=symmetrize(Wstar), gamma=gamma)
+    _check_gamma(gamma)
+    n = graph.n
+    if np.shape(labels) != (n,):
+        raise ConfigError(f"expected {n} node labels (got shape {np.shape(labels)})")
+    _check_fits_in_memory(n)
+    A = np.zeros((n, n))
+    rows = np.repeat(np.arange(n), graph.k)
+    # the float operations of np.eye(n) - gamma*Q: 0 - gamma*(1/k) on an edge,
+    # then +1 on the diagonal (1 - gamma*(1/k) on a self edge)
+    A[rows, graph.neighbors.ravel()] = 0.0 - gamma * (1.0 / graph.k)
+    A.flat[::n + 1] += 1.0
+    rhs = seed_affinity(labels)
+    rhs *= 1.0 - gamma
+    try:
+        W = np.linalg.solve(A, rhs)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"propagation solve failed: {exc}") from exc
+    del A, rhs
+    W += W.T
+    W /= 2.0
+    return AffinityMatrix(W=W, gamma=gamma)

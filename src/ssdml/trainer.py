@@ -21,7 +21,7 @@ from . import encoder as enc_mod
 from . import evaluation, metric
 from .data import Dataset, sample_partition, split_validation
 from .errors import ConfigError, NumericalError
-from .graph import build_knn, knn_adjacency, laplacian, neighbor_matrix, seed_affinity
+from .graph import build_knn, knn_adjacency, laplacian
 from .manifold import optimize_L
 from .mining import batch_triplets, mine_triplets
 from .propagation import propagate
@@ -207,7 +207,7 @@ def _train_ours(config, train_ds, val_ds, n_clusters, n_p,
         y = train_ds.labels[rows]
         Z = _represent(encoder, config.normalize, X)
         graph = build_knn(Z, config.k)
-        aff = propagate(neighbor_matrix(graph), seed_affinity(y), config.gamma)
+        aff = propagate(graph, y, config.gamma)
         triplets = mine_triplets(aff.W, graph)
 
         for _ in range(config.epochs_per_partition):

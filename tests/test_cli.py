@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import ssdml
+from ssdml import propagation
 from ssdml.cli import build_parser, run
 
 
@@ -223,6 +224,20 @@ class TestExitCodes:
         assert run_cli(["eval", "--data", blob_csv, "--model", bad]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and "line 4" in err
+
+    @pytest.mark.parametrize("command", ["propagate", "mine", "train"])
+    def test_oversized_propagation_is_two(self, blob_csv, monkeypatch, capsys,
+                                          command):
+        # pretend the machine has 64 KiB: a dense solve over the ~60 blob
+        # nodes (about 140 KiB) no longer fits, so the run stops before it
+        monkeypatch.setattr(propagation, "_physical_memory_bytes", lambda: 2**16)
+        args = [command, "--data", blob_csv, "--k", 4]
+        if command == "train":
+            args += ["--embed-dim", 3, "--max-epochs", 1]
+        assert run_cli(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+        assert "--partition-size" in err
 
 
 def test_train_flag_defaults_equal_train_config():

@@ -141,6 +141,25 @@ class TestRecallAtK:
             for k in ks:
                 assert got[k] == pytest.approx(want[k], abs=1e-12)
 
+    @pytest.mark.parametrize("case", ["duplicates", "grid", "offset", "k_n_minus_1", "two"])
+    def test_kernel_edge_cases_match_reference(self, case):
+        rng = np.random.default_rng(11)
+        if case == "duplicates":
+            Z, ks = np.zeros((30, 2)), (1, 2, 4, 29)
+        elif case == "grid":
+            Z = np.array([[x, y] for x in range(5) for y in range(5)], dtype=float)
+            ks = (1, 3, 4, 8)
+        elif case == "offset":
+            Z, ks = 1e-2 * rng.standard_normal((40, 2)) + 1e6, (1, 2, 5)
+        elif case == "k_n_minus_1":
+            Z, ks = rng.integers(0, 2, size=(15, 2)).astype(float), (1, 14)
+        else:
+            Z, ks = np.array([[0.0], [0.0]]), (1,)
+        y = rng.integers(0, 3, size=len(Z))
+        got = ssdml.recall_at_k(Z, y, ks=ks)
+        want = recall_reference(Z, y.tolist(), ks)
+        assert got == want
+
     def test_monotone_in_k(self):
         rng = np.random.default_rng(7)
         for _ in range(25):

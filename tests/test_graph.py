@@ -1,11 +1,14 @@
 """kNN graph construction, Q, seed affinities and the Laplacian."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ssdml
+from ssdml import graph as graph_mod
 from ssdml.errors import ConfigError, NumericalError
 from ssdml.graph import knn_adjacency
 
@@ -24,6 +27,19 @@ def brute_force_knn(Z, k):
         cand.sort()
         out.append([j for _, j in cand[:k]])
     return np.array(out)
+
+
+def row_loop_knn(Z, k):
+    """Bit-exact oracle: per row, the explicit-difference distances to every
+    row (einsum, as the kernel computes them) and a stable full sort."""
+    Z = np.asarray(Z, dtype=np.float64)
+    out = np.empty((len(Z), k), dtype=np.int64)
+    for i in range(len(Z)):
+        diff = Z - Z[i]
+        d2 = np.einsum("ij,ij->i", diff, diff)
+        d2[i] = np.inf
+        out[i] = np.argsort(d2, kind="stable")[:k]
+    return out
 
 
 class TestBuildKnn:
@@ -56,6 +72,91 @@ class TestBuildKnn:
             Z = rng.standard_normal((n, d))
             g = ssdml.build_knn(Z, k)
             assert np.array_equal(g.neighbors, brute_force_knn(Z, k))
+
+
+class TestKnnKernelEdgeCases:
+    """Ties everywhere, inputs the inner-product screen cannot separate (so
+    every candidate goes through the exact recompute), and extreme k and n."""
+
+    def check(self, Z, k):
+        got = ssdml.build_knn(Z, k).neighbors
+        assert np.array_equal(got, row_loop_knn(Z, k))
+        assert np.array_equal(got, brute_force_knn(Z, k))
+
+    def test_all_duplicate_rows(self):
+        Z = np.tile([[0.3, -1.7]], (40, 1))
+        self.check(Z, 7)
+        # every row ties with every other: smallest indices, self skipped
+        assert ssdml.build_knn(Z, 3).neighbors[0].tolist() == [1, 2, 3]
+        assert ssdml.build_knn(Z, 3).neighbors[2].tolist() == [0, 1, 3]
+
+    def test_integer_grid_full_of_ties(self):
+        Z = np.array([[x, y] for x in range(6) for y in range(6)], dtype=float)
+        for k in (1, 4, 8, 20):
+            self.check(Z, k)
+
+    def test_large_common_offset(self):
+        # neighbor gaps (~1e-4) are below the screen's rounding (~1e-4)
+        rng = np.random.default_rng(8)
+        self.check(1e-2 * rng.standard_normal((60, 2)) + 1e6, 5)
+        Z = 1e-2 * rng.standard_normal((60, 5)) + 1e6
+        assert np.array_equal(ssdml.build_knn(Z, 5).neighbors, row_loop_knn(Z, 5))
+
+    def test_k_is_n_minus_one(self):
+        rng = np.random.default_rng(9)
+        self.check(rng.standard_normal((17, 3)), 16)
+        self.check(rng.integers(0, 2, size=(17, 2)).astype(float), 16)
+
+    def test_two_points(self):
+        assert ssdml.build_knn(np.array([[1.0], [1.0]]), 1).neighbors.tolist() == [[1], [0]]
+        self.check(np.array([[0.0, 1.0], [2.0, 5.0]]), 1)
+
+    def test_spans_several_blocks(self, monkeypatch):
+        # a small block budget forces many blocks and a chunked recompute
+        monkeypatch.setattr(graph_mod, "KNN_BLOCK_ENTRIES", 64)
+        rng = np.random.default_rng(10)
+        Z = np.vstack([rng.standard_normal((50, 3)), np.zeros((20, 3))])
+        self.check(Z, 9)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 1e300])
+    def test_non_finite_or_overflowing_row_matches_row_loop(self, bad):
+        # no safe screen: NaN distances rank last and a row's own entry
+        # counts as +inf, exactly as in the per-row sort
+        rng = np.random.default_rng(12)
+        Z = rng.standard_normal((30, 3))
+        Z[4, 1] = bad
+        for k in (1, 5, 29):
+            assert np.array_equal(ssdml.build_knn(Z, k).neighbors, row_loop_knn(Z, k))
+
+    def test_scratch_memory_bounded_on_duplicates(self):
+        n = 3000
+        Z = np.ones((n, 2))
+        tracemalloc.start()
+        try:
+            neighbors = ssdml.build_knn(Z, 5).neighbors
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert neighbors[0].tolist() == [1, 2, 3, 4, 5]
+        assert neighbors[-1].tolist() == [0, 1, 2, 3, 4]
+        # a fixed number of block-sized arrays, well below one n x n matrix
+        assert peak < 16 * graph_mod.KNN_BLOCK_ENTRIES * 8
+        assert peak < n * n * 8 / 2
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_knn_kernel_matches_row_loop_property(data):
+    n = data.draw(st.integers(min_value=2, max_value=40))
+    d = data.draw(st.integers(min_value=1, max_value=4))
+    k = data.draw(st.integers(min_value=1, max_value=n - 1))
+    # a few coordinate levels make ties common; scale and offset stress
+    # the screen's rounding slack
+    levels = data.draw(st.lists(st.integers(-3, 3), min_size=n * d, max_size=n * d))
+    scale = data.draw(st.sampled_from([1.0, 0.1, 1e-7, 1e5]))
+    offset = data.draw(st.sampled_from([0.0, 1.0, 1e6]))
+    Z = np.array(levels, dtype=float).reshape(n, d) * scale + offset
+    assert np.array_equal(ssdml.build_knn(Z, k).neighbors, row_loop_knn(Z, k))
 
 
 class TestNeighborMatrix:

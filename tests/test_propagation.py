@@ -6,19 +6,30 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ssdml
+from ssdml import propagation
 from ssdml.errors import ConfigError, ConvergenceError
+from ssdml.graph import NeighborGraph
 from ssdml.propagation import propagate_direct, propagate_iterative, symmetrize
 
 
-def random_instance(rng, max_n=200):
+def random_graph(rng, max_n=200):
     n = int(rng.integers(5, max_n + 1))
     k = int(rng.integers(2, min(n, 11)))
     Z = rng.standard_normal((n, 3))
     labels = rng.integers(-1, 3, size=n)
-    g = ssdml.build_knn(Z, k)
-    Q = ssdml.neighbor_matrix(g)
-    W0 = ssdml.seed_affinity(labels)
-    return Q, W0
+    return ssdml.build_knn(Z, k), labels
+
+
+def random_instance(rng, max_n=200):
+    g, labels = random_graph(rng, max_n)
+    return ssdml.neighbor_matrix(g), ssdml.seed_affinity(labels)
+
+
+def dense_reference(graph, labels, gamma):
+    """The dense path propagate() replaces: Q and W0 materialized, then
+    propagate_direct and symmetrize."""
+    return symmetrize(propagate_direct(ssdml.neighbor_matrix(graph),
+                                       ssdml.seed_affinity(labels), gamma))
 
 
 class TestPropagateDirect:
@@ -129,8 +140,74 @@ class TestSymmetrize:
        st.sampled_from([0.3, 0.6, 0.9]))
 def test_propagate_dispatcher_symmetric_finite(seed, gamma):
     rng = np.random.default_rng(seed)
-    Q, W0 = random_instance(rng, max_n=40)
-    aff = ssdml.propagate(Q, W0, gamma)
+    graph, labels = random_graph(rng, max_n=40)
+    aff = ssdml.propagate(graph, labels, gamma)
     assert np.array_equal(aff.W, aff.W.T)
     assert np.isfinite(aff.W).all()
     assert aff.gamma == gamma
+
+
+class TestPropagate:
+    def test_bit_identical_to_dense_reference(self):
+        rng = np.random.default_rng(12)
+        for _ in range(30):
+            graph, labels = random_graph(rng)
+            gamma = float(rng.choice([0.0, 0.5, 0.9, 0.99]))
+            W = ssdml.propagate(graph, labels, gamma).W
+            assert np.array_equal(W, dense_reference(graph, labels, gamma))
+
+    def test_hand_built_graph_with_self_loop_and_repeats(self):
+        # I - gamma*Q for lists the kNN builder never makes: a self edge and
+        # a neighbor listed twice
+        graph = NeighborGraph(n=4, k=2, neighbors=[[0, 1], [2, 2], [3, 0], [1, 2]])
+        labels = np.array([0, -1, 1, 0])
+        W = ssdml.propagate(graph, labels, 0.7).W
+        assert np.array_equal(W, dense_reference(graph, labels, 0.7))
+
+    def test_direct_solve_above_former_cutoff(self):
+        # up to 2,000 nodes used to be solved directly and larger graphs by
+        # fixed-point iteration; n = 2,001 must take the same direct solve
+        rng = np.random.default_rng(13)
+        n = 2001
+        graph = ssdml.build_knn(rng.standard_normal((n, 4)), 10)
+        labels = np.where(rng.random(n) < 0.05, rng.integers(0, 5, size=n), -1)
+        aff = ssdml.propagate(graph, labels, 0.99)
+        assert np.array_equal(aff.W, dense_reference(graph, labels, 0.99))
+
+    def test_mining_matches_dense_reference(self):
+        rng = np.random.default_rng(14)
+        Z = rng.standard_normal((300, 5))
+        labels = np.where(rng.random(300) < 0.1, rng.integers(0, 4, size=300), -1)
+        graph = ssdml.build_knn(Z, 10)
+        got = ssdml.mine_triplets(ssdml.propagate(graph, labels, 0.99).W, graph)
+        want = ssdml.mine_triplets(dense_reference(graph, labels, 0.99), graph)
+        assert np.array_equal(got, want)
+
+    def test_label_count_must_match_graph(self):
+        graph = ssdml.build_knn(np.arange(6.0)[:, None], 2)
+        with pytest.raises(ConfigError, match="6 node labels"):
+            ssdml.propagate(graph, [0, 1, -1], 0.5)
+
+    def test_gamma_out_of_range(self):
+        graph = ssdml.build_knn(np.arange(4.0)[:, None], 1)
+        with pytest.raises(ConfigError):
+            ssdml.propagate(graph, [0, 0, -1, -1], 1.0)
+
+    def test_oversized_problem_fails_before_allocating(self):
+        # 300,000 nodes need about 3.3 TiB for the dense solve; the check
+        # must fire before anything n x n is allocated
+        n = 300_000
+        graph = NeighborGraph(n=n, k=2, neighbors=np.zeros((n, 2), dtype=np.int64))
+        with pytest.raises(ConfigError, match=r"n=300000.*GiB.*--partition-size"):
+            ssdml.propagate(graph, np.full(n, -1), 0.99)
+
+    def test_memory_check_counts_the_dense_arrays(self, monkeypatch):
+        n = 50
+        graph = ssdml.build_knn(np.arange(float(n))[:, None], 2)
+        labels = np.full(n, -1)
+        need = propagation.DENSE_SOLVE_ARRAYS * n * n * 8
+        monkeypatch.setattr(propagation, "_physical_memory_bytes", lambda: need)
+        ssdml.propagate(graph, labels, 0.5)
+        monkeypatch.setattr(propagation, "_physical_memory_bytes", lambda: need - 1)
+        with pytest.raises(ConfigError, match="n=50"):
+            ssdml.propagate(graph, labels, 0.5)

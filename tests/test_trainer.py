@@ -62,8 +62,7 @@ def full_rows_train_ours(dataset, config):
         X = train_ds.features[rows]
         Z = enc_mod.forward(encoder, X)
         graph = ssdml.build_knn(Z, config.k)
-        aff = ssdml.propagate(ssdml.neighbor_matrix(graph),
-                              ssdml.seed_affinity(train_ds.labels[rows]), config.gamma)
+        aff = ssdml.propagate(graph, train_ds.labels[rows], config.gamma)
         triplets = ssdml.mine_triplets(aff.W, graph)
         for _ in range(config.epochs_per_partition):
             if epoch >= config.max_epochs:
