@@ -45,7 +45,7 @@ def pipeline_diagnostics(blobs, semi, config):
     graph = ssdml.build_knn(Z, config.k)
     purity = float((y_true[graph.neighbors] == y_true[:, None]).mean())
     aff = ssdml.propagate(graph, semi.labels[rows], config.gamma)
-    idx = ssdml.mine_triplets(aff.W, graph)
+    idx = ssdml.mine_triplets(aff, graph)
     pos_ok = y_true[idx[:, 0]] == y_true[idx[:, 1]]
     neg_ok = y_true[idx[:, 0]] == y_true[idx[:, 2]]
     d = semi.dim

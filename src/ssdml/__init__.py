@@ -17,23 +17,24 @@ from .manifold import optimize_L, retract_qr, tangent_project
 from .metric import (angular_loss, angular_loss_grad_embeddings,
                      angular_loss_grad_L, angular_margin, embed, mahalanobis_sq)
 from .mining import batch_triplets, mine_triplets, sorted_neighborhood
-from .propagation import (AffinityMatrix, propagate, propagate_direct,
-                          propagate_iterative, symmetrize)
+from .propagation import (EdgeAffinity, propagate, propagate_dense,
+                          propagate_direct, propagate_iterative, symmetrize)
 from .trainer import (Model, TrainConfig, evaluate_checkpoint, load_model,
                       save_model, train)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AffinityMatrix", "ConfigError", "ConvergenceError", "DataFormatError",
-    "Dataset", "EvalReport", "Model", "NeighborGraph", "NumericalError",
+    "ConfigError", "ConvergenceError", "DataFormatError", "Dataset",
+    "EdgeAffinity", "EvalReport", "Model", "NeighborGraph", "NumericalError",
     "Partition", "SsdmlError", "TrainConfig", "angular_loss",
     "angular_loss_grad_L", "angular_loss_grad_embeddings", "angular_margin",
     "batch_triplets", "build_knn", "embed", "evaluate_checkpoint",
     "evaluate_embeddings", "kmeans", "laplacian", "load_csv", "load_model",
     "mahalanobis_sq", "make_blobs", "mine_triplets", "neighbor_matrix", "nmi",
-    "optimize_L", "parse_idx", "propagate", "propagate_direct",
-    "propagate_iterative", "recall_at_k", "retract_qr", "sample_partition",
-    "save_model", "seed_affinity", "sorted_neighborhood", "split_validation",
-    "strip_labels", "symmetrize", "tangent_project", "train", "write_csv",
+    "optimize_L", "parse_idx", "propagate", "propagate_dense",
+    "propagate_direct", "propagate_iterative", "recall_at_k", "retract_qr",
+    "sample_partition", "save_model", "seed_affinity", "sorted_neighborhood",
+    "split_validation", "strip_labels", "symmetrize", "tangent_project",
+    "train", "write_csv",
 ]

@@ -22,7 +22,7 @@ from .encoder import l2_normalize_rows
 from .errors import SsdmlError
 from .graph import build_knn
 from .mining import mine_triplets
-from .propagation import propagate
+from .propagation import propagate, propagate_dense
 from .trainer import TrainConfig, evaluate_checkpoint, load_model, save_model, train
 
 
@@ -138,29 +138,28 @@ def _cmd_eval(args) -> int:
     return 0
 
 
-def _partition_affinity(args):
+def _partition_graph(args):
     dataset = _load_dataset(args)
     n_p = dataset.unlabeled_indices.size if args.partition_size == 0 \
         else args.partition_size
     part = sample_partition(dataset, n_p, args.seed)
     rows = part.node_rows
     Z = l2_normalize_rows(dataset.features[rows])
-    graph = build_knn(Z, args.k)
-    aff = propagate(graph, dataset.labels[rows], args.gamma)
-    return graph, aff
+    return build_knn(Z, args.k), dataset.labels[rows]
 
 
 def _cmd_propagate(args) -> int:
-    _, aff = _partition_affinity(args)
+    graph, labels = _partition_graph(args)
+    W = propagate_dense(graph, labels, args.gamma)
     with _out_stream(args.out) as out:
-        for row in aff.W:
+        for row in W:
             out.write(",".join(f"{v:.17g}" for v in row) + "\n")
     return 0
 
 
 def _cmd_mine(args) -> int:
-    graph, aff = _partition_affinity(args)
-    triplets = mine_triplets(aff.W, graph)
+    graph, labels = _partition_graph(args)
+    triplets = mine_triplets(propagate(graph, labels, args.gamma), graph)
     with _out_stream(args.out) as out:
         out.write("anchor,positive,negative\n")
         for a, p, n in triplets.tolist():

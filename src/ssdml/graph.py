@@ -119,6 +119,11 @@ def neighbor_matrix(graph: NeighborGraph) -> np.ndarray:
     return Q
 
 
+# n x n float64 arrays alive at the peak of laplacian(knn_adjacency(graph)):
+# the input, W - W^T and its absolute value (or diag(W 1) and the result).
+LAPLACIAN_ARRAYS = 3
+
+
 def knn_adjacency(graph: NeighborGraph) -> np.ndarray:
     """Symmetric 0/1 adjacency: an edge wherever either direction links."""
     A = np.zeros((graph.n, graph.n))

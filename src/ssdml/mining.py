@@ -6,33 +6,47 @@ import numpy as np
 
 from .errors import ConfigError
 from .graph import NeighborGraph
+from .propagation import EdgeAffinity
 
 
-def _rank_neighbors(W: np.ndarray, graph: NeighborGraph, anchors: np.ndarray) -> np.ndarray:
+def _rank_neighbors(W: np.ndarray | EdgeAffinity, graph: NeighborGraph,
+                    anchors: np.ndarray) -> np.ndarray:
     """(A, k) neighbor lists of the anchors, by descending propagated affinity;
-    affinity ties break toward the smaller node index."""
+    affinity ties break toward the smaller node index.
+
+    W is an EdgeAffinity, read in place, or a dense (n, n) matrix, gathered
+    at the anchors' neighbor entries.
+    """
     nbrs = graph.neighbors[anchors]
-    affinities = W[anchors[:, None], nbrs]
+    if isinstance(W, EdgeAffinity):
+        affinities = W.edges[anchors]
+    else:
+        affinities = np.asarray(W)[anchors[:, None], nbrs]
     # lexsort keys are least significant first: index ascending, then
     # affinity descending; each row sorts on its own.
     return np.take_along_axis(nbrs, np.lexsort((nbrs, -affinities), axis=-1), axis=-1)
 
 
-def sorted_neighborhood(W: np.ndarray, graph: NeighborGraph, anchor: int) -> np.ndarray:
+def sorted_neighborhood(W: np.ndarray | EdgeAffinity, graph: NeighborGraph,
+                        anchor: int) -> np.ndarray:
     """The anchor's k graph neighbors, by descending propagated affinity.
 
-    Affinity ties break toward the smaller node index.
+    W is a dense (n, n) affinity matrix or the EdgeAffinity propagate()
+    returns.  Affinity ties break toward the smaller node index.
     """
     return _rank_neighbors(W, graph, np.array([anchor], dtype=np.int64))[0]
 
 
-def mine_triplets(W: np.ndarray, graph: NeighborGraph, anchors=None) -> np.ndarray:
+def mine_triplets(W: np.ndarray | EdgeAffinity, graph: NeighborGraph,
+                  anchors=None) -> np.ndarray:
     """Pair the top half of each sorted neighborhood against the bottom half.
 
-    The rank-i entry becomes the positive and the rank-(k/2+i) entry the
-    negative of one triplet, giving k/2 triplets per anchor.  Returns a
-    (T, 3) int64 array of (anchor, positive, negative) rows, anchor by
-    anchor and rank by rank.
+    W is a dense (n, n) affinity matrix or the EdgeAffinity propagate()
+    returns; both rank each anchor's neighbors the same way.  The rank-i
+    entry becomes the positive and the rank-(k/2+i) entry the negative of
+    one triplet, giving k/2 triplets per anchor.  Returns a (T, 3) int64
+    array of (anchor, positive, negative) rows, anchor by anchor and rank by
+    rank.
     """
     if graph.k % 2 != 0:
         raise ConfigError(f"triplet mining needs an even k (got {graph.k})")

@@ -21,10 +21,10 @@ from . import encoder as enc_mod
 from . import evaluation, metric
 from .data import Dataset, sample_partition, split_validation
 from .errors import ConfigError, NumericalError
-from .graph import build_knn, knn_adjacency, laplacian
+from .graph import LAPLACIAN_ARRAYS, build_knn, knn_adjacency, laplacian
 from .manifold import optimize_L
 from .mining import batch_triplets, mine_triplets
-from .propagation import propagate
+from .propagation import _check_fits_in_memory, propagate
 
 METHODS = ("ours", "seraph", "lrml")
 
@@ -207,8 +207,7 @@ def _train_ours(config, train_ds, val_ds, n_clusters, n_p,
         y = train_ds.labels[rows]
         Z = _represent(encoder, config.normalize, X)
         graph = build_knn(Z, config.k)
-        aff = propagate(graph, y, config.gamma)
-        triplets = mine_triplets(aff.W, graph)
+        triplets = mine_triplets(propagate(graph, y, config.gamma), graph)
 
         for _ in range(config.epochs_per_partition):
             if epoch >= config.max_epochs:
@@ -280,6 +279,8 @@ def _train_baseline(config, train_ds, val_ds, n_clusters, n_p,
         n_labeled = part.labeled_idx.size
         pairs, y_pairs = _all_labeled_pairs(y, n_labeled)
         if config.method == "lrml":
+            _check_fits_in_memory(LAPLACIAN_ARRAYS * part.n * part.n * 8,
+                                  f"the LRML graph Laplacian over n={part.n} nodes")
             graph = build_knn(Z, config.k)
             Lap = laplacian(knn_adjacency(graph))
             quad = Z.T @ Lap @ Z  # amortize the Laplacian term across batches

@@ -228,9 +228,10 @@ class TestExitCodes:
     @pytest.mark.parametrize("command", ["propagate", "mine", "train"])
     def test_oversized_propagation_is_two(self, blob_csv, monkeypatch, capsys,
                                           command):
-        # pretend the machine has 64 KiB: a dense solve over the ~60 blob
-        # nodes (about 140 KiB) no longer fits, so the run stops before it
-        monkeypatch.setattr(propagation, "_physical_memory_bytes", lambda: 2**16)
+        # pretend the machine has 32 KiB: the block inverse over the ~60
+        # blob nodes (about 44 KiB) and the dense solve `propagate` prints
+        # (about 200 KiB) no longer fit, so the run stops before them
+        monkeypatch.setattr(propagation, "_physical_memory_bytes", lambda: 2**15)
         args = [command, "--data", blob_csv, "--k", 4]
         if command == "train":
             args += ["--embed-dim", 3, "--max-epochs", 1]
@@ -238,6 +239,16 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error:") and len(err.strip().splitlines()) == 1
         assert "--partition-size" in err
+
+    def test_oversized_lrml_laplacian_is_two(self, blob_csv, monkeypatch, capsys):
+        # LRML's kNN adjacency and Laplacian hold 3 n x n arrays (about
+        # 76 KiB here); the same check stops it before they are built
+        monkeypatch.setattr(propagation, "_physical_memory_bytes", lambda: 2**15)
+        assert run_cli(["train", "--data", blob_csv, "--method", "lrml",
+                        "--embed-dim", 3, "--max-epochs", 1]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+        assert "LRML" in err and "--partition-size" in err
 
 
 def test_train_flag_defaults_equal_train_config():

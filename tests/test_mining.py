@@ -148,3 +148,19 @@ def test_mine_triplets_array_layout():
     triplets = ssdml.mine_triplets(rng.standard_normal((12, 12)), g)
     assert triplets.dtype == np.int64 and triplets.shape == (12 * 2, 3)
     assert triplets[:, 0].tolist() == np.repeat(np.arange(12), 2).tolist()
+
+
+def test_edge_affinities_rank_like_the_dense_matrix():
+    # propagate() hands mining only W at the graph's edges; ranking must be
+    # the same as from the dense matrix, ties included
+    rng = np.random.default_rng(15)
+    for _ in range(20):
+        n = int(rng.integers(5, 60))
+        g = ssdml.build_knn(rng.standard_normal((n, 2)), 4)
+        W = rng.integers(-2, 3, size=(n, n)).astype(float)  # many ties
+        aff = ssdml.EdgeAffinity(edges=np.take_along_axis(W, g.neighbors, axis=1),
+                                 gamma=0.5)
+        assert np.array_equal(ssdml.mine_triplets(aff, g), ssdml.mine_triplets(W, g))
+        assert np.array_equal(ssdml.mine_triplets(aff, g, anchors=[3, 0]),
+                              ssdml.mine_triplets(W, g, anchors=[3, 0]))
+        assert np.array_equal(sorted_neighborhood(aff, g, 2), sorted_neighborhood(W, g, 2))

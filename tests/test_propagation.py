@@ -1,4 +1,7 @@
-"""Affinity propagation: direct solve, fixed-point iteration, symmetrize."""
+"""Affinity propagation: block-inverse edge kernel, direct solve,
+fixed-point iteration, symmetrize."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -30,6 +33,20 @@ def dense_reference(graph, labels, gamma):
     propagate_direct and symmetrize."""
     return symmetrize(propagate_direct(ssdml.neighbor_matrix(graph),
                                        ssdml.seed_affinity(labels), gamma))
+
+
+def on_edges(W, graph):
+    """A dense n x n matrix read at the graph's edges, as propagate() returns them."""
+    return np.take_along_axis(W, graph.neighbors, axis=1)
+
+
+def assert_edges_match_reference(graph, labels, gamma):
+    # (1 - gamma) A^-1 is nonnegative with row sums <= 1, so every entry is
+    # bounded by 1 and an absolute tolerance fits every graph
+    edges = ssdml.propagate(graph, labels, gamma).edges
+    assert edges.shape == (graph.n, graph.k)
+    want = on_edges(dense_reference(graph, labels, gamma), graph)
+    assert np.abs(edges - want).max() <= 1e-12
 
 
 class TestPropagateDirect:
@@ -142,46 +159,81 @@ def test_propagate_dispatcher_symmetric_finite(seed, gamma):
     rng = np.random.default_rng(seed)
     graph, labels = random_graph(rng, max_n=40)
     aff = ssdml.propagate(graph, labels, gamma)
-    assert np.array_equal(aff.W, aff.W.T)
-    assert np.isfinite(aff.W).all()
+    assert np.isfinite(aff.edges).all()
     assert aff.gamma == gamma
+    assert_mutual_edges_equal(aff.edges, graph)
+
+
+def assert_mutual_edges_equal(edges, graph):
+    """Edge i -> j and edge j -> i carry exactly the same affinity."""
+    pos = {(i, int(j)): s for i in range(graph.n)
+           for s, j in enumerate(graph.neighbors[i])}
+    for (i, j), s in pos.items():
+        if (j, i) in pos:
+            assert edges[i, s] == edges[j, pos[(j, i)]]
 
 
 class TestPropagate:
-    def test_bit_identical_to_dense_reference(self):
+    def test_edges_match_dense_reference(self):
         rng = np.random.default_rng(12)
         for _ in range(30):
             graph, labels = random_graph(rng)
             gamma = float(rng.choice([0.0, 0.5, 0.9, 0.99]))
-            W = ssdml.propagate(graph, labels, gamma).W
-            assert np.array_equal(W, dense_reference(graph, labels, gamma))
+            assert_edges_match_reference(graph, labels, gamma)
 
     def test_hand_built_graph_with_self_loop_and_repeats(self):
         # I - gamma*Q for lists the kNN builder never makes: a self edge and
         # a neighbor listed twice
         graph = NeighborGraph(n=4, k=2, neighbors=[[0, 1], [2, 2], [3, 0], [1, 2]])
         labels = np.array([0, -1, 1, 0])
-        W = ssdml.propagate(graph, labels, 0.7).W
-        assert np.array_equal(W, dense_reference(graph, labels, 0.7))
+        assert_edges_match_reference(graph, labels, 0.7)
 
     def test_direct_solve_above_former_cutoff(self):
         # up to 2,000 nodes used to be solved directly and larger graphs by
-        # fixed-point iteration; n = 2,001 must take the same direct solve
+        # fixed-point iteration; n = 2,001 (odd: unequal blocks) must match
+        # the direct solve
         rng = np.random.default_rng(13)
         n = 2001
         graph = ssdml.build_knn(rng.standard_normal((n, 4)), 10)
         labels = np.where(rng.random(n) < 0.05, rng.integers(0, 5, size=n), -1)
-        aff = ssdml.propagate(graph, labels, 0.99)
-        assert np.array_equal(aff.W, dense_reference(graph, labels, 0.99))
+        assert_edges_match_reference(graph, labels, 0.99)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 7, 40, 41])
+    @pytest.mark.parametrize("labeled", ["none", "some", "all"])
+    def test_small_and_odd_sizes_and_label_extremes(self, n, labeled):
+        # with every node labeled the class columns span both blocks; with
+        # none there are no class columns at all
+        rng = np.random.default_rng(n)
+        graph = ssdml.build_knn(rng.standard_normal((n, 2)), min(n - 1, 4))
+        labels = {"none": np.full(n, -1),
+                  "some": np.where(np.arange(n) % 3 == 0, np.arange(n) % 2, -1),
+                  "all": rng.integers(0, 3, size=n)}[labeled]
+        for gamma in (0.0, 0.5, 0.99):
+            assert_edges_match_reference(graph, labels, gamma)
+            assert_mutual_edges_equal(ssdml.propagate(graph, labels, gamma).edges,
+                                      graph)
+
+    def test_gamma_zero_is_the_seed_on_the_edges(self):
+        rng = np.random.default_rng(15)
+        for _ in range(10):
+            graph, labels = random_graph(rng, max_n=60)
+            edges = ssdml.propagate(graph, labels, 0.0).edges
+            assert np.array_equal(edges, on_edges(ssdml.seed_affinity(labels), graph))
 
     def test_mining_matches_dense_reference(self):
         rng = np.random.default_rng(14)
         Z = rng.standard_normal((300, 5))
         labels = np.where(rng.random(300) < 0.1, rng.integers(0, 4, size=300), -1)
         graph = ssdml.build_knn(Z, 10)
-        got = ssdml.mine_triplets(ssdml.propagate(graph, labels, 0.99).W, graph)
+        got = ssdml.mine_triplets(ssdml.propagate(graph, labels, 0.99), graph)
         want = ssdml.mine_triplets(dense_reference(graph, labels, 0.99), graph)
         assert np.array_equal(got, want)
+
+    def test_propagate_dense_is_the_dense_reference(self):
+        rng = np.random.default_rng(16)
+        graph, labels = random_graph(rng, max_n=80)
+        assert np.array_equal(ssdml.propagate_dense(graph, labels, 0.9),
+                              dense_reference(graph, labels, 0.9))
 
     def test_label_count_must_match_graph(self):
         graph = ssdml.build_knn(np.arange(6.0)[:, None], 2)
@@ -194,20 +246,63 @@ class TestPropagate:
             ssdml.propagate(graph, [0, 0, -1, -1], 1.0)
 
     def test_oversized_problem_fails_before_allocating(self):
-        # 300,000 nodes need about 3.3 TiB for the dense solve; the check
-        # must fire before anything n x n is allocated
+        # 300,000 nodes need about 1 TiB for the block inverse and 4.6 TiB
+        # for the dense reference; both checks must fire before anything
+        # n x n is allocated
         n = 300_000
         graph = NeighborGraph(n=n, k=2, neighbors=np.zeros((n, 2), dtype=np.int64))
-        with pytest.raises(ConfigError, match=r"n=300000.*GiB.*--partition-size"):
-            ssdml.propagate(graph, np.full(n, -1), 0.99)
+        for run in (ssdml.propagate, ssdml.propagate_dense):
+            with pytest.raises(ConfigError, match=r"n=300000.*GiB.*--partition-size"):
+                run(graph, np.full(n, -1), 0.99)
 
     def test_memory_check_counts_the_dense_arrays(self, monkeypatch):
         n = 50
         graph = ssdml.build_knn(np.arange(float(n))[:, None], 2)
         labels = np.full(n, -1)
-        need = propagation.DENSE_SOLVE_ARRAYS * n * n * 8
+        need = propagation._block_inverse_bytes(n, 0)
         monkeypatch.setattr(propagation, "_physical_memory_bytes", lambda: need)
         ssdml.propagate(graph, labels, 0.5)
         monkeypatch.setattr(propagation, "_physical_memory_bytes", lambda: need - 1)
         with pytest.raises(ConfigError, match="n=50"):
             ssdml.propagate(graph, labels, 0.5)
+
+    def test_memory_check_counts_the_class_columns(self, monkeypatch):
+        n = 51
+        graph = ssdml.build_knn(np.arange(float(n))[:, None], 2)
+        labels = np.where(np.arange(n) < 9, np.arange(n) % 3, -1)
+        need = propagation._block_inverse_bytes(n, 3)
+        assert need == 8 * (25 * 25 + 25 * 26 + 4 * 26 * 26 + n * 3)
+        monkeypatch.setattr(propagation, "_physical_memory_bytes", lambda: need)
+        ssdml.propagate(graph, labels, 0.5)
+        monkeypatch.setattr(propagation, "_physical_memory_bytes", lambda: need - 1)
+        with pytest.raises(ConfigError, match="n=51"):
+            ssdml.propagate(graph, labels, 0.5)
+
+    def test_dense_reference_memory_check(self, monkeypatch):
+        n = 50
+        graph = ssdml.build_knn(np.arange(float(n))[:, None], 2)
+        labels = np.full(n, -1)
+        need = propagation.DENSE_REFERENCE_ARRAYS * n * n * 8
+        monkeypatch.setattr(propagation, "_physical_memory_bytes", lambda: need)
+        ssdml.propagate_dense(graph, labels, 0.5)
+        monkeypatch.setattr(propagation, "_physical_memory_bytes", lambda: need - 1)
+        with pytest.raises(ConfigError, match="n=50"):
+            ssdml.propagate_dense(graph, labels, 0.5)
+
+    def test_traced_peak_stays_below_two_dense_arrays(self):
+        # the former single dense solve traced 3 n x n arrays (its LAPACK
+        # copies are not traced) and returned one; the block inverse traces
+        # about 1.3 and returns (n, k)
+        rng = np.random.default_rng(17)
+        n = 1000
+        graph = ssdml.build_knn(rng.standard_normal((n, 4)), 10)
+        labels = np.where(rng.random(n) < 0.05, rng.integers(0, 5, size=n), -1)
+        tracemalloc.start()
+        try:
+            edges = ssdml.propagate(graph, labels, 0.99).edges
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert edges.shape == (n, 10)
+        assert peak <= 2 * n * n * 8
+        assert peak <= propagation._block_inverse_bytes(n, 5)

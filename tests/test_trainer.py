@@ -63,7 +63,7 @@ def full_rows_train_ours(dataset, config):
         Z = enc_mod.forward(encoder, X)
         graph = ssdml.build_knn(Z, config.k)
         aff = ssdml.propagate(graph, train_ds.labels[rows], config.gamma)
-        triplets = ssdml.mine_triplets(aff.W, graph)
+        triplets = ssdml.mine_triplets(aff, graph)
         for _ in range(config.epochs_per_partition):
             if epoch >= config.max_epochs:
                 break
