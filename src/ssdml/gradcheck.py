@@ -56,7 +56,8 @@ def check_angular_grad_L(seed=0, trials: int = 100) -> float:
     worst = 0.0
     for _ in range(trials):
         _, _, Z, L, idx, alpha = _random_instance(rng)
-        _, analytic = metric.loss_and_grad(L, *metric.triplet_diffs(Z, idx), alpha)
+        _, analytic = metric.loss_and_grad(L, metric.triplet_diffs(Z, idx),
+                                           metric.tan2(alpha))
         numeric = finite_difference_grad(
             lambda Lx: metric.angular_loss(Lx, Z, idx, alpha), L)
         worst = max(worst, relative_error(analytic, numeric))
@@ -70,9 +71,10 @@ def check_angular_grad_embeddings(seed=0, trials: int = 100) -> float:
         _, _, Z, L, idx, alpha = _random_instance(rng)
         # formed on the batch's own rows, as in training, then scattered back
         nodes, local = metric.batch_rows(idx)
-        U, V = metric.triplet_diffs(Z[nodes], local)
+        W = metric.triplet_diffs(Z[nodes], local)
         analytic = np.zeros_like(Z)
-        analytic[nodes] = metric.embedding_grad(L, U, V, local, nodes.size, alpha)
+        analytic[nodes] = metric.embedding_grad(L, W, local, nodes.size,
+                                                metric.tan2(alpha))
         numeric = finite_difference_grad(
             lambda Zx: metric.angular_loss(L, Zx, idx, alpha), Z)
         worst = max(worst, relative_error(analytic, numeric))
@@ -103,8 +105,8 @@ def check_encoder_end_to_end(seed=0, trials: int = 100) -> float:
 
         # the training step: encoder and loss run on the batch's rows only
         nodes, local = metric.batch_rows(idx)
-        U, V = metric.triplet_diffs(enc_mod.forward(enc, X[nodes]), local)
-        upstream = metric.embedding_grad(L, U, V, local, nodes.size, alpha)
+        W = metric.triplet_diffs(enc_mod.forward(enc, X[nodes]), local)
+        upstream = metric.embedding_grad(L, W, local, nodes.size, metric.tan2(alpha))
         dA, db = enc_mod.backward(enc, X[nodes], upstream)
         ndA = finite_difference_grad(lambda A: total_loss(A, enc.b), enc.A.copy())
         ndb = finite_difference_grad(lambda b: total_loss(enc.A, b), enc.b.copy())

@@ -2,8 +2,9 @@
 
 Minimizes a smooth objective over matrices with orthonormal columns using
 Polak-Ribiere conjugate directions built from tangent-projected gradients,
-a QR retraction, and Armijo backtracking.  A plain (unconstrained) descent
-mode with the same line search supports the no-orthogonality ablation.
+a Cholesky-QR retraction, and Armijo backtracking.  A plain (unconstrained)
+descent mode with the same line search supports the no-orthogonality
+ablation.
 """
 
 from __future__ import annotations
@@ -19,12 +20,14 @@ ARMIJO_C = 1e-4
 BACKTRACK_FACTOR = 0.5
 MAX_BACKTRACKS = 30
 ORTH_TOL = 1e-8
+RETRACT_ORTH_TOL = 1e-10
 
 
 def orthonormality_error(L: np.ndarray) -> float:
     """Frobenius norm of L^T L - I."""
-    l = L.shape[1]
-    return float(np.linalg.norm(L.T @ L - np.eye(l)))
+    E = L.T @ L
+    E.flat[::E.shape[0] + 1] -= 1.0
+    return float(np.sqrt(np.vdot(E, E)))
 
 
 def random_stiefel(d: int, l: int, rng) -> np.ndarray:
@@ -36,28 +39,39 @@ def random_stiefel(d: int, l: int, rng) -> np.ndarray:
 def tangent_project(L: np.ndarray, G: np.ndarray) -> np.ndarray:
     """Project a Euclidean gradient onto the tangent space at L.
 
-    xi = G - L sym(L^T G); the result satisfies L^T xi + xi^T L = 0.
+    xi = G - L sym(L^T G); the result satisfies L^T xi + xi^T L = 0.  G may
+    be a stack of shape (k, d, l), projected matrix by matrix in one call.
     """
     LtG = L.T @ G
-    return G - L @ ((LtG + LtG.T) / 2.0)
+    return G - L @ ((LtG + np.swapaxes(LtG, -1, -2)) / 2.0)
 
 
 def retract_qr(L: np.ndarray, xi: np.ndarray, step: float) -> np.ndarray:
-    """Thin-QR retraction of the step L - step*xi back onto the manifold.
+    """QR retraction of the step Y = L - step*xi back onto the manifold,
+    computed as Cholesky-QR: Y^T Y = C C^T, Q = Y C^{-T}.
 
-    The Q factor is sign-fixed so diag(R) > 0, which makes the retraction
-    continuous in its inputs (and the zero step an exact no-op).
+    C has a positive diagonal, so Q is the Q factor of the thin QR of Y
+    with diag(R) > 0, which makes the retraction continuous in its inputs
+    (and the zero step an exact no-op).  For a tangent xi at an
+    orthonormal L, Y^T Y = I + step^2 xi^T xi is at least I, so the Gram
+    matrix is well conditioned.  Any other xi may make Y (nearly) rank
+    deficient; when Q would not be orthonormal to RETRACT_ORTH_TOL the
+    call raises NumericalError, which optimize_L answers with a smaller step.
     """
     if step <= 0:
         raise ConfigError("retraction step must be positive")
     if not np.any(xi):
         return L.copy()
     Y = L - step * xi
-    Q, R = np.linalg.qr(Y)
-    diag = np.diag(R)
-    if np.any(np.abs(diag) < 1e-12 * max(1.0, np.abs(diag).max())):
-        raise NumericalError("rank-deficient retraction; retry with a smaller step")
-    return Q * np.sign(diag)
+    try:
+        C = np.linalg.cholesky(Y.T @ Y)
+    except np.linalg.LinAlgError:
+        raise NumericalError(
+            "rank-deficient retraction; retry with a smaller step") from None
+    Q = Y @ np.linalg.inv(C).T
+    if not orthonormality_error(Q) <= RETRACT_ORTH_TOL:
+        raise NumericalError("ill-conditioned retraction; retry with a smaller step")
+    return Q
 
 
 @dataclass
@@ -89,8 +103,9 @@ def optimize_L(L0, fun_and_grad, max_iter: int = 10, step0: float = 1.0,
 
     fun_and_grad(L) must return (objective, euclidean gradient).  In
     orthonormal mode gradients are tangent-projected, steps retracted by
-    QR, and the previous conjugate direction is transported by
-    re-projection at the new point.  In the ablation mode (orthonormal
+    Cholesky-QR, and the previous conjugate direction is transported by
+    re-projection at the new point (projected together with the new
+    gradient, in one stacked call).  In the ablation mode (orthonormal
     False) this is plain gradient descent with the same Armijo search.
     Accepted objective values never increase; a failed line search (30
     halvings) returns the current iterate flagged as stalled.  `max_step`
@@ -139,13 +154,17 @@ def optimize_L(L0, fun_and_grad, max_iter: int = 10, step0: float = 1.0,
             result.stalled = True
             break
 
-        g_new = tangent_project(L_new, G_new) if orthonormal else G_new
-        gn2_new = float(np.vdot(g_new, g_new))
         if use_cg and orthonormal:
-            g_prev = tangent_project(L_new, g)
-            beta = max(0.0, float(np.vdot(g_new, g_new - g_prev)) / gn2) if gn2 > 0 else 0.0
-            direction = g_new + beta * tangent_project(L_new, direction)
+            g_new, moved = tangent_project(L_new, np.stack((G_new, direction)))
+            gn2_new = float(np.vdot(g_new, g_new))
+            # Polak-Ribiere against the old gradient transported to L_new:
+            # the projector is self-adjoint and g_new tangent there, so
+            # <g_new, P(g)> = <g_new, g> and P(g) itself is never formed
+            beta = (gn2_new - float(np.vdot(g_new, g))) / gn2 if gn2 > 0 else 0.0
+            direction = g_new + max(0.0, beta) * moved
         else:
+            g_new = tangent_project(L_new, G_new) if orthonormal else G_new
+            gn2_new = float(np.vdot(g_new, g_new))
             direction = g_new
 
         L, J, g, gn2 = L_new, float(J_new), g_new, gn2_new

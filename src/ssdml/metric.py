@@ -13,21 +13,20 @@ from __future__ import annotations
 
 import numpy as np
 
-SOFTPLUS_SWITCH = 30.0
+
+def _softplus_sigmoid(m):
+    """(softplus(m), sigmoid(m)) from one shared exp(-|m|), stable for any m."""
+    e = np.exp(-np.abs(m))
+    return np.maximum(m, 0.0) + np.log1p(e), np.where(m >= 0, 1.0, e) / (1.0 + e)
 
 
 def softplus(m):
-    """log(1 + exp(m)), switching to m + log1p(exp(-m)) for large m."""
-    m = np.asarray(m, dtype=np.float64)
-    small = np.log1p(np.exp(np.minimum(m, SOFTPLUS_SWITCH)))
-    large = m + np.log1p(np.exp(-np.abs(m)))
-    return np.where(m > SOFTPLUS_SWITCH, large, small)
+    """log(1 + exp(m)), evaluated as max(m, 0) + log1p(exp(-|m|))."""
+    return _softplus_sigmoid(np.asarray(m, dtype=np.float64))[0]
 
 
 def sigmoid(m):
-    m = np.asarray(m, dtype=np.float64)
-    em = np.exp(-np.abs(m))
-    return np.where(m >= 0, 1.0 / (1.0 + em), em / (1.0 + em))
+    return _softplus_sigmoid(np.asarray(m, dtype=np.float64))[1]
 
 
 def tan2(alpha_deg: float) -> float:
@@ -63,67 +62,72 @@ def batch_rows(batch_idx):
 
 
 def triplet_diffs(embeddings, batch_idx):
-    """(U, V) with rows u = z - z+ and v = z- - (z + z+)/2, one per triplet.
+    """W = [U; V], shape (2T, d): rows u_i = z - z+ of the T triplets, then
+    rows v_i = z- - (z + z+)/2.
 
     The embeddings are fixed while a mini-batch's metric steps run, so the
-    trainer builds (U, V) once per batch and hands them to loss_and_grad.
+    trainer builds W once per batch and hands it to loss_and_grad.
     """
     Z = np.asarray(embeddings, dtype=np.float64)
     batch_idx = np.asarray(batch_idx, dtype=np.int64)
     if batch_idx.size == 0:
         raise ValueError("batch must be non-empty")
-    a, p, n = batch_idx[:, 0], batch_idx[:, 1], batch_idx[:, 2]
-    U = Z[a] - Z[p]
-    V = Z[n] - (Z[a] + Z[p]) / 2.0
-    return U, V
+    Za, Zp = Z[batch_idx[:, 0]], Z[batch_idx[:, 1]]
+    return np.concatenate((Za - Zp, Z[batch_idx[:, 2]] - (Za + Zp) / 2.0))
 
 
-def _margins(L, U, V, t):
+def _margins(L, W, t):
     """The one margin computation behind every loss and gradient here:
-    m = |L^T u|^2 - 4t |L^T v|^2, returned with UL = U L and VL = V L."""
-    UL = U @ L
-    VL = V @ L
-    return np.einsum("ij,ij->i", UL, UL) - 4.0 * t * np.einsum("ij,ij->i", VL, VL), UL, VL
+    m = |L^T u|^2 - 4t |L^T v|^2, returned with WL = W L."""
+    WL = W @ L
+    sq = np.einsum("ij,ij->i", WL, WL)
+    T = sq.size // 2
+    return sq[:T] - 4.0 * t * sq[T:], WL
 
 
-def loss_and_grad(L, U, V, alpha_deg):
-    """Batch loss sum_i softplus(m_i) and its gradient with respect to L.
+def _weighted_rows(L, W, t):
+    """(loss, c * WL) with c = [2 sigma(m); -8t sigma(m)], so that
+    d loss / d(W L) = c * WL row by row."""
+    m, WL = _margins(L, W, t)
+    sp, s = _softplus_sigmoid(m)
+    return float(sp.sum()), np.concatenate((2.0 * s, -8.0 * t * s))[:, None] * WL
 
-    d loss / dL = sum_i sigma(m_i) [2 u_i (u_i^T L) - 8 tan^2(a) v_i (v_i^T L)],
-    factored through u (u^T L) so the cost stays O(d*l) per triplet.
+
+def loss_and_grad(L, W, t):
+    """Batch loss sum_i softplus(m_i) and its gradient with respect to L, for
+    W = triplet_diffs(...) and t = tan2(alpha).
+
+    d loss / dL = sum_i sigma(m_i) [2 u_i (u_i^T L) - 8t v_i (v_i^T L)]
+    = W^T (c * W L), so the cost stays O(d*l) per triplet in two GEMMs.
     """
-    t = tan2(alpha_deg)
-    m, UL, VL = _margins(L, U, V, t)
-    s = sigmoid(m)
-    grad = 2.0 * U.T @ (s[:, None] * UL) - 8.0 * t * V.T @ (s[:, None] * VL)
-    return float(softplus(m).sum()), grad
+    loss, cWL = _weighted_rows(L, W, t)
+    return loss, W.T @ cWL
 
 
-def embedding_grad(L, U, V, batch_idx, n_rows, alpha_deg) -> np.ndarray:
+def embedding_grad(L, W, batch_idx, n_rows, t) -> np.ndarray:
     """Gradient of the batch loss with respect to the n_rows embeddings that
-    batch_idx indexes (U, V built from those rows by triplet_diffs).
+    batch_idx indexes (W built from those rows by triplet_diffs, t = tan2).
 
-    With Mu meaning L(L^T u): dm/dz = 2Mu + 4tMv, dm/dz+ = -2Mu + 4tMv,
-    dm/dz- = -8tMv; each scaled by sigma(m) and accumulated over the
-    triplets sharing a row.
+    With g_u, g_v the rows of (c * W L) L^T (d loss / du, d loss / dv):
+    dz = g_u - g_v/2, dz+ = -g_u - g_v/2, dz- = g_v.  One bincount sums
+    each row's terms in a fixed order (all anchors, then all positives,
+    then all negatives, each in batch order), so the sums do not depend
+    on n_rows.
     """
-    t = tan2(alpha_deg)
-    m, UL, VL = _margins(L, U, V, t)
-    s = sigmoid(m)
-    MU = (s[:, None] * UL) @ L.T  # sigma(m) * L L^T u per triplet
-    MV = (s[:, None] * VL) @ L.T
-    grad = np.zeros((n_rows, L.shape[0]))
-    a, p, n = batch_idx[:, 0], batch_idx[:, 1], batch_idx[:, 2]
-    np.add.at(grad, a, 2.0 * MU + 4.0 * t * MV)
-    np.add.at(grad, p, -2.0 * MU + 4.0 * t * MV)
-    np.add.at(grad, n, -8.0 * t * MV)
-    return grad
+    G = _weighted_rows(L, W, t)[1] @ L.T
+    T = G.shape[0] // 2
+    Gu, half_v = G[:T], G[T:] / 2.0
+    terms = np.concatenate((Gu - half_v, -Gu - half_v, G[T:]))
+    d = L.shape[0]
+    rows = np.asarray(batch_idx, dtype=np.int64).T.ravel()
+    flat = (rows[:, None] * d + np.arange(d)).ravel()
+    grad = np.bincount(flat, weights=terms.ravel(), minlength=n_rows * d)
+    return grad.reshape(n_rows, d)
 
 
 def angular_margins(L, embeddings, batch_idx, alpha_deg):
     """Vector of margins m_i for a (T, 3) index batch."""
-    U, V = triplet_diffs(embeddings, batch_idx)
-    return _margins(L, U, V, tan2(alpha_deg))[0]
+    return _margins(L, triplet_diffs(embeddings, batch_idx), tan2(alpha_deg))[0]
 
 
 def angular_margin(L, z, z_pos, z_neg, alpha_deg) -> float:
@@ -140,7 +144,7 @@ def angular_loss(L, embeddings, batch_idx, alpha_deg) -> float:
 
 def angular_loss_grad_L(L, embeddings, batch_idx, alpha_deg) -> np.ndarray:
     """d loss / dL for a (T, 3) index batch (see loss_and_grad)."""
-    return loss_and_grad(L, *triplet_diffs(embeddings, batch_idx), alpha_deg)[1]
+    return loss_and_grad(L, triplet_diffs(embeddings, batch_idx), tan2(alpha_deg))[1]
 
 
 def angular_loss_grad_embeddings(L, embeddings, batch_idx, alpha_deg) -> np.ndarray:
@@ -148,5 +152,5 @@ def angular_loss_grad_embeddings(L, embeddings, batch_idx, alpha_deg) -> np.ndar
     (see embedding_grad)."""
     Z = np.asarray(embeddings, dtype=np.float64)
     batch_idx = np.asarray(batch_idx, dtype=np.int64)
-    U, V = triplet_diffs(Z, batch_idx)
-    return embedding_grad(L, U, V, batch_idx, Z.shape[0], alpha_deg)
+    return embedding_grad(L, triplet_diffs(Z, batch_idx), batch_idx, Z.shape[0],
+                          tan2(alpha_deg))

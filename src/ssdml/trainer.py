@@ -197,6 +197,7 @@ def _train_ours(config, train_ds, val_ds, n_clusters, n_p,
                                n_clusters, eval_seed)
     _record(history, 0, None, None, v_nmi, v_r1)
     best = (v_r1, L.copy(), encoder.copy() if encoder else None)
+    t = metric.tan2(config.alpha_deg)
 
     epoch = 0
     step_carry = METRIC_MAX_STEP
@@ -224,10 +225,10 @@ def _train_ours(config, train_ds, val_ds, n_clusters, n_p,
                 else:
                     Xb = X[nodes]
                     Zb = enc_mod.forward(encoder, Xb)
-                U, V = metric.triplet_diffs(Zb, local)
+                W = metric.triplet_diffs(Zb, local)
 
-                def fun_and_grad(Lm, U=U, V=V):
-                    return metric.loss_and_grad(Lm, U, V, config.alpha_deg)
+                def fun_and_grad(Lm, W=W):
+                    return metric.loss_and_grad(Lm, W, t)
 
                 res = optimize_L(L, fun_and_grad, max_iter=config.inner_l_iters,
                                  step0=step_carry, use_cg=config.orth,
@@ -238,8 +239,7 @@ def _train_ours(config, train_ds, val_ds, n_clusters, n_p,
                 if not np.isfinite(epoch_loss):
                     raise TrainingDiverged("angular loss became non-finite", history)
                 if encoder is not None and config.lr > 0:
-                    upstream = metric.embedding_grad(L, U, V, local, nodes.size,
-                                                     config.alpha_deg)
+                    upstream = metric.embedding_grad(L, W, local, nodes.size, t)
                     grads = enc_mod.backward(encoder, Xb, upstream)
                     encoder = enc_mod.sgd_update(encoder, grads, config.lr)
 

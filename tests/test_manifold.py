@@ -4,9 +4,54 @@ import numpy as np
 import pytest
 
 import ssdml
-from ssdml.errors import ConfigError
-from ssdml.manifold import (optimize_L, orthonormality_error, random_stiefel,
+from ssdml import metric
+from ssdml.errors import ConfigError, NumericalError
+from ssdml.manifold import (ARMIJO_C, BACKTRACK_FACTOR, MAX_BACKTRACKS,
+                            optimize_L, orthonormality_error, random_stiefel,
                             retract_qr, tangent_project)
+
+
+def householder_retract(L, xi, step):
+    """Reference retraction: thin Householder QR of L - step*xi, with the
+    Q factor sign-fixed so that diag(R) > 0."""
+    Q, R = np.linalg.qr(L - step * xi)
+    return Q * np.sign(np.diag(R))
+
+
+def three_projection_optimize_L(L0, fun_and_grad, max_iter, step0=1.0,
+                                max_step=np.inf, grad_tol=1e-9):
+    """Reference for optimize_L's orthonormal CG mode: Householder
+    retraction, and the new gradient, the old gradient and the old direction
+    each projected at the new point on their own.  Returns the iterates."""
+    L = np.array(L0, dtype=np.float64)
+    J, G = fun_and_grad(L)
+    g = tangent_project(L, G)
+    gn2 = float(np.vdot(g, g))
+    direction, step, iterates = g, min(step0, max_step), [L]
+    for _ in range(max_iter):
+        if np.sqrt(gn2) < grad_tol:
+            break
+        slope = float(np.vdot(g, direction))
+        if slope <= 0:
+            direction, slope = g, gn2
+        trial, first_try = step, True
+        for _ in range(MAX_BACKTRACKS):
+            L_new = householder_retract(L, direction, trial)
+            J_new, G_new = fun_and_grad(L_new)
+            if J_new <= J - ARMIJO_C * trial * slope:
+                break
+            trial *= BACKTRACK_FACTOR
+            first_try = False
+        else:
+            break
+        g_new = tangent_project(L_new, G_new)
+        g_prev = tangent_project(L_new, g)
+        beta = max(0.0, float(np.vdot(g_new, g_new - g_prev)) / gn2)
+        direction = g_new + beta * tangent_project(L_new, direction)
+        L, J, g, gn2 = L_new, J_new, g_new, float(np.vdot(g_new, g_new))
+        step = min(trial * 2.0 if first_try else trial, max_step)
+        iterates.append(L)
+    return iterates
 
 
 class TestTangentProject:
@@ -22,6 +67,14 @@ class TestTangentProject:
         G = (G + G.T) / 2
         xi = tangent_project(np.eye(4), G)
         assert np.abs(xi).max() <= 1e-12
+
+    def test_stacked_projection_equals_one_by_one(self):
+        rng = np.random.default_rng(12)
+        L = random_stiefel(9, 4, rng)
+        G = rng.standard_normal((3, 9, 4))
+        stacked = tangent_project(L, G)
+        for k in range(3):
+            assert np.array_equal(stacked[k], tangent_project(L, G[k]))
 
     def test_projected_gradient_is_tangent(self):
         rng = np.random.default_rng(2)
@@ -53,6 +106,35 @@ class TestRetractQr:
             xi = tangent_project(L, rng.standard_normal((8, 3)))
             L = retract_qr(L, xi, float(rng.uniform(0.001, 1.0)))
             assert orthonormality_error(L) <= 1e-10
+
+    def test_matches_sign_fixed_householder_q(self):
+        rng = np.random.default_rng(13)
+        for _ in range(100):
+            L = random_stiefel(50, 16, rng)
+            xi = tangent_project(L, rng.standard_normal((50, 16)))
+            step = float(np.exp(rng.uniform(np.log(1e-3), np.log(2.0))))
+            diff = np.abs(retract_qr(L, xi, step) - householder_retract(L, xi, step))
+            assert diff.max() <= 1e-14
+
+    def test_near_singular_non_tangent_direction_keeps_contract(self):
+        # Y's first column is L's scaled by 1e-9 plus rounding noise: Cholesky
+        # of Y^T Y alone would return Q with ||Q^T Q - I|| near 1e-8
+        L = random_stiefel(50, 16, np.random.default_rng(14))
+        step = 0.05
+        xi = np.zeros_like(L)
+        xi[:, 0] = L[:, 0] / step * (1 - 1e-9)
+        try:
+            out = retract_qr(L, xi, step)
+        except NumericalError:
+            return
+        assert orthonormality_error(out) <= 1e-10
+
+    def test_rank_deficient_direction_raises(self):
+        L = random_stiefel(6, 3, np.random.default_rng(15))
+        xi = np.zeros_like(L)
+        xi[:, 1] = L[:, 1] / 0.5  # L - 0.5 xi has an exactly zero column
+        with pytest.raises(NumericalError):
+            retract_qr(L, xi, 0.5)
 
     def test_nonpositive_step_rejected(self):
         L = random_stiefel(4, 2, np.random.default_rng(0))
@@ -111,6 +193,46 @@ class TestOptimizeL:
             assert orthonormality_error(L) <= 1e-8
         objs = res.objectives
         assert all(b <= a + 1e-12 for a, b in zip(objs, objs[1:]))
+
+    def test_matches_three_projection_reference_on_quadratics(self):
+        # Two trainer calls' worth of steps, stopped at a gradient norm of
+        # 1e-4.  Longer runs amplify rounding differences: the objective is
+        # flat along L -> LO, and near the optimum its decrease nears its
+        # own rounding, where Armijo's verdict can flip on the last bits.
+        rng = np.random.default_rng(16)
+        for _ in range(20):
+            d = int(rng.integers(3, 11))
+            l = int(rng.integers(1, d))
+            B = rng.standard_normal((d, d))
+            L0 = random_stiefel(d, l, rng)
+            fg = quadratic_problem(B @ B.T)
+            seen = [L0]
+            optimize_L(L0, fg, max_iter=20, grad_tol=1e-4,
+                       callback=lambda L, J: seen.append(L))
+            ref = three_projection_optimize_L(L0, fg, max_iter=20, grad_tol=1e-4)
+            assert len(seen) == len(ref)
+            for a, b in zip(seen, ref):
+                assert np.abs(a - b).max() <= 1e-12
+
+    def test_matches_three_projection_reference_on_angular_batch(self):
+        rng = np.random.default_rng(17)
+        Z = rng.standard_normal((120, 50))
+        Z /= np.linalg.norm(Z, axis=1, keepdims=True)
+        batch = rng.integers(0, 120, size=(100, 3))
+        W, t = metric.triplet_diffs(Z, batch), metric.tan2(40.0)
+
+        def fg(L):
+            return metric.loss_and_grad(L, W, t)
+
+        L0 = np.eye(50)[:, :16]
+        seen = [L0]
+        optimize_L(L0, fg, max_iter=10, step0=0.05, max_step=0.05,
+                   callback=lambda L, J: seen.append(L))
+        ref = three_projection_optimize_L(L0, fg, max_iter=10, step0=0.05,
+                                          max_step=0.05)
+        assert len(seen) == len(ref) == 11
+        for a, b in zip(seen, ref):
+            assert np.abs(a - b).max() <= 1e-12
 
     def test_steepest_descent_mode_also_monotone(self):
         rng = np.random.default_rng(9)

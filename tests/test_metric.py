@@ -167,7 +167,8 @@ class TestGradients:
 
     def test_fused_loss_and_grad_bitwise_equal_to_separate_calls(self):
         for L, Z, idx, alpha in self.random_batches(6):
-            loss, grad = metric.loss_and_grad(L, *metric.triplet_diffs(Z, idx), alpha)
+            loss, grad = metric.loss_and_grad(L, metric.triplet_diffs(Z, idx),
+                                              metric.tan2(alpha))
             assert loss == ssdml.angular_loss(L, Z, idx, alpha)
             assert np.array_equal(grad, ssdml.angular_loss_grad_L(L, Z, idx, alpha))
 
@@ -175,11 +176,41 @@ class TestGradients:
         for L, Z, idx, alpha in self.random_batches(7):
             nodes, local = metric.batch_rows(idx)
             assert np.array_equal(nodes[local], idx)
-            U, V = metric.triplet_diffs(Z[nodes], local)
+            W = metric.triplet_diffs(Z[nodes], local)
             scattered = np.zeros_like(Z)
-            scattered[nodes] = metric.embedding_grad(L, U, V, local, nodes.size, alpha)
+            scattered[nodes] = metric.embedding_grad(L, W, local, nodes.size,
+                                                     metric.tan2(alpha))
             full = ssdml.angular_loss_grad_embeddings(L, Z, idx, alpha)
             assert np.array_equal(scattered, full)
+
+    @staticmethod
+    def two_gemm_reference(L, Z, idx, t):
+        """The kernels as separate U and V products: loss, d loss / dL, and the
+        embedding gradient scattered with one np.add.at per triplet role."""
+        a, p, n = idx[:, 0], idx[:, 1], idx[:, 2]
+        U, V = Z[a] - Z[p], Z[n] - (Z[a] + Z[p]) / 2.0
+        UL, VL = U @ L, V @ L
+        m = np.einsum("ij,ij->i", UL, UL) - 4.0 * t * np.einsum("ij,ij->i", VL, VL)
+        s = np.exp(-np.logaddexp(0.0, -m))
+        loss = float(np.logaddexp(0.0, m).sum())
+        grad_L = 2.0 * U.T @ (s[:, None] * UL) - 8.0 * t * V.T @ (s[:, None] * VL)
+        MU, MV = (s[:, None] * UL) @ L.T, (s[:, None] * VL) @ L.T
+        grad_Z = np.zeros_like(Z)
+        np.add.at(grad_Z, a, 2.0 * MU + 4.0 * t * MV)
+        np.add.at(grad_Z, p, -2.0 * MU + 4.0 * t * MV)
+        np.add.at(grad_Z, n, -8.0 * t * MV)
+        return loss, grad_L, grad_Z
+
+    def test_stacked_kernels_match_two_gemm_reference(self):
+        for L, Z, idx, alpha in self.random_batches(8):
+            t = metric.tan2(alpha)
+            loss, grad_L, grad_Z = self.two_gemm_reference(L, Z, idx, t)
+            W = metric.triplet_diffs(Z, idx)
+            got_loss, got_L = metric.loss_and_grad(L, W, t)
+            got_Z = metric.embedding_grad(L, W, idx, Z.shape[0], t)
+            assert abs(got_loss - loss) <= 1e-13 * abs(loss)
+            assert np.abs(got_L - grad_L).max() <= 1e-13 * np.abs(grad_L).max()
+            assert np.abs(got_Z - grad_Z).max() <= 1e-13 * np.abs(grad_Z).max()
 
     def test_embedding_grads_sum_to_zero_per_triplet(self):
         # m depends only on differences, so the three role-gradients cancel
