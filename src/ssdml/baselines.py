@@ -113,30 +113,22 @@ def seraph_gradient(M, Z, labeled_pairs, labeled_y, unlabeled_pairs,
     return (grad + grad.T) / 2.0
 
 
-def laplacian_quadratic(M: np.ndarray, Z: np.ndarray, Lap: np.ndarray) -> float:
-    """Smoothness term Tr(M X Lap X^T) with X holding examples as columns."""
-    return float(np.trace(M @ (Z.T @ Lap @ Z)))
+def lrml_objective(M, Z, sim_pairs, dis_pairs, quad, config: LrmlConfig) -> float:
+    """gamma_s * sum_sim delta^2 - gamma_d * sum_dis delta^2 + Tr(M quad).
 
-
-def lrml_objective(M, Z, sim_pairs, dis_pairs, Lap, config: LrmlConfig,
-                   quad=None) -> float:
-    """gamma_s * sum_sim delta^2 - gamma_d * sum_dis delta^2 + Laplacian term.
-
-    `quad` may carry a precomputed X Lap X^T to amortize repeated calls.
+    `quad` is the Laplacian smoothness matrix Z^T Lap Z (X Lap X^T with
+    examples as columns), or None for no Laplacian term.
     """
     sim_pairs = np.asarray(sim_pairs, dtype=np.int64).reshape(-1, 2)
     dis_pairs = np.asarray(dis_pairs, dtype=np.int64).reshape(-1, 2)
     obj = config.gamma_s * float(pairwise_sq_dists(M, Z, sim_pairs).sum())
     obj -= config.gamma_d * float(pairwise_sq_dists(M, Z, dis_pairs).sum())
-    if quad is None and Lap is not None:
-        quad = Z.T @ Lap @ Z
     if quad is not None:
         obj += float(np.sum(M * quad))  # Tr(M quad) for symmetric quad
     return obj
 
 
-def lrml_gradient(Z, sim_pairs, dis_pairs, Lap, config: LrmlConfig,
-                  quad=None) -> np.ndarray:
+def lrml_gradient(Z, sim_pairs, dis_pairs, quad, config: LrmlConfig) -> np.ndarray:
     """Gradient of lrml_objective; independent of M (the objective is linear)."""
     sim_pairs = np.asarray(sim_pairs, dtype=np.int64).reshape(-1, 2)
     dis_pairs = np.asarray(dis_pairs, dtype=np.int64).reshape(-1, 2)
@@ -148,8 +140,6 @@ def lrml_gradient(Z, sim_pairs, dis_pairs, Lap, config: LrmlConfig,
     if len(dis_pairs):
         U = Z[dis_pairs[:, 0]] - Z[dis_pairs[:, 1]]
         grad -= config.gamma_d * (U.T @ U)
-    if quad is None and Lap is not None:
-        quad = Z.T @ Lap @ Z
     if quad is not None:
         grad = grad + quad
     return (grad + grad.T) / 2.0

@@ -23,7 +23,8 @@ from .errors import SsdmlError
 from .graph import build_knn
 from .mining import mine_triplets
 from .propagation import propagate, propagate_dense
-from .trainer import TrainConfig, evaluate_checkpoint, load_model, save_model, train
+from .trainer import (METHODS, TrainConfig, evaluate_checkpoint, load_model,
+                      save_model, train)
 
 
 class _UsageError(Exception):
@@ -51,10 +52,21 @@ def _add_data_flags(p):
     p.add_argument("--labels-idx", help="IDX label file (use with --images-idx)")
 
 
+def _add_partition_flags(p):
+    """Partition, graph and output flags shared by propagate and mine."""
+    p.add_argument("--gamma", type=float, default=TrainConfig.gamma,
+                   help="affinity propagation weight")
+    p.add_argument("--k", type=int, default=TrainConfig.k, help="kNN graph degree")
+    p.add_argument("--partition-size", type=int,
+                   default=TrainConfig.partition_size,
+                   help="unlabeled rows per partition (0 = all)")
+    p.add_argument("--seed", type=int, default=0, help="partition sampling seed")
+    p.add_argument("--out", help="CSV path (default stdout)")
+
+
 def _add_train_flags(p):
     defaults = TrainConfig()
-    p.add_argument("--method", choices=["ours", "seraph", "lrml"],
-                   default=defaults.method,
+    p.add_argument("--method", choices=METHODS, default=defaults.method,
                    help="graph-triplet method or a classical pairwise baseline")
     p.add_argument("--gamma", type=float, default=defaults.gamma,
                    help="affinity propagation weight")
@@ -211,26 +223,12 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("propagate", help="dump the propagated affinity matrix", **fmt)
     _add_data_flags(p)
-    p.add_argument("--gamma", type=float, default=TrainConfig.gamma,
-                   help="affinity propagation weight")
-    p.add_argument("--k", type=int, default=TrainConfig.k, help="kNN graph degree")
-    p.add_argument("--partition-size", type=int,
-                   default=TrainConfig.partition_size,
-                   help="unlabeled rows per partition (0 = all)")
-    p.add_argument("--seed", type=int, default=0, help="partition sampling seed")
-    p.add_argument("--out", help="CSV path (default stdout)")
+    _add_partition_flags(p)
     p.set_defaults(func=_cmd_propagate)
 
     p = sub.add_parser("mine", help="dump mined triplets as CSV", **fmt)
     _add_data_flags(p)
-    p.add_argument("--gamma", type=float, default=TrainConfig.gamma,
-                   help="affinity propagation weight")
-    p.add_argument("--k", type=int, default=TrainConfig.k, help="kNN graph degree")
-    p.add_argument("--partition-size", type=int,
-                   default=TrainConfig.partition_size,
-                   help="unlabeled rows per partition (0 = all)")
-    p.add_argument("--seed", type=int, default=0, help="partition sampling seed")
-    p.add_argument("--out", help="CSV path (default stdout)")
+    _add_partition_flags(p)
     p.set_defaults(func=_cmd_mine)
 
     p = sub.add_parser("blobs", help="generate a synthetic blob dataset", **fmt)

@@ -157,10 +157,11 @@ def check_lrml_grad(seed=0, trials: int = 100) -> float:
         W = (W + W.T) / 2.0
         np.fill_diagonal(W, 0.0)
         Lap = np.diag(W.sum(axis=1)) - W
+        quad = Z.T @ Lap @ Z
         sim, dis = lp[y > 0], lp[y < 0]
-        analytic = bl.lrml_gradient(Z, sim, dis, Lap, cfg)
+        analytic = bl.lrml_gradient(Z, sim, dis, quad, cfg)
         numeric = finite_difference_grad(
-            lambda Mx: bl.lrml_objective(Mx, Z, sim, dis, Lap, cfg), M)
+            lambda Mx: bl.lrml_objective(Mx, Z, sim, dis, quad, cfg), M)
         worst = max(worst, relative_error(analytic, numeric))
     return worst
 

@@ -96,7 +96,7 @@ class OptimizeResult:
 
 
 def optimize_L(L0, fun_and_grad, max_iter: int = 10, step0: float = 1.0,
-               use_cg: bool = True, orthonormal: bool = True,
+               orthonormal: bool = True,
                grad_tol: float = GRAD_TOL, max_step: float = np.inf,
                callback=None) -> OptimizeResult:
     """Descend `fun_and_grad` from L0 for at most max_iter accepted steps.
@@ -154,7 +154,7 @@ def optimize_L(L0, fun_and_grad, max_iter: int = 10, step0: float = 1.0,
             result.stalled = True
             break
 
-        if use_cg and orthonormal:
+        if orthonormal:
             g_new, moved = tangent_project(L_new, np.stack((G_new, direction)))
             gn2_new = float(np.vdot(g_new, g_new))
             # Polak-Ribiere against the old gradient transported to L_new:
@@ -163,9 +163,8 @@ def optimize_L(L0, fun_and_grad, max_iter: int = 10, step0: float = 1.0,
             beta = (gn2_new - float(np.vdot(g_new, g))) / gn2 if gn2 > 0 else 0.0
             direction = g_new + max(0.0, beta) * moved
         else:
-            g_new = tangent_project(L_new, G_new) if orthonormal else G_new
+            g_new = direction = G_new
             gn2_new = float(np.vdot(g_new, g_new))
-            direction = g_new
 
         L, J, g, gn2 = L_new, float(J_new), g_new, gn2_new
         result.L = L

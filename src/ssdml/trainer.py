@@ -1,11 +1,15 @@
-"""Training orchestration: partitions, graphs, mining, alternating updates.
+"""Training orchestration: one driver, one epoch generator per method.
 
-Each round samples a partition of the unlabeled data, builds a kNN graph
-over the current (l2-normalized) embeddings, propagates seed affinities,
-mines triplets, and then alternates per batch between metric steps and an
-SGD step on the encoder.  The classical baselines ride the same loop with
-projected-gradient updates of a full PSD matrix instead.  Model selection
-keeps the checkpoint with the best validation Recall@1.
+`train()` is the only loop that validates, records the history, keeps the
+checkpoint with the best validation Recall@1 and attaches the history to a
+`TrainingDiverged`.  Each method is a generator that yields one
+`(partition, loss, L, encoder)` per epoch, the starting point included,
+over the partitions and epochs that `_schedule` hands out.  The paper's
+method samples a partition of the unlabeled data, builds a kNN graph over
+the current (l2-normalized) embeddings, propagates seed affinities, mines
+triplets, and then alternates per batch between metric steps and an SGD
+step on the encoder.  The classical baselines take projected-gradient
+steps on a full PSD matrix over the partition's labeled pairs instead.
 """
 
 from __future__ import annotations
@@ -90,7 +94,7 @@ class Model:
 class TrainingDiverged(NumericalError):
     """Loss became non-finite; carries the history up to the failure."""
 
-    def __init__(self, message, history):
+    def __init__(self, message, history=None):
         super().__init__(message)
         self.history = history
 
@@ -139,10 +143,9 @@ def _represent(encoder, normalize: bool, X):
 
 def _val_metrics(L, encoder, normalize, val_ds: Dataset, n_clusters: int, eval_seed):
     E = metric.embed(L, _represent(encoder, normalize, val_ds.features))
-    assign, _ = evaluation.kmeans_best(E, n_clusters, seed=eval_seed)
-    v_nmi = evaluation.nmi(assign, val_ds.labels)
-    r1 = evaluation.recall_at_k(E, val_ds.labels, ks=(1,))[1]
-    return v_nmi, r1
+    report = evaluation.evaluate_embeddings(E, val_ds.labels, n_clusters, ks=(1,),
+                                            seed=eval_seed)
+    return report.nmi, report.recall_at[1]
 
 
 def _all_labeled_pairs(y_nodes: np.ndarray, n_labeled: int):
@@ -154,7 +157,8 @@ def _all_labeled_pairs(y_nodes: np.ndarray, n_labeled: int):
 
 
 def train(dataset: Dataset, config: TrainConfig) -> Model:
-    """Run the configured method and return the best-validation model."""
+    """Run the configured method and return the best-validation model: the
+    first epoch (0 = the start) with the highest validation Recall@1."""
     _validate(config, dataset)
     n_partitions = math.ceil(config.max_epochs / config.epochs_per_partition)
     state = np.random.SeedSequence(config.seed).generate_state(4 + n_partitions)
@@ -168,11 +172,25 @@ def train(dataset: Dataset, config: TrainConfig) -> Model:
     n_p = train_ds.unlabeled_indices.size if config.partition_size == 0 \
         else config.partition_size
 
+    schedule = _schedule(config, train_ds, n_p, partition_seeds)
     if config.method == "ours":
-        return _train_ours(config, train_ds, val_ds, n_clusters, n_p,
-                           partition_seeds, batch_seed, eval_seed)
-    return _train_baseline(config, train_ds, val_ds, n_clusters, n_p,
-                           partition_seeds, batch_seed, eval_seed, pair_seed)
+        epochs = _ours_epochs(config, train_ds, schedule, batch_seed)
+    else:
+        epochs = _baseline_epochs(config, train_ds, schedule, batch_seed, pair_seed)
+
+    history, best = [], None
+    try:
+        for epoch, (partition, loss, L, encoder) in enumerate(epochs):
+            v_nmi, v_r1 = _val_metrics(L, encoder, config.normalize, val_ds,
+                                       n_clusters, eval_seed)
+            _record(history, epoch, partition, loss, v_nmi, v_r1)
+            if best is None or v_r1 > best[0]:
+                best = (v_r1, L.copy(), None if encoder is None else encoder.copy())
+    except TrainingDiverged as exc:
+        exc.history = history
+        raise
+    return Model(L=best[1], encoder=best[2], config=config, history=history,
+                 normalize=config.normalize)
 
 
 def _record(history, epoch, partition, loss, v_nmi, v_r1):
@@ -185,24 +203,28 @@ def _record(history, epoch, partition, loss, v_nmi, v_r1):
     })
 
 
-def _train_ours(config, train_ds, val_ds, n_clusters, n_p,
-                partition_seeds, batch_seed, eval_seed) -> Model:
+def _schedule(config, train_ds, n_p, partition_seeds):
+    """Yield (p, partition, epochs): each partition's 1-based epoch numbers,
+    epochs_per_partition of them, cut off at max_epochs."""
+    per = config.epochs_per_partition
+    for p, part_seed in enumerate(partition_seeds):
+        epochs = range(p * per + 1, min((p + 1) * per, config.max_epochs) + 1)
+        yield p, sample_partition(train_ds, n_p, part_seed), epochs
+
+
+def _ours_epochs(config, train_ds, schedule, batch_seed):
+    """The paper's method: per partition, a kNN graph over the current
+    embeddings, propagated affinities and mined triplets; per batch, Stiefel
+    steps on L and (with the encoder on) one SGD step on the encoder."""
     d = train_ds.dim
     L = _initial_L(d, config.embed_dim)
     encoder = enc_mod.Encoder.initial(d, normalize=config.normalize) \
         if config.encoder else None
+    yield None, None, L, encoder
 
-    history = []
-    v_nmi, v_r1 = _val_metrics(L, encoder, config.normalize, val_ds,
-                               n_clusters, eval_seed)
-    _record(history, 0, None, None, v_nmi, v_r1)
-    best = (v_r1, L.copy(), encoder.copy() if encoder else None)
     t = metric.tan2(config.alpha_deg)
-
-    epoch = 0
     step_carry = METRIC_MAX_STEP
-    for p, part_seed in enumerate(partition_seeds):
-        part = sample_partition(train_ds, n_p, part_seed)
+    for p, part, epochs in schedule:
         rows = part.node_rows
         X = train_ds.features[rows]
         y = train_ds.labels[rows]
@@ -210,14 +232,10 @@ def _train_ours(config, train_ds, val_ds, n_clusters, n_p,
         graph = build_knn(Z, config.k)
         triplets = mine_triplets(propagate(graph, y, config.gamma), graph)
 
-        for _ in range(config.epochs_per_partition):
-            if epoch >= config.max_epochs:
-                break
-            epoch += 1
-            batches = batch_triplets(triplets, config.batch_triplets,
-                                     seed=batch_seed, epoch=epoch)
+        for epoch in epochs:
             epoch_loss = 0.0
-            for batch in batches:
+            for batch in batch_triplets(triplets, config.batch_triplets,
+                                        seed=batch_seed, epoch=epoch):
                 # batch-local step: only the rows this batch's triplets touch
                 nodes, local = metric.batch_rows(batch)
                 if encoder is None:
@@ -231,48 +249,31 @@ def _train_ours(config, train_ds, val_ds, n_clusters, n_p,
                     return metric.loss_and_grad(Lm, W, t)
 
                 res = optimize_L(L, fun_and_grad, max_iter=config.inner_l_iters,
-                                 step0=step_carry, use_cg=config.orth,
-                                 orthonormal=config.orth,
+                                 step0=step_carry, orthonormal=config.orth,
                                  max_step=METRIC_MAX_STEP)
                 L, step_carry = res.L, res.step
                 epoch_loss += res.objective
                 if not np.isfinite(epoch_loss):
-                    raise TrainingDiverged("angular loss became non-finite", history)
+                    raise TrainingDiverged("angular loss became non-finite")
                 if encoder is not None and config.lr > 0:
                     upstream = metric.embedding_grad(L, W, local, nodes.size, t)
                     grads = enc_mod.backward(encoder, Xb, upstream)
                     encoder = enc_mod.sgd_update(encoder, grads, config.lr)
-
-            v_nmi, v_r1 = _val_metrics(L, encoder, config.normalize, val_ds,
-                                       n_clusters, eval_seed)
-            _record(history, epoch, p, epoch_loss / len(triplets), v_nmi, v_r1)
-            if v_r1 > best[0]:
-                best = (v_r1, L.copy(), encoder.copy() if encoder else None)
-
-    return Model(L=best[1], encoder=best[2], config=config, history=history,
-                 normalize=config.normalize)
+            yield p, epoch_loss / len(triplets), L, encoder
 
 
-def _train_baseline(config, train_ds, val_ds, n_clusters, n_p,
-                    partition_seeds, batch_seed, eval_seed, pair_seed) -> Model:
-    d = train_ds.dim
-    l = config.embed_dim
+def _baseline_epochs(config, train_ds, schedule, batch_seed, pair_seed):
+    """SERAPH or LRML: projected-gradient steps on a full PSD matrix M over
+    the partition's labeled pairs; the yielded L is M's rank-l factor."""
+    d, l = train_ds.dim, config.embed_dim
     M = np.eye(d)
     seraph_cfg = bl.SeraphConfig(eta=config.seraph_eta, mu=config.seraph_mu,
                                  lam=config.seraph_lambda)
     lrml_cfg = bl.LrmlConfig(gamma_s=config.lrml_gamma_s, gamma_d=config.lrml_gamma_d)
+    yield None, None, bl.factor_metric(M, l), None
 
-    history = []
-    L_eval = bl.factor_metric(M, l)
-    v_nmi, v_r1 = _val_metrics(L_eval, None, config.normalize, val_ds,
-                               n_clusters, eval_seed)
-    _record(history, 0, None, None, v_nmi, v_r1)
-    best = (v_r1, L_eval, None)
-
-    epoch = 0
     step_carry = 1.0
-    for p, part_seed in enumerate(partition_seeds):
-        part = sample_partition(train_ds, n_p, part_seed)
+    for p, part, epochs in schedule:
         rows = part.node_rows
         Z = _represent(None, config.normalize, train_ds.features[rows])
         y = train_ds.labels[rows]
@@ -286,10 +287,7 @@ def _train_baseline(config, train_ds, val_ds, n_clusters, n_p,
             quad = Z.T @ Lap @ Z  # amortize the Laplacian term across batches
         unlab_nodes = np.arange(n_labeled, part.n)
 
-        for _ in range(config.epochs_per_partition):
-            if epoch >= config.max_epochs:
-                break
-            epoch += 1
+        for epoch in epochs:
             rng = np.random.default_rng(
                 np.random.SeedSequence([pair_seed, batch_seed, epoch]))
             order = rng.permutation(len(pairs))
@@ -314,12 +312,11 @@ def _train_baseline(config, train_ds, val_ds, n_clusters, n_p,
                 else:
                     sim, dis = bp[by > 0], bp[by < 0]
 
-                    def objective(Mm, sim=sim, dis=dis, quad=quad):
-                        return bl.lrml_objective(Mm, Z, sim, dis, None, lrml_cfg,
-                                                 quad=quad)
+                    def objective(Mm, sim=sim, dis=dis):
+                        return bl.lrml_objective(Mm, Z, sim, dis, quad, lrml_cfg)
 
-                    def gradient(Mm, sim=sim, dis=dis, quad=quad):
-                        return bl.lrml_gradient(Z, sim, dis, None, lrml_cfg, quad=quad)
+                    def gradient(Mm, sim=sim, dis=dis):
+                        return bl.lrml_gradient(Z, sim, dis, quad, lrml_cfg)
 
                 M, accepted = bl.projected_gradient_step(M, objective, gradient,
                                                          step=step_carry)
@@ -328,18 +325,8 @@ def _train_baseline(config, train_ds, val_ds, n_clusters, n_p,
                     step_carry = min(2.0 * accepted, BASELINE_MAX_STEP)
                 epoch_loss += objective(M)
                 if not np.isfinite(epoch_loss):
-                    raise TrainingDiverged("baseline objective became non-finite",
-                                           history)
-
-            L_eval = bl.factor_metric(M, l)
-            v_nmi, v_r1 = _val_metrics(L_eval, None, config.normalize, val_ds,
-                                       n_clusters, eval_seed)
-            _record(history, epoch, p, epoch_loss / n_batches, v_nmi, v_r1)
-            if v_r1 > best[0]:
-                best = (v_r1, L_eval, None)
-
-    return Model(L=best[1], encoder=None, config=config, history=history,
-                 normalize=config.normalize)
+                    raise TrainingDiverged("baseline objective became non-finite")
+            yield p, epoch_loss / n_batches, bl.factor_metric(M, l), None
 
 
 def evaluate_checkpoint(model: Model, dataset: Dataset,

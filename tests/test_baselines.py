@@ -107,7 +107,8 @@ class TestLrml:
         Z = rng.standard_normal((5, 3))
         Lap = ssdml.laplacian(np.ones((5, 5)) - np.eye(5))
         cfg = LrmlConfig()
-        obj = lrml_objective(np.zeros((3, 3)), Z, [[0, 1]], [[2, 3]], Lap, cfg)
+        quad = Z.T @ Lap @ Z
+        obj = lrml_objective(np.zeros((3, 3)), Z, [[0, 1]], [[2, 3]], quad, cfg)
         assert obj == 0.0
 
     def test_similar_only_identity_metric(self):
@@ -117,7 +118,7 @@ class TestLrml:
         Lap = ssdml.laplacian(W)
         cfg = LrmlConfig(gamma_s=1.0, gamma_d=0.0)
         sim = [[0, 1], [2, 3]]
-        obj = lrml_objective(np.eye(2), Z, sim, np.zeros((0, 2)), Lap, cfg)
+        obj = lrml_objective(np.eye(2), Z, sim, np.zeros((0, 2)), Z.T @ Lap @ Z, cfg)
         expected = sum(float(np.sum((Z[i] - Z[j]) ** 2)) for i, j in sim)
         assert obj == pytest.approx(expected)
 
@@ -129,7 +130,7 @@ class TestLrml:
         Z = rng.standard_normal((6, 3))
         Lap = ssdml.laplacian(np.ones((6, 6)) - np.eye(6))
         cfg = LrmlConfig()
-        g = lrml_gradient(Z, [[0, 1]], [[2, 3]], Lap, cfg)
+        g = lrml_gradient(Z, [[0, 1]], [[2, 3]], Z.T @ Lap @ Z, cfg)
         assert np.abs(g - g.T).max() <= 1e-12  # symmetric by construction
 
     def test_no_pairs_no_graph_zero_gradient(self):
@@ -192,8 +193,9 @@ class TestProjectedGradientTraining:
         cfg = LrmlConfig(gamma_s=1.0, gamma_d=0.3)
         sim = np.array([[0, 1], [2, 3]])
         dis = np.array([[4, 5], [6, 7]])
-        obj = lambda M: lrml_objective(M, Z, sim, dis, Lap, cfg)
-        grad = lambda M: lrml_gradient(Z, sim, dis, Lap, cfg)
+        quad = Z.T @ Lap @ Z
+        obj = lambda M: lrml_objective(M, Z, sim, dis, quad, cfg)
+        grad = lambda M: lrml_gradient(Z, sim, dis, quad, cfg)
         M = np.eye(3)
         values = [obj(M)]
         step = 1.0

@@ -234,16 +234,6 @@ class TestOptimizeL:
         for a, b in zip(seen, ref):
             assert np.abs(a - b).max() <= 1e-12
 
-    def test_steepest_descent_mode_also_monotone(self):
-        rng = np.random.default_rng(9)
-        S = rng.standard_normal((6, 6))
-        S = S @ S.T
-        res = optimize_L(random_stiefel(6, 2, rng), quadratic_problem(S),
-                         max_iter=100, use_cg=False)
-        objs = res.objectives
-        assert all(b <= a + 1e-12 for a, b in zip(objs, objs[1:]))
-        assert orthonormality_error(res.L) <= 1e-8
-
     def test_non_orthonormal_ablation_descends_without_retraction(self):
         rng = np.random.default_rng(10)
         S = rng.standard_normal((5, 5))

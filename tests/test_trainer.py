@@ -216,7 +216,46 @@ class TestTrainOurs:
         bad.features[0, 0] = np.nan
         with pytest.raises(TrainingDiverged) as err:
             train(bad, TrainConfig(normalize=False, **FAST))
-        assert isinstance(err.value.history, list)
+        history = err.value.history
+        assert isinstance(history, list) and history
+        assert [rec["epoch"] for rec in history] == list(range(len(history)))
+
+
+# five epochs over partitions of two: the last partition is cut to one
+DRIVER = dict(FAST, max_epochs=5, epochs_per_partition=2)
+DRIVER_RUNS = {m: dict(method=m) for m in trainer.METHODS}
+DRIVER_RUNS["ours-encoder"] = dict(method="ours", encoder=True, lr=1e-3)
+
+
+class TestDriver:
+    @pytest.mark.parametrize("method", trainer.METHODS)
+    def test_epoch_and_partition_schedule(self, method):
+        model = train(small_semi_dataset(), TrainConfig(method=method, **DRIVER))
+        got = [(rec["epoch"], rec["partition"]) for rec in model.history]
+        assert got == [(0, None), (1, 0), (2, 0), (3, 1), (4, 1), (5, 2)]
+
+    @pytest.mark.parametrize("run", DRIVER_RUNS.values(), ids=list(DRIVER_RUNS))
+    def test_keeps_first_best_checkpoint(self, run, monkeypatch):
+        scripted = iter([10.0, 30.0, 30.0, 20.0, 5.0, 0.0])
+        seen = []
+
+        def val_metrics(L, encoder, normalize, val_ds, n_clusters, eval_seed):
+            seen.append((L.copy(), None if encoder is None else encoder.copy()))
+            return 0.5, next(scripted)
+
+        monkeypatch.setattr(trainer, "_val_metrics", val_metrics)
+        model = train(small_semi_dataset(), TrainConfig(**run, **DRIVER))
+        assert [rec["val_r1"] for rec in model.history] == [10, 30, 30, 20, 5, 0]
+        assert len(seen) == 6
+        # the tie at epoch 2 is between distinct checkpoints; the earlier wins
+        (L1, enc1), (L2, _) = seen[1], seen[2]
+        assert not np.array_equal(L1, L2)
+        assert np.array_equal(model.L, L1)
+        if enc1 is None:
+            assert model.encoder is None
+        else:
+            assert np.array_equal(model.encoder.A, enc1.A)
+            assert np.array_equal(model.encoder.b, enc1.b)
 
 
 class TestTrainBaselines:
