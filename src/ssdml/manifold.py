@@ -60,7 +60,7 @@ def retract_qr(L: np.ndarray, xi: np.ndarray, step: float) -> np.ndarray:
     """
     if step <= 0:
         raise ConfigError("retraction step must be positive")
-    if not np.any(xi):
+    if not xi.any():
         return L.copy()
     Y = L - step * xi
     try:
@@ -121,6 +121,7 @@ def optimize_L(L0, fun_and_grad, max_iter: int = 10, step0: float = 1.0,
     gn2 = float(np.vdot(g, g))
     direction = g
     result = OptimizeResult(L=L, step=min(step0, max_step), objectives=[float(J)])
+    pair = np.empty((2,) + L.shape)  # G_new and the old direction, projected together
 
     for _ in range(max_iter):
         result.grad_norm = np.sqrt(gn2)
@@ -155,7 +156,9 @@ def optimize_L(L0, fun_and_grad, max_iter: int = 10, step0: float = 1.0,
             break
 
         if orthonormal:
-            g_new, moved = tangent_project(L_new, np.stack((G_new, direction)))
+            pair[0] = G_new
+            pair[1] = direction
+            g_new, moved = tangent_project(L_new, pair)
             gn2_new = float(np.vdot(g_new, g_new))
             # Polak-Ribiere against the old gradient transported to L_new:
             # the projector is self-adjoint and g_new tangent there, so

@@ -7,10 +7,13 @@ nonsingular and the iteration converges for gamma < 1.
 
 Training only ranks each node's k graph neighbors, so propagate() returns
 the symmetrized affinities on the kNN edges alone.  It inverts
-A = I - gamma*Q as a 2 x 2 block matrix: A is strictly row diagonally
-dominant (each diagonal entry exceeds its row's off-diagonal sum by at least
-1 - gamma), so its leading block and that block's Schur complement are
-nonsingular and block inversion needs no pivoting across the blocks.
+A = I - gamma*Q in place by recursive 2 x 2 blocking.  A is strictly row
+diagonally dominant (each diagonal entry exceeds its row's off-diagonal sum
+by at least 1 - gamma), and so are its leading blocks and their Schur
+complements, at every level of the recursion; so every block it inverts is
+nonsingular and no level needs pivoting (Higham, Accuracy and Stability of
+Numerical Algorithms, 2nd ed., sec. 13.3; Demmel, Higham and Schreiber
+1995).
 propagate_dense() keeps the full n x n result of one dense solve for
 `ssdml propagate`.
 """
@@ -32,6 +35,14 @@ from .graph import NeighborGraph, neighbor_matrix, seed_affinity
 DENSE_REFERENCE_ARRAYS = 7
 ITERATIVE_TOL = 1e-8
 ITERATIVE_MAX_ITER = 10_000
+# Diagonal blocks of this size or less are inverted by np.linalg.inv; 64
+# and 128 ran equally fast at n = 1,980.
+LEAF_SIZE = 64
+# Rows per chunk of a neighbor-list gather; its temporaries hold two chunks.
+GATHER_ROWS = 32
+# What propagate() holds beyond its n-sized arrays: numpy's iterator buffers
+# (about 128 KiB for a ufunc call on a strided view) and one leaf's inverse.
+FIXED_WORKSPACE_BYTES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -116,14 +127,14 @@ def _check_fits_in_memory(need: int, task: str):
 
 
 def _block_inverse_bytes(n: int, n_classes: int) -> int:
-    """Peak bytes of propagate(): with blocks m = n // 2 and p = n - m, the
-    inversion of the Schur complement holds B11 (m x m), P (m x p), S, the
-    solver's two p x p copies and T (p x p each), next to the n x n_classes
-    class columns.  Every other step holds less; the (n, k) edge arrays are
-    left out."""
-    m = n // 2
-    p = n - m
-    return 8 * (m * m + m * p + 4 * p * p + n * n_classes)
+    """Bound on the peak bytes of propagate(): A (n x n, inverted in place),
+    the scratch of ceil(n/2)^2 floats every product goes through, the
+    n x n_classes class columns and the two temporaries of at most
+    GATHER_ROWS x ceil(n/2) floats a top-level gather holds, plus
+    FIXED_WORKSPACE_BYTES.  The (n, k) edge arrays are left out."""
+    half = n - n // 2
+    return (8 * (n * n + half * half + n * n_classes + 2 * GATHER_ROWS * half)
+            + FIXED_WORKSPACE_BYTES)
 
 
 def _check_labels(graph: NeighborGraph, labels):
@@ -131,18 +142,16 @@ def _check_labels(graph: NeighborGraph, labels):
         raise ConfigError(f"expected {graph.n} node labels (got shape {np.shape(labels)})")
 
 
-def _a_block(graph: NeighborGraph, gamma: float, rows: slice, cols: slice) -> np.ndarray:
-    """A[rows, cols] of A = I - gamma*Q, built straight from the neighbor
-    lists with the float operations of np.eye(n) - gamma*Q: 0 - gamma*(1/k)
-    on an edge (once for a repeated neighbor), then +1 on the diagonal
-    (1 - gamma*(1/k) on a self edge)."""
-    nbrs = graph.neighbors[rows]
-    r, j = np.nonzero((nbrs >= cols.start) & (nbrs < cols.stop))
-    block = np.zeros((rows.stop - rows.start, cols.stop - cols.start))
-    block[r, nbrs[r, j] - cols.start] = 0.0 - gamma * (1.0 / graph.k)
-    if rows == cols:
-        block.flat[::block.shape[1] + 1] += 1.0
-    return block
+def _a_matrix(graph: NeighborGraph, gamma: float) -> np.ndarray:
+    """A = I - gamma*Q built straight from the neighbor lists with the float
+    operations of np.eye(n) - gamma*Q: 0 - gamma*(1/k) on an edge (once for
+    a repeated neighbor), then +1 on the diagonal (1 - gamma*(1/k) on a
+    self edge)."""
+    n = graph.n
+    A = np.zeros((n, n))
+    A[np.repeat(np.arange(n), graph.k), graph.neighbors.ravel()] = 0.0 - gamma * (1.0 / graph.k)
+    A.flat[::n + 1] += 1.0
+    return A
 
 
 def _inv(a: np.ndarray) -> np.ndarray:
@@ -152,25 +161,87 @@ def _inv(a: np.ndarray) -> np.ndarray:
         raise NumericalError(f"propagation solve failed: {exc}") from exc
 
 
+def _product(x: np.ndarray, y: np.ndarray, buf: np.ndarray) -> np.ndarray:
+    """x @ y, written into the flat scratch `buf` as one contiguous array."""
+    rows, cols = x.shape[0], y.shape[1]
+    return np.matmul(x, y, out=buf[:rows * cols].reshape(rows, cols))
+
+
+def _invert(a: np.ndarray, buf: np.ndarray, gather=None):
+    """Invert the strictly row diagonally dominant square `a` in place.
+
+    With m = n // 2, B = inv(A11) and T = inv(S) for the Schur complement
+    S = A22 - A21 B A12 (both formed the same way, down to LEAF_SIZE):
+
+        inv(a) = [[B + P W, P T], [W, T]],  P = -B A12,  W = -T A21 B.
+
+    Leading blocks and Schur complements of a strictly row diagonally
+    dominant matrix are strictly row diagonally dominant too, so no level
+    needs pivoting.  Every product is written to the flat scratch `buf` of
+    at least ceil(n/2)^2 floats, then added or copied into place.
+    gather(x, out), when given, adds A21 @ x to out without reading
+    A21, as the top level of propagate() does from the neighbor lists.
+    """
+    n = a.shape[0]
+    if n <= LEAF_SIZE:
+        a[...] = _inv(a)
+        return
+    m = n // 2
+    a11, a12, a21, a22 = a[:m, :m], a[:m, m:], a[m:, :m], a[m:, m:]
+    _invert(a11, buf)
+    np.negative(_product(a11, a12, buf), out=a12)  # P
+    if gather is None:
+        a22 += _product(a21, a12, buf)
+    else:
+        gather(a12, a22)
+    _invert(a22, buf)  # T
+    if gather is None:
+        a21[...] = _product(a21, a11, buf)
+    else:
+        a21.fill(0.0)
+        gather(a11, a21)
+    np.negative(_product(a22, a21, buf), out=a21)  # W
+    a11 += _product(a12, a21, buf)
+    a12[...] = _product(a12, a22, buf)
+
+
+def _neighbor_gather(graph: NeighborGraph, gamma: float, m: int):
+    """gather(x, out) for the bottom-left block A[m:, :m] of
+    A = I - gamma*Q: out += A[m:, :m] @ x as k row gathers, each of
+    (0 - gamma*(1/k)) * x[j] over the distinct neighbors j < m of a row.
+    Going GATHER_ROWS rows at a time bounds the temporaries."""
+    nbrs = graph.neighbors[m:]
+    repeat = np.tril(nbrs[:, :, None] == nbrs[:, None, :], -1).any(axis=2)
+    keep = (nbrs < m) & ~repeat
+    weight = 0.0 - gamma * (1.0 / graph.k)
+
+    def gather(x, out):
+        for s in range(graph.k):
+            rows = np.flatnonzero(keep[:, s])
+            for start in range(0, rows.size, GATHER_ROWS):
+                chunk = rows[start:start + GATHER_ROWS]
+                got = x[nbrs[chunk, s]]
+                got *= weight
+                out[chunk] += got
+
+    return gather
+
+
 def propagate(graph: NeighborGraph, labels, gamma: float) -> EdgeAffinity:
     """Propagate the labels' seed affinities over the kNN graph and return
     the symmetrized result (X + X^T) / 2 on the graph's edges, where
     X = (1 - gamma) A^-1 W0, A = I - gamma*Q and W0 = seed_affinity(labels).
 
-    A^-1 is formed one 2 x 2 block at a time from B11 = inv(A11), the Schur
-    complement S = A22 - A21 B11 A12 and T = inv(S):
-
-        A^-1 = [[B11 + B11 A12 T A21 B11, -B11 A12 T],
-                [-T A21 B11,              T         ]]
-
-    Each block is read at the edges' entries and then freed, so about
-    1.5 n^2 floats are alive at the peak instead of the full A^-1.  Column j
-    of W0 is the unit vector e_j for an unlabeled j; for a labeled j it is
-    the signed indicator of j's class on the labeled rows (+1 same class,
-    -1 other class), so only one column of A^-1 W0 per class is formed.
-    The edges agree with symmetrize(propagate_direct(neighbor_matrix(graph),
-    seed_affinity(labels), gamma)) to rounding.  Raises ConfigError before
-    allocating anything n x n when the blocks cannot fit in physical memory.
+    A is built once and inverted in place by _invert(), next to one scratch
+    of ceil(n/2)^2 floats, so about 1.25 n^2 floats are alive at the peak.
+    At the top level the rows of A21 are the neighbor lists, so its products
+    are row gathers.  Column j of W0 is the unit vector e_j for an unlabeled
+    j; for a labeled j it is the signed indicator of j's class on the
+    labeled rows (+1 same class, -1 other class), so only one column of
+    A^-1 W0 per class is formed.  The edges agree with
+    symmetrize(propagate_direct(neighbor_matrix(graph), seed_affinity(labels),
+    gamma)) to rounding.  Raises ConfigError before allocating anything
+    n x n when A and the scratch cannot fit in physical memory.
     """
     _check_gamma(gamma)
     _check_labels(graph, labels)
@@ -180,50 +251,31 @@ def propagate(graph: NeighborGraph, labels, gamma: float) -> EdgeAffinity:
     classes, label_class = np.unique(y[labeled], return_inverse=True)
     _check_fits_in_memory(_block_inverse_bytes(n, classes.size),
                           f"propagation over n={n} nodes")
-    signs = np.where(label_class[:, None] == np.arange(classes.size), 1.0, -1.0)
-    col_class = np.full(n, -1)
-    col_class[labeled] = label_class
 
-    # the entries of X each edge i -> j needs: X_ij, then X_ji
+    half = n - n // 2
+    gather = _neighbor_gather(graph, gamma, n // 2)
+    A = _a_matrix(graph, gamma)
+    buf = np.empty(half * half)
+    _invert(A, buf, gather)
+    del buf, gather
+
+    # A^-1 W0 on one labeled column per class, a few rows at a time
+    signs = np.where(label_class[:, None] == np.arange(classes.size), 1.0, -1.0)
+    class_cols = np.empty((n, classes.size))
+    step = max(1, half * half // max(labeled.size, 1))
+    for start in range(0, n, step):
+        np.matmul(A[start:start + step, labeled], signs, out=class_cols[start:start + step])
+
+    # the entries of X each edge i -> j needs: X_ij, then X_ji.  A^-1 W0 is
+    # A^-1 itself on an unlabeled column and the class column on a labeled one
     rows = np.repeat(np.arange(n), k)
     cols = graph.neighbors.ravel()
     at_r = np.concatenate([rows, cols])
     at_c = np.concatenate([cols, rows])
-    inv_at = np.empty(at_r.size)  # A^-1 at those entries
-    class_cols = np.zeros((n, classes.size))  # A^-1 W0 on one labeled column per class
-
-    def take(inv_block, r: slice, c: slice):
-        hit = (at_r >= r.start) & (at_r < r.stop) & (at_c >= c.start) & (at_c < c.stop)
-        inv_at[hit] = inv_block[at_r[hit] - r.start, at_c[hit] - c.start]
-        lo, hi = np.searchsorted(labeled, [c.start, c.stop])
-        class_cols[r] += inv_block[:, labeled[lo:hi] - c.start] @ signs[lo:hi]
-
-    m = n // 2
-    top, bottom = slice(0, m), slice(m, n)
-    B11 = _inv(_a_block(graph, gamma, top, top))
-    P = B11 @ _a_block(graph, gamma, top, bottom)
-    P *= -1.0  # -B11 A12
-    A21 = _a_block(graph, gamma, bottom, top)
-    S = _a_block(graph, gamma, bottom, bottom)
-    S += A21 @ P
-    del A21
-    T = _inv(S)
-    del S
-    take(T, bottom, bottom)
-    take(P @ T, top, bottom)
-    U = T @ _a_block(graph, gamma, bottom, top)
-    del T
-    U *= -1.0
-    inv21 = U @ B11  # -T A21 B11
-    del U
-    take(inv21, bottom, top)
-    B11 += P @ inv21
-    del P, inv21
-    take(B11, top, top)
-    del B11
-
-    # A^-1 W0 is A^-1 itself on an unlabeled column and the class column on
-    # a labeled one
+    inv_at = A[at_r, at_c]
+    del A
+    col_class = np.full(n, -1)
+    col_class[labeled] = label_class
     on_labeled = col_class[at_c] >= 0
     inv_at[on_labeled] = class_cols[at_r[on_labeled], col_class[at_c[on_labeled]]]
     X_at = (1.0 - gamma) * inv_at

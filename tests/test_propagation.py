@@ -1,5 +1,5 @@
-"""Affinity propagation: block-inverse edge kernel, direct solve,
-fixed-point iteration, symmetrize."""
+"""Affinity propagation: recursive in-place inverse, edge kernel, direct
+solve, fixed-point iteration, symmetrize."""
 
 import tracemalloc
 
@@ -173,6 +173,64 @@ def assert_mutual_edges_equal(edges, graph):
             assert edges[i, s] == edges[j, pos[(j, i)]]
 
 
+def dominant_matrix(rng, n, gamma):
+    """I - gamma*Q for a dense Q of random sign whose absolute rows sum to 1:
+    strictly row diagonally dominant with margin at least 1 - gamma."""
+    Q = rng.random((n, n)) * rng.choice([-1.0, 1.0], size=(n, n))
+    Q /= np.abs(Q).sum(axis=1, keepdims=True)
+    return np.eye(n) - gamma * Q
+
+
+def invert_in_place(A, gather=None):
+    A = A.copy()
+    half = A.shape[0] - A.shape[0] // 2
+    propagation._invert(A, np.empty(half * half), gather)
+    return A
+
+
+# the hand-built lists of TestPropagate, and the same made with a bottom-half
+# node listing a top-half neighbor twice and a bottom-half self edge
+HAND_BUILT = [[[0, 1], [2, 2], [3, 0], [1, 2]],
+              [[0, 1], [2, 0], [2, 0], [1, 1]]]
+
+
+class TestRecursiveInverse:
+    @pytest.mark.parametrize("leaf, n", [(64, 63), (64, 64), (64, 65), (64, 129),
+                                         (3, 23), (4, 37), (1, 6)])
+    @pytest.mark.parametrize("gamma", [0.0, 0.5, 0.99])
+    def test_matches_numpy_inverse(self, monkeypatch, leaf, n, gamma):
+        monkeypatch.setattr(propagation, "LEAF_SIZE", leaf)
+        A = dominant_matrix(np.random.default_rng(n), n, gamma)
+        want = np.linalg.inv(A)
+        assert np.abs(invert_in_place(A) - want).max() <= 1e-12 * np.abs(want).max()
+
+    @pytest.mark.parametrize("leaf", [1, 2, 5])
+    @pytest.mark.parametrize("gamma", [0.0, 0.5, 0.99])
+    def test_top_level_gather_matches_numpy_inverse(self, monkeypatch, leaf, gamma):
+        # the top level reads A21 from the neighbor lists instead of from A
+        monkeypatch.setattr(propagation, "LEAF_SIZE", leaf)
+        rng = np.random.default_rng(leaf)
+        graphs = [NeighborGraph(n=4, k=2, neighbors=nbrs) for nbrs in HAND_BUILT]
+        graphs += [random_graph(rng, max_n=30)[0] for _ in range(5)]
+        for graph in graphs:
+            A = propagation._a_matrix(graph, gamma)
+            assert np.array_equal(A, np.eye(graph.n) - gamma * ssdml.neighbor_matrix(graph))
+            got = invert_in_place(A, propagation._neighbor_gather(graph, gamma, graph.n // 2))
+            want = np.linalg.inv(A)
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    @pytest.mark.parametrize("leaf", [1, 2, 3, 7])
+    def test_small_leaves_match_dense_reference(self, monkeypatch, leaf):
+        monkeypatch.setattr(propagation, "LEAF_SIZE", leaf)
+        rng = np.random.default_rng(20 + leaf)
+        for nbrs in HAND_BUILT:
+            graph = NeighborGraph(n=4, k=2, neighbors=nbrs)
+            assert_edges_match_reference(graph, np.array([0, -1, 1, 0]), 0.7)
+        for _ in range(10):
+            graph, labels = random_graph(rng, max_n=60)
+            assert_edges_match_reference(graph, labels, float(rng.choice([0.0, 0.5, 0.99])))
+
+
 class TestPropagate:
     def test_edges_match_dense_reference(self):
         rng = np.random.default_rng(12)
@@ -271,7 +329,8 @@ class TestPropagate:
         graph = ssdml.build_knn(np.arange(float(n))[:, None], 2)
         labels = np.where(np.arange(n) < 9, np.arange(n) % 3, -1)
         need = propagation._block_inverse_bytes(n, 3)
-        assert need == 8 * (25 * 25 + 25 * 26 + 4 * 26 * 26 + n * 3)
+        assert need == (8 * (n * n + 26 * 26 + n * 3 + 2 * propagation.GATHER_ROWS * 26)
+                        + propagation.FIXED_WORKSPACE_BYTES)
         monkeypatch.setattr(propagation, "_physical_memory_bytes", lambda: need)
         ssdml.propagate(graph, labels, 0.5)
         monkeypatch.setattr(propagation, "_physical_memory_bytes", lambda: need - 1)
