@@ -41,12 +41,21 @@ class LrmlConfig:
             raise ValueError("pair weights must be non-negative and not both zero")
 
 
+def _pair_diffs_and_dists(M, Z, pairs):
+    """Pair differences U (u = z_i - z_j per row) and each u^T M u.
+
+    The quadratic forms take one GEMM, U M, and a row-wise dot product; a
+    three-operand einsum would run them as an unblocked loop.
+    """
+    U = Z[pairs[:, 0]] - Z[pairs[:, 1]]
+    return U, np.einsum("ij,ij->i", U @ M, U)
+
+
 def pairwise_sq_dists(M: np.ndarray, Z: np.ndarray, pairs: np.ndarray) -> np.ndarray:
     """delta^2_M(z_i, z_j) = u^T M u for each (i, j) row of `pairs`."""
     if len(pairs) == 0:
         return np.zeros(0)
-    U = Z[pairs[:, 0]] - Z[pairs[:, 1]]
-    return np.einsum("ij,jk,ik->i", U, M, U)
+    return _pair_diffs_and_dists(M, Z, pairs)[1]
 
 
 def pair_probability(M, z_i, z_j, y: int, eta: float) -> float:
@@ -101,13 +110,13 @@ def seraph_gradient(M, Z, labeled_pairs, labeled_y, unlabeled_pairs,
     d = M.shape[0]
     grad = config.lam * np.eye(d)
     if len(labeled_pairs):
-        U = Z[labeled_pairs[:, 0]] - Z[labeled_pairs[:, 1]]
-        a = np.einsum("ij,jk,ik->i", U, M, U) - config.eta
+        U, d2 = _pair_diffs_and_dists(M, Z, labeled_pairs)
+        a = d2 - config.eta
         coeff = labeled_y * sigmoid(labeled_y * a)  # d softplus(y a)/da
         grad += U.T @ (coeff[:, None] * U)
     if len(unlabeled_pairs):
-        U = Z[unlabeled_pairs[:, 0]] - Z[unlabeled_pairs[:, 1]]
-        a = np.einsum("ij,jk,ik->i", U, M, U) - config.eta
+        U, d2 = _pair_diffs_and_dists(M, Z, unlabeled_pairs)
+        a = d2 - config.eta
         _, dH = _entropy_terms(a)
         grad += config.mu * (U.T @ (dH[:, None] * U))
     return (grad + grad.T) / 2.0
@@ -161,18 +170,20 @@ def projected_gradient_step(M, objective_fn, gradient_fn, step: float,
                             max_backtracks: int = 30):
     """One monotone projected-gradient step on the PSD cone.
 
-    Backtracks the step until the objective does not increase; when every
-    trial fails, returns M unchanged with step 0 (stalled).
+    Backtracks the step until the objective does not increase.  Returns
+    (M, step, objective at the returned M); when every trial fails, M comes
+    back unchanged with step 0 (stalled).
     """
     J0 = objective_fn(M)
     G = gradient_fn(M)
     s = step
     for _ in range(max_backtracks):
         M_new = project_psd(M - s * G)
-        if objective_fn(M_new) <= J0 + 1e-12:
-            return M_new, s
+        J = objective_fn(M_new)
+        if J <= J0 + 1e-12:
+            return M_new, s, J
         s *= 0.5
-    return M, 0.0
+    return M, 0.0, J0
 
 
 def factor_metric(M: np.ndarray, l: int) -> np.ndarray:

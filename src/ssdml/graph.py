@@ -119,17 +119,37 @@ def neighbor_matrix(graph: NeighborGraph) -> np.ndarray:
     return Q
 
 
-# n x n float64 arrays alive at the peak of laplacian(knn_adjacency(graph)):
-# the input, W - W^T and its absolute value (or diag(W 1) and the result).
-LAPLACIAN_ARRAYS = 3
-
-
 def knn_adjacency(graph: NeighborGraph) -> np.ndarray:
     """Symmetric 0/1 adjacency: an edge wherever either direction links."""
     A = np.zeros((graph.n, graph.n))
     rows = np.repeat(np.arange(graph.n), graph.k)
     A[rows, graph.neighbors.ravel()] = 1.0
     return np.maximum(A, A.T)
+
+
+# Edges per product in knn_laplacian_form: its scratch is two
+# (LAPLACIAN_EDGE_CHUNK, d) arrays whatever the number of edges.
+LAPLACIAN_EDGE_CHUNK = 1 << 11
+
+
+def knn_laplacian_form(graph: NeighborGraph, Z: np.ndarray) -> np.ndarray:
+    """Z^T laplacian(knn_adjacency(graph)) Z without any n x n array.
+
+    The form is the sum of (z_a - z_b)(z_a - z_b)^T over the unique
+    undirected edges {a, b}: an edge listed in both directions, or twice in
+    one row, counts once, as in the symmetric 0/1 adjacency, and a self
+    edge adds nothing (its difference is 0), as in D - W.
+    """
+    Z = np.asarray(Z, dtype=np.float64)
+    a = np.repeat(np.arange(graph.n, dtype=np.int64), graph.k)
+    b = graph.neighbors.ravel()
+    edges = np.unique(np.minimum(a, b) * graph.n + np.maximum(a, b))
+    lo, hi = np.divmod(edges, graph.n)
+    quad = np.zeros((Z.shape[1], Z.shape[1]))
+    for s in range(0, lo.size, LAPLACIAN_EDGE_CHUNK):
+        D = Z[lo[s:s + LAPLACIAN_EDGE_CHUNK]] - Z[hi[s:s + LAPLACIAN_EDGE_CHUNK]]
+        quad += D.T @ D
+    return quad
 
 
 def seed_affinity(node_labels: np.ndarray) -> np.ndarray:

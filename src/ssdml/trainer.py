@@ -25,10 +25,10 @@ from . import encoder as enc_mod
 from . import evaluation, metric
 from .data import Dataset, sample_partition, split_validation
 from .errors import ConfigError, NumericalError
-from .graph import LAPLACIAN_ARRAYS, build_knn, knn_adjacency, laplacian
+from .graph import build_knn, knn_laplacian_form
 from .manifold import optimize_L
 from .mining import batch_triplets, mine_triplets
-from .propagation import _check_fits_in_memory, propagate
+from .propagation import propagate
 
 METHODS = ("ours", "seraph", "lrml")
 
@@ -280,11 +280,8 @@ def _baseline_epochs(config, train_ds, schedule, batch_seed, pair_seed):
         n_labeled = part.labeled_idx.size
         pairs, y_pairs = _all_labeled_pairs(y, n_labeled)
         if config.method == "lrml":
-            _check_fits_in_memory(LAPLACIAN_ARRAYS * part.n * part.n * 8,
-                                  f"the LRML graph Laplacian over n={part.n} nodes")
-            graph = build_knn(Z, config.k)
-            Lap = laplacian(knn_adjacency(graph))
-            quad = Z.T @ Lap @ Z  # amortize the Laplacian term across batches
+            # amortize the Laplacian term across batches
+            quad = knn_laplacian_form(build_knn(Z, config.k), Z)
         unlab_nodes = np.arange(n_labeled, part.n)
 
         for epoch in epochs:
@@ -318,12 +315,12 @@ def _baseline_epochs(config, train_ds, schedule, batch_seed, pair_seed):
                     def gradient(Mm, sim=sim, dis=dis):
                         return bl.lrml_gradient(Z, sim, dis, quad, lrml_cfg)
 
-                M, accepted = bl.projected_gradient_step(M, objective, gradient,
-                                                         step=step_carry)
+                M, accepted, value = bl.projected_gradient_step(M, objective, gradient,
+                                                                step=step_carry)
                 # stalled steps keep the old trial size; successes may grow
                 if accepted:
                     step_carry = min(2.0 * accepted, BASELINE_MAX_STEP)
-                epoch_loss += objective(M)
+                epoch_loss += value
                 if not np.isfinite(epoch_loss):
                     raise TrainingDiverged("baseline objective became non-finite")
             yield p, epoch_loss / n_batches, bl.factor_metric(M, l), None

@@ -9,8 +9,9 @@ import ssdml
 from ssdml import gradcheck
 from ssdml.baselines import (LrmlConfig, SeraphConfig, factor_metric,
                              lrml_gradient, lrml_objective, pair_probability,
-                             project_psd, projected_gradient_step,
-                             seraph_gradient, seraph_objective)
+                             pairwise_sq_dists, project_psd,
+                             projected_gradient_step, seraph_gradient,
+                             seraph_objective)
 
 
 class TestPairProbability:
@@ -29,6 +30,65 @@ class TestPairProbability:
         M = np.eye(2)
         p = pair_probability(M, np.zeros(2), np.zeros(2), y=-1, eta=10.0)
         assert p < 0.01
+
+
+def loop_sq_dists(M, Z, pairs):
+    """Reference: u^T M u, one explicit product per pair."""
+    return np.array([float((Z[i] - Z[j]) @ M @ (Z[i] - Z[j])) for i, j in pairs])
+
+
+def loop_seraph(M, Z, labeled_pairs, labeled_y, unlabeled_pairs, cfg):
+    """Reference objective and gradient from per-pair loops."""
+    d = M.shape[0]
+    obj, grad = cfg.lam * float(np.trace(M)), cfg.lam * np.eye(d)
+    for (i, j), y, d2 in zip(labeled_pairs, labeled_y,
+                             loop_sq_dists(M, Z, labeled_pairs)):
+        u, a = Z[i] - Z[j], d2 - cfg.eta
+        obj += math.log1p(math.exp(y * a))
+        grad += y / (1.0 + math.exp(-y * a)) * np.outer(u, u)
+    for (i, j), d2 in zip(unlabeled_pairs, loop_sq_dists(M, Z, unlabeled_pairs)):
+        u, a = Z[i] - Z[j], d2 - cfg.eta
+        p = 1.0 / (1.0 + math.exp(a))
+        q = 1.0 - p
+        obj -= cfg.mu * (p * math.log(p) + q * math.log(q))
+        grad -= cfg.mu * a * p * q * np.outer(u, u)
+    return obj, (grad + grad.T) / 2.0
+
+
+class TestPairDistances:
+    """The GEMM pair distances against an explicit u^T M u loop."""
+
+    @staticmethod
+    def problem(seed, n_labeled, n_unlabeled):
+        rng = np.random.default_rng(seed)
+        n, d = 12, 5
+        Z = 0.4 * rng.standard_normal((n, d))
+        B = rng.standard_normal((d, d - 1))  # a general PSD M, rank d - 1
+        M = B @ B.T
+
+        def pairs(m):
+            return rng.integers(0, n, size=(m, 2)).astype(np.int64)
+
+        labeled = pairs(n_labeled)
+        return M, Z, labeled, rng.choice([-1, 1], size=n_labeled), pairs(n_unlabeled)
+
+    @pytest.mark.parametrize("counts", [(0, 0), (0, 7), (9, 0), (9, 7), (40, 30)])
+    def test_pairwise_sq_dists(self, counts):
+        M, Z, labeled, _, unlabeled = self.problem(sum(counts), *counts)
+        for pairs in (labeled, unlabeled):
+            got, ref = pairwise_sq_dists(M, Z, pairs), loop_sq_dists(M, Z, pairs)
+            assert got.shape == ref.shape == (len(pairs),)
+            assert np.abs(got - ref).max(initial=0.0) <= 1e-12 * ref.max(initial=0.0)
+
+    @pytest.mark.parametrize("counts", [(0, 0), (0, 7), (9, 0), (9, 7), (40, 30)])
+    def test_seraph_objective_and_gradient(self, counts):
+        M, Z, labeled, y, unlabeled = self.problem(sum(counts), *counts)
+        cfg = SeraphConfig(eta=1.0, mu=0.7, lam=0.1)
+        obj_ref, grad_ref = loop_seraph(M, Z, labeled, y, unlabeled, cfg)
+        obj = seraph_objective(M, Z, labeled, y, unlabeled, cfg)
+        grad = seraph_gradient(M, Z, labeled, y, unlabeled, cfg)
+        assert obj == pytest.approx(obj_ref, rel=1e-12)
+        assert np.abs(grad - grad_ref).max() <= 1e-12 * np.abs(grad_ref).max()
 
 
 class TestSeraphObjective:
@@ -178,7 +238,7 @@ class TestProjectedGradientTraining:
         values = [obj(M)]
         step = 1.0
         for _ in range(40):
-            M, step = projected_gradient_step(M, obj, grad, step or 1e-3)
+            M, step, _ = projected_gradient_step(M, obj, grad, step or 1e-3)
             values.append(obj(M))
         assert all(b <= a + 1e-10 for a, b in zip(values, values[1:]))
         assert np.linalg.eigvalsh(M).min() >= -1e-10
@@ -200,7 +260,7 @@ class TestProjectedGradientTraining:
         values = [obj(M)]
         step = 1.0
         for _ in range(40):
-            M, step = projected_gradient_step(M, obj, grad, step or 1e-3)
+            M, step, _ = projected_gradient_step(M, obj, grad, step or 1e-3)
             values.append(obj(M))
         assert all(b <= a + 1e-10 for a, b in zip(values, values[1:]))
 

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import ssdml
 from ssdml import graph as graph_mod
 from ssdml.errors import ConfigError, NumericalError
-from ssdml.graph import knn_adjacency
+from ssdml.graph import NeighborGraph, knn_adjacency, knn_laplacian_form
 
 
 def brute_force_knn(Z, k):
@@ -227,6 +227,61 @@ def test_knn_adjacency_symmetric_binary():
     assert set(np.unique(A)) <= {0.0, 1.0}
     assert np.all(np.diag(A) == 0.0)
     assert A.sum() >= 25 * 3  # every directed edge is represented
+
+
+class TestKnnLaplacianForm:
+    """knn_laplacian_form against the dense Z^T laplacian(knn_adjacency) Z."""
+
+    @staticmethod
+    def assert_matches_dense(graph, Z):
+        ref = Z.T @ ssdml.laplacian(knn_adjacency(graph)) @ Z
+        got = knn_laplacian_form(graph, Z)
+        assert got.shape == ref.shape
+        assert np.abs(got - ref).max() <= 1e-12 * max(np.abs(ref).max(), 1e-300)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_knn_graphs(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(3, 80))
+        k = int(rng.integers(1, min(n, 12)))
+        Z = rng.standard_normal((n, int(rng.integers(1, 9))))
+        self.assert_matches_dense(ssdml.build_knn(Z, k), Z)
+
+    @pytest.mark.parametrize("neighbors", [
+        [[1, 2], [0, 2], [0, 1], [2, 0]],  # mutual edges
+        [[1, 1], [2, 2], [3, 0], [0, 1]],  # a neighbor repeated in a row
+        [[0, 1], [1, 2], [3, 0], [3, 3]],  # self edges
+        [[0, 0], [1, 1], [2, 2], [3, 3]],  # self edges only: no term
+    ])
+    def test_hand_built_graphs(self, neighbors):
+        # rows 0 and 3 coincide: their edge adds nothing either
+        Z = np.array([[0.5, -1.0, 2.0], [1.5, 0.25, -0.5],
+                      [-2.0, 1.0, 0.0], [0.5, -1.0, 2.0]])
+        graph = NeighborGraph(n=4, k=2, neighbors=neighbors)
+        self.assert_matches_dense(graph, Z)
+
+    @pytest.mark.parametrize("edges", [3, 4, 5])
+    def test_edge_counts_around_the_chunk(self, monkeypatch, edges):
+        # a path listed forward (i -> i+1) with the last node pointing back:
+        # edges + 1 nodes give `edges` undirected edges, one listed twice
+        monkeypatch.setattr(graph_mod, "LAPLACIAN_EDGE_CHUNK", 4)
+        n = edges + 1
+        neighbors = np.append(np.arange(1, n), n - 2)[:, None]
+        Z = np.random.default_rng(edges).standard_normal((n, 3))
+        self.assert_matches_dense(NeighborGraph(n=n, k=1, neighbors=neighbors), Z)
+
+    def test_builds_no_dense_array(self):
+        # 2,000 nodes: one n x n float64 array alone would take 32 MB
+        rng = np.random.default_rng(7)
+        Z = rng.standard_normal((2000, 5))
+        graph = ssdml.build_knn(Z, 10)
+        tracemalloc.start()
+        try:
+            knn_laplacian_form(graph, Z)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2000 * 2000 * 8 // 16
 
 
 @settings(max_examples=20, deadline=None)
