@@ -17,6 +17,7 @@ from .errors import NumericalError
 from .metric import sigmoid, softplus
 
 PLOGP_FLOOR = 1e-300
+PG_MAX_BACKTRACKS = 30
 
 
 @dataclass(frozen=True)
@@ -166,18 +167,17 @@ def project_psd(M: np.ndarray) -> np.ndarray:
     return (R + R.T) / 2.0
 
 
-def projected_gradient_step(M, objective_fn, gradient_fn, step: float,
-                            max_backtracks: int = 30):
+def projected_gradient_step(M, objective_fn, gradient_fn, step: float):
     """One monotone projected-gradient step on the PSD cone.
 
-    Backtracks the step until the objective does not increase.  Returns
-    (M, step, objective at the returned M); when every trial fails, M comes
-    back unchanged with step 0 (stalled).
+    Halves the step, at most PG_MAX_BACKTRACKS times, until the objective
+    does not increase.  Returns (M, step, objective at the returned M); when
+    every trial fails, M comes back unchanged with step 0 (stalled).
     """
     J0 = objective_fn(M)
     G = gradient_fn(M)
     s = step
-    for _ in range(max_backtracks):
+    for _ in range(PG_MAX_BACKTRACKS):
         M_new = project_psd(M - s * G)
         J = objective_fn(M_new)
         if J <= J0 + 1e-12:

@@ -320,6 +320,8 @@ def strip_labels(dataset: Dataset, keep_per_class: int, seed=0) -> Dataset:
     Used to turn a fully labeled synthetic dataset into a semi-supervised
     one; the kept rows are sampled uniformly per class.
     """
+    if keep_per_class < 0:
+        raise ConfigError(f"labels kept per class must be >= 0 (got {keep_per_class})")
     rng = _rng(seed)
     labels = np.full_like(dataset.labels, UNLABELED)
     for c in range(dataset.n_classes):
@@ -341,6 +343,8 @@ def sample_partition(dataset: Dataset, n_unlabeled: int, seed=0) -> Partition:
     unlabeled = dataset.unlabeled_indices
     if labeled.size == 0:
         raise ConfigError("dataset has no labeled rows")
+    if n_unlabeled < 0:
+        raise ConfigError(f"partition size must be >= 0 (got {n_unlabeled})")
     if n_unlabeled > unlabeled.size:
         raise ConfigError(
             f"requested {n_unlabeled} unlabeled rows, only {unlabeled.size} available"

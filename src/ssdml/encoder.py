@@ -11,11 +11,11 @@ from .errors import ConfigError, NumericalError
 MIN_EMBED_NORM = 1e-12
 
 
-def l2_normalize_rows(Z: np.ndarray, min_norm: float = MIN_EMBED_NORM) -> np.ndarray:
+def l2_normalize_rows(Z: np.ndarray) -> np.ndarray:
     """Scale every row to unit norm; near-zero rows are degenerate."""
     Z = np.asarray(Z, dtype=np.float64)
     norms = np.linalg.norm(Z, axis=1, keepdims=True)
-    if np.any(norms < min_norm):
+    if np.any(norms < MIN_EMBED_NORM):
         raise NumericalError("degenerate embedding: a row has (near-)zero norm")
     return Z / norms
 
@@ -43,13 +43,9 @@ class Encoder:
         return self.A.shape[0]
 
     @classmethod
-    def initial(cls, d_in: int, d_out: int | None = None, normalize: bool = False):
-        """Identity-padded start: the map begins as a copy/projection of x."""
-        d_out = d_in if d_out is None else d_out
-        A = np.zeros((d_out, d_in))
-        m = min(d_in, d_out)
-        A[:m, :m] = np.eye(m)
-        return cls(A=A, b=np.zeros(d_out), normalize=normalize)
+    def initial(cls, d_in: int, normalize: bool = False):
+        """Identity start: the map begins as a copy of x."""
+        return cls(A=np.eye(d_in), b=np.zeros(d_in), normalize=normalize)
 
     def copy(self) -> "Encoder":
         return Encoder(self.A.copy(), self.b.copy(), self.normalize)

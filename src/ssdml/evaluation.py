@@ -10,6 +10,7 @@ from .errors import ConfigError
 from .graph import _exact_knn
 
 KMEANS_RESTARTS = 10
+KMEANS_MAX_ITER = 100
 DEFAULT_RECALL_KS = (1, 2, 4, 8)
 
 
@@ -51,10 +52,10 @@ def _kmeanspp_init(Z: np.ndarray, n_clusters: int, rng) -> np.ndarray:
     return Z[chosen].copy()
 
 
-def kmeans(Z: np.ndarray, n_clusters: int, seed=0, max_iter: int = 100):
+def kmeans(Z: np.ndarray, n_clusters: int, seed=0):
     """Lloyd's algorithm with k-means++ seeding.
 
-    Runs until the assignment reaches a fixed point or max_iter; empty
+    Runs until the assignment reaches a fixed point or KMEANS_MAX_ITER; empty
     clusters are reseeded to the point farthest from its current center.
     Returns (assignments, inertia).
     """
@@ -67,7 +68,7 @@ def kmeans(Z: np.ndarray, n_clusters: int, seed=0, max_iter: int = 100):
     rng = np.random.default_rng(int(seed))
     centers = _kmeanspp_init(Z, n_clusters, rng)
     assign = np.full(n, -1, dtype=np.int64)
-    for _ in range(max_iter):
+    for _ in range(KMEANS_MAX_ITER):
         d2 = _sq_dists_to(Z, centers)
         new_assign = d2.argmin(axis=1)
         dist_to_own = d2[np.arange(n), new_assign]
@@ -89,11 +90,11 @@ def kmeans(Z: np.ndarray, n_clusters: int, seed=0, max_iter: int = 100):
     return assign, inertia
 
 
-def kmeans_best(Z, n_clusters, seed=0, restarts: int = KMEANS_RESTARTS):
-    """Best-inertia assignment over seed-derived restarts."""
+def kmeans_best(Z, n_clusters, seed=0):
+    """Best-inertia assignment over KMEANS_RESTARTS seed-derived restarts."""
     if int(seed) < 0:
         raise ConfigError("seed must be non-negative")
-    seeds = np.random.SeedSequence(int(seed)).generate_state(restarts)
+    seeds = np.random.SeedSequence(int(seed)).generate_state(KMEANS_RESTARTS)
     best_assign, best_inertia = None, np.inf
     for s in seeds:
         assign, inertia = kmeans(Z, n_clusters, seed=int(s))

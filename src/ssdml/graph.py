@@ -14,7 +14,8 @@ from .errors import ConfigError, NumericalError
 class NeighborGraph:
     """Directed kNN graph: per node, k neighbor indices by ascending distance.
 
-    Ties are broken toward the smaller index; a node never lists itself.
+    Ties go to the smaller index and build_knn() never lists a node itself;
+    hand-built lists may hold self edges and repeats, all within [0, n).
     """
 
     n: int
@@ -22,9 +23,11 @@ class NeighborGraph:
     neighbors: np.ndarray  # (n, k) int64
 
     def __post_init__(self):
-        object.__setattr__(self, "neighbors", np.asarray(self.neighbors, dtype=np.int64))
-        if self.neighbors.shape != (self.n, self.k):
-            raise ValueError("neighbors must be an (n, k) index matrix")
+        nbrs = np.asarray(self.neighbors, dtype=np.int64)
+        object.__setattr__(self, "neighbors", nbrs)
+        if nbrs.shape != (self.n, self.k) or (
+                nbrs.size and not 0 <= nbrs.min() <= nbrs.max() < self.n):
+            raise ValueError("neighbors must be an (n, k) matrix of indices in [0, n)")
 
 
 # Each block holds about this many (row, column) entries, which bounds the
@@ -171,12 +174,12 @@ def seed_affinity(node_labels: np.ndarray) -> np.ndarray:
     return W0
 
 
-def laplacian(W: np.ndarray, sym_tol: float = 1e-12) -> np.ndarray:
+def laplacian(W: np.ndarray) -> np.ndarray:
     """Unnormalized graph Laplacian D - W (rows of the result sum to 0)."""
     W = np.asarray(W, dtype=np.float64)
     if W.shape[0] != W.shape[1]:
         raise ValueError("W must be square")
     asym = np.abs(W - W.T).max() if W.size else 0.0
-    if asym > sym_tol:
+    if asym > 1e-12:  # beyond rounding
         raise NumericalError(f"W is asymmetric (max |W - W^T| = {asym:.3e})")
     return np.diag(W.sum(axis=1)) - W

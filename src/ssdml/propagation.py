@@ -5,17 +5,17 @@ limit of the random-walk recursion W <- gamma*Q*W + (1-gamma)*W0.  Because
 Q is row-stochastic its spectral radius is at most 1, so the system is
 nonsingular and the iteration converges for gamma < 1.
 
-Training only ranks each node's k graph neighbors, so propagate() returns
-the symmetrized affinities on the kNN edges alone.  It inverts
+One solve, _solve(), serves both public results.  It inverts
 A = I - gamma*Q in place by recursive 2 x 2 blocking.  A is strictly row
 diagonally dominant (each diagonal entry exceeds its row's off-diagonal sum
 by at least 1 - gamma), and so are its leading blocks and their Schur
 complements, at every level of the recursion; so every block it inverts is
 nonsingular and no level needs pivoting (Higham, Accuracy and Stability of
 Numerical Algorithms, 2nd ed., sec. 13.3; Demmel, Higham and Schreiber
-1995).
-propagate_dense() keeps the full n x n result of one dense solve for
-`ssdml propagate`.
+1995).  propagate() reads the result at the kNN edges alone, which is all
+that training ranks; propagate_dense() symmetrizes the whole array in place
+for `ssdml propagate`.  propagate_direct(), propagate_iterative() and
+symmetrize() are the dense references both are checked against.
 """
 
 from __future__ import annotations
@@ -27,12 +27,8 @@ import numpy as np
 
 from .data import UNLABELED
 from .errors import ConfigError, ConvergenceError, NumericalError
-from .graph import NeighborGraph, neighbor_matrix, seed_affinity
+from .graph import NeighborGraph
 
-# n x n float64 arrays alive at the peak of propagate_dense(): Q, W0,
-# I - gamma*Q, the right-hand side, the solver's copies of the last two and
-# the solution.
-DENSE_REFERENCE_ARRAYS = 7
 ITERATIVE_TOL = 1e-8
 ITERATIVE_MAX_ITER = 10_000
 # Diagonal blocks of this size or less are inverted by np.linalg.inv; 64
@@ -47,11 +43,10 @@ FIXED_WORKSPACE_BYTES = 1 << 18
 
 @dataclass(frozen=True)
 class EdgeAffinity:
-    """Symmetrized propagated affinities on the kNN edges, plus the weight
-    used to make them: edges[i, j] = W[i, graph.neighbors[i, j]]."""
+    """Symmetrized propagated affinities on the kNN edges:
+    edges[i, j] = W[i, graph.neighbors[i, j]]."""
 
     edges: np.ndarray  # (n, k)
-    gamma: float
 
 
 def _check_gamma(gamma: float):
@@ -128,18 +123,14 @@ def _check_fits_in_memory(need: int, task: str):
 
 def _block_inverse_bytes(n: int, n_classes: int) -> int:
     """Bound on the peak bytes of propagate(): A (n x n, inverted in place),
-    the scratch of ceil(n/2)^2 floats every product goes through, the
-    n x n_classes class columns and the two temporaries of at most
+    the scratch of ceil(n/2)^2 floats every product goes through (later a
+    row chunk's labeled columns, no larger), a row chunk's class columns
+    (at most n x n_classes) and the two temporaries of at most
     GATHER_ROWS x ceil(n/2) floats a top-level gather holds, plus
     FIXED_WORKSPACE_BYTES.  The (n, k) edge arrays are left out."""
     half = n - n // 2
     return (8 * (n * n + half * half + n * n_classes + 2 * GATHER_ROWS * half)
             + FIXED_WORKSPACE_BYTES)
-
-
-def _check_labels(graph: NeighborGraph, labels):
-    if np.shape(labels) != (graph.n,):
-        raise ConfigError(f"expected {graph.n} node labels (got shape {np.shape(labels)})")
 
 
 def _a_matrix(graph: NeighborGraph, gamma: float) -> np.ndarray:
@@ -227,72 +218,70 @@ def _neighbor_gather(graph: NeighborGraph, gamma: float, m: int):
     return gather
 
 
-def propagate(graph: NeighborGraph, labels, gamma: float) -> EdgeAffinity:
-    """Propagate the labels' seed affinities over the kNN graph and return
-    the symmetrized result (X + X^T) / 2 on the graph's edges, where
-    X = (1 - gamma) A^-1 W0, A = I - gamma*Q and W0 = seed_affinity(labels).
+def _solve(graph: NeighborGraph, labels, gamma: float, extra_bytes: int,
+           task: str) -> np.ndarray:
+    """A^-1 W0 as one n x n array, where A = I - gamma*Q and
+    W0 = seed_affinity(labels).
 
     A is built once and inverted in place by _invert(), next to one scratch
     of ceil(n/2)^2 floats, so about 1.25 n^2 floats are alive at the peak.
     At the top level the rows of A21 are the neighbor lists, so its products
     are row gathers.  Column j of W0 is the unit vector e_j for an unlabeled
-    j; for a labeled j it is the signed indicator of j's class on the
-    labeled rows (+1 same class, -1 other class), so only one column of
-    A^-1 W0 per class is formed.  The edges agree with
-    symmetrize(propagate_direct(neighbor_matrix(graph), seed_affinity(labels),
-    gamma)) to rounding.  Raises ConfigError before allocating anything
-    n x n when A and the scratch cannot fit in physical memory.
+    j, so A^-1 already holds A^-1 W0 there.  For a labeled j it is the
+    signed indicator of j's class on the labeled rows (+1 same class, -1
+    other class), so, a few rows at a time, one column per class is formed
+    and written over the labeled columns of that class.  Raises ConfigError
+    before allocating anything n x n when the inverse and `extra_bytes` more
+    cannot fit in physical memory.
     """
     _check_gamma(gamma)
-    _check_labels(graph, labels)
-    n, k = graph.n, graph.k
+    n = graph.n
+    if np.shape(labels) != (n,):
+        raise ConfigError(f"expected {n} node labels (got shape {np.shape(labels)})")
     y = np.asarray(labels, dtype=np.int64)
     labeled = np.flatnonzero(y != UNLABELED)
     classes, label_class = np.unique(y[labeled], return_inverse=True)
-    _check_fits_in_memory(_block_inverse_bytes(n, classes.size),
-                          f"propagation over n={n} nodes")
+    _check_fits_in_memory(_block_inverse_bytes(n, classes.size) + extra_bytes, task)
 
     half = n - n // 2
     gather = _neighbor_gather(graph, gamma, n // 2)
-    A = _a_matrix(graph, gamma)
+    X = _a_matrix(graph, gamma)
     buf = np.empty(half * half)
-    _invert(A, buf, gather)
+    _invert(X, buf, gather)
     del buf, gather
 
-    # A^-1 W0 on one labeled column per class, a few rows at a time
     signs = np.where(label_class[:, None] == np.arange(classes.size), 1.0, -1.0)
-    class_cols = np.empty((n, classes.size))
     step = max(1, half * half // max(labeled.size, 1))
     for start in range(0, n, step):
-        np.matmul(A[start:start + step, labeled], signs, out=class_cols[start:start + step])
+        rows = slice(start, start + step)
+        X[rows, labeled] = (X[rows, labeled] @ signs)[:, label_class]
+    return X
 
-    # the entries of X each edge i -> j needs: X_ij, then X_ji.  A^-1 W0 is
-    # A^-1 itself on an unlabeled column and the class column on a labeled one
-    rows = np.repeat(np.arange(n), k)
-    cols = graph.neighbors.ravel()
-    at_r = np.concatenate([rows, cols])
-    at_c = np.concatenate([cols, rows])
-    inv_at = A[at_r, at_c]
-    del A
-    col_class = np.full(n, -1)
-    col_class[labeled] = label_class
-    on_labeled = col_class[at_c] >= 0
-    inv_at[on_labeled] = class_cols[at_r[on_labeled], col_class[at_c[on_labeled]]]
-    X_at = (1.0 - gamma) * inv_at
-    edges = (X_at[:n * k] + X_at[n * k:]) / 2.0
-    return EdgeAffinity(edges=edges.reshape(n, k), gamma=gamma)
+
+def propagate(graph: NeighborGraph, labels, gamma: float) -> EdgeAffinity:
+    """Propagate the labels' seed affinities over the kNN graph and return
+    the symmetrized result (X + X^T) / 2 on the graph's edges, where
+    X = (1 - gamma) A^-1 W0 from _solve().  The edges agree with
+    symmetrize(propagate_direct(neighbor_matrix(graph), seed_affinity(labels),
+    gamma)) to rounding.
+    """
+    X = _solve(graph, labels, gamma, 0, f"propagation over n={graph.n} nodes")
+    rows, nbrs = np.arange(graph.n)[:, None], graph.neighbors
+    return EdgeAffinity(edges=((1.0 - gamma) * X[rows, nbrs]
+                               + (1.0 - gamma) * X[nbrs, rows]) / 2.0)
 
 
 def propagate_dense(graph: NeighborGraph, labels, gamma: float) -> np.ndarray:
-    """The full symmetrized n x n propagated affinity,
-    symmetrize(propagate_direct(neighbor_matrix(graph), seed_affinity(labels), gamma)).
+    """The full symmetrized n x n propagated affinity (X + X^T) / 2: the
+    same solve as propagate(), scaled and symmetrized in place, so it equals
+    propagate()'s edges where they are read.
 
-    Raises ConfigError before allocating anything n x n when its
-    DENSE_REFERENCE_ARRAYS n x n arrays cannot fit in physical memory.
+    Raises ConfigError before allocating anything n x n when the solve and
+    the n x n copy that X += X.T makes cannot fit in physical memory.
     """
-    _check_gamma(gamma)
-    _check_labels(graph, labels)
     n = graph.n
-    _check_fits_in_memory(DENSE_REFERENCE_ARRAYS * n * n * 8,
-                          f"dense propagation over n={n} nodes")
-    return symmetrize(propagate_direct(neighbor_matrix(graph), seed_affinity(labels), gamma))
+    X = _solve(graph, labels, gamma, 8 * n * n, f"dense propagation over n={n} nodes")
+    X *= 1.0 - gamma
+    X += X.T
+    X /= 2.0
+    return X

@@ -120,6 +120,9 @@ def _validate(config: TrainConfig, dataset: Dataset):
         raise ConfigError("batch size and epoch counts must be >= 1")
     if config.inner_l_iters < 0 or config.partition_size < 0:
         raise ConfigError("inner_l_iters and partition_size must be >= 0")
+    if config.method == "lrml" and (min(config.lrml_gamma_s, config.lrml_gamma_d) < 0
+                                    or config.lrml_gamma_s + config.lrml_gamma_d == 0):
+        raise ConfigError("LRML pair weights must be non-negative and not both zero")
     if config.encoder and config.method != "ours":
         raise ConfigError("the trainable encoder is only supported with method='ours'")
     if config.seed < 0:
@@ -267,9 +270,11 @@ def _baseline_epochs(config, train_ds, schedule, batch_seed, pair_seed):
     the partition's labeled pairs; the yielded L is M's rank-l factor."""
     d, l = train_ds.dim, config.embed_dim
     M = np.eye(d)
-    seraph_cfg = bl.SeraphConfig(eta=config.seraph_eta, mu=config.seraph_mu,
-                                 lam=config.seraph_lambda)
-    lrml_cfg = bl.LrmlConfig(gamma_s=config.lrml_gamma_s, gamma_d=config.lrml_gamma_d)
+    if config.method == "seraph":
+        cfg = bl.SeraphConfig(eta=config.seraph_eta, mu=config.seraph_mu,
+                              lam=config.seraph_lambda)
+    else:
+        cfg = bl.LrmlConfig(gamma_s=config.lrml_gamma_s, gamma_d=config.lrml_gamma_d)
     yield None, None, bl.factor_metric(M, l), None
 
     step_carry = 1.0
@@ -302,18 +307,18 @@ def _baseline_epochs(config, train_ds, schedule, batch_seed, pair_seed):
                         up = np.zeros((0, 2), dtype=np.int64)
 
                     def objective(Mm, bp=bp, by=by, up=up):
-                        return bl.seraph_objective(Mm, Z, bp, by, up, seraph_cfg)
+                        return bl.seraph_objective(Mm, Z, bp, by, up, cfg)
 
                     def gradient(Mm, bp=bp, by=by, up=up):
-                        return bl.seraph_gradient(Mm, Z, bp, by, up, seraph_cfg)
+                        return bl.seraph_gradient(Mm, Z, bp, by, up, cfg)
                 else:
                     sim, dis = bp[by > 0], bp[by < 0]
 
                     def objective(Mm, sim=sim, dis=dis):
-                        return bl.lrml_objective(Mm, Z, sim, dis, quad, lrml_cfg)
+                        return bl.lrml_objective(Mm, Z, sim, dis, quad, cfg)
 
                     def gradient(Mm, sim=sim, dis=dis):
-                        return bl.lrml_gradient(Z, sim, dis, quad, lrml_cfg)
+                        return bl.lrml_gradient(Z, sim, dis, quad, cfg)
 
                 M, accepted, value = bl.projected_gradient_step(M, objective, gradient,
                                                                 step=step_carry)

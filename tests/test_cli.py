@@ -229,8 +229,9 @@ class TestExitCodes:
     def test_oversized_propagation_is_two(self, blob_csv, monkeypatch, capsys,
                                           command):
         # pretend the machine has 32 KiB: the block inverse over the ~60
-        # blob nodes (about 44 KiB) and the dense solve `propagate` prints
-        # (about 200 KiB) no longer fit, so the run stops before them
+        # blob nodes (about 300 KiB, most of it the fixed workspace), and
+        # for `propagate` that plus one n x n copy, no longer fit, so the
+        # run stops before them
         monkeypatch.setattr(propagation, "_physical_memory_bytes", lambda: 2**15)
         args = [command, "--data", blob_csv, "--k", 4]
         if command == "train":
@@ -239,6 +240,28 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error:") and len(err.strip().splitlines()) == 1
         assert "--partition-size" in err
+
+    @pytest.mark.parametrize("args", [
+        ["train", "--method", "lrml", "--embed-dim", 3, "--lrml-gamma-s", -1],
+        ["train", "--method", "lrml", "--embed-dim", 3, "--lrml-gamma-s", 0,
+         "--lrml-gamma-d", 0],
+        ["mine", "--k", 4, "--partition-size", -1],
+        ["propagate", "--k", 4, "--partition-size", -1],
+        ["blobs", "--classes", 2, "--per-class", 3, "--labeled-per-class", -1],
+    ])
+    def test_bad_weight_or_count_is_two(self, blob_csv, capsys, args):
+        # each must stop on one error line, not a ValueError traceback
+        if args[0] != "blobs":
+            args = args + ["--data", blob_csv]
+        assert run_cli(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+
+    def test_seraph_ignores_lrml_weights(self, blob_csv):
+        # only the running method's weights are built and checked
+        assert run_cli(["train", "--data", blob_csv, "--method", "seraph",
+                        "--lrml-gamma-s", -1, "--embed-dim", 3,
+                        "--max-epochs", 1]) == 0
 
     def test_lrml_trains_where_no_dense_array_fits(self, blob_csv, monkeypatch,
                                                    capsys):

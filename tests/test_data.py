@@ -201,6 +201,14 @@ class TestSamplePartition:
         with pytest.raises(ConfigError):
             ssdml.sample_partition(ds, ds.unlabeled_indices.size + 1, seed=0)
 
+    def test_negative_counts_rejected(self):
+        # numpy would raise a bare ValueError ("negative dimensions")
+        ds = ssdml.make_blobs(2, 5, 2, 0, 8.0, seed=0)
+        with pytest.raises(ConfigError, match="labels kept per class"):
+            strip_labels(ds, -1, seed=0)
+        with pytest.raises(ConfigError, match="partition size"):
+            ssdml.sample_partition(strip_labels(ds, 2, seed=0), -1, seed=0)
+
     def test_negative_seed_rejected(self):
         ds = strip_labels(ssdml.make_blobs(2, 5, 2, 0, 8.0, seed=0), 2, seed=0)
         with pytest.raises(ConfigError, match="seed"):

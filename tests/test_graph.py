@@ -284,6 +284,17 @@ class TestKnnLaplacianForm:
         assert peak < 2000 * 2000 * 8 // 16
 
 
+@pytest.mark.parametrize("neighbors", [
+    [[1, -1], [0, 2], [1, 3], [2, 0]],  # -1 would read node n - 1
+    [[1, 2], [0, 2], [1, 3], [2, 4]],   # past the last node
+])
+def test_neighbor_indices_outside_the_nodes_rejected(neighbors):
+    # a negative index would silently read node n + index: propagate()
+    # would return finite edges and knn_laplacian_form count {0, 3} twice
+    with pytest.raises(ValueError, match=r"\[0, n\)"):
+        NeighborGraph(n=4, k=2, neighbors=neighbors)
+
+
 @settings(max_examples=20, deadline=None)
 @given(st.integers(min_value=0, max_value=2**31 - 1))
 def test_q_spectral_radius_at_most_one(seed):

@@ -158,8 +158,7 @@ def test_edge_affinities_rank_like_the_dense_matrix():
         n = int(rng.integers(5, 60))
         g = ssdml.build_knn(rng.standard_normal((n, 2)), 4)
         W = rng.integers(-2, 3, size=(n, n)).astype(float)  # many ties
-        aff = ssdml.EdgeAffinity(edges=np.take_along_axis(W, g.neighbors, axis=1),
-                                 gamma=0.5)
+        aff = ssdml.EdgeAffinity(edges=np.take_along_axis(W, g.neighbors, axis=1))
         assert np.array_equal(ssdml.mine_triplets(aff, g), ssdml.mine_triplets(W, g))
         assert np.array_equal(ssdml.mine_triplets(aff, g, anchors=[3, 0]),
                               ssdml.mine_triplets(W, g, anchors=[3, 0]))

@@ -1,5 +1,5 @@
-"""Affinity propagation: recursive in-place inverse, edge kernel, direct
-solve, fixed-point iteration, symmetrize."""
+"""Affinity propagation: recursive in-place inverse, the edge and dense
+results of the one solve, direct solve, fixed-point iteration, symmetrize."""
 
 import tracemalloc
 
@@ -29,8 +29,8 @@ def random_instance(rng, max_n=200):
 
 
 def dense_reference(graph, labels, gamma):
-    """The dense path propagate() replaces: Q and W0 materialized, then
-    propagate_direct and symmetrize."""
+    """The LAPACK reference both results are checked against: Q and W0
+    materialized, then propagate_direct and symmetrize."""
     return symmetrize(propagate_direct(ssdml.neighbor_matrix(graph),
                                        ssdml.seed_affinity(labels), gamma))
 
@@ -160,7 +160,6 @@ def test_propagate_dispatcher_symmetric_finite(seed, gamma):
     graph, labels = random_graph(rng, max_n=40)
     aff = ssdml.propagate(graph, labels, gamma)
     assert np.isfinite(aff.edges).all()
-    assert aff.gamma == gamma
     assert_mutual_edges_equal(aff.edges, graph)
 
 
@@ -290,8 +289,23 @@ class TestPropagate:
     def test_propagate_dense_is_the_dense_reference(self):
         rng = np.random.default_rng(16)
         graph, labels = random_graph(rng, max_n=80)
-        assert np.array_equal(ssdml.propagate_dense(graph, labels, 0.9),
-                              dense_reference(graph, labels, 0.9))
+        got = ssdml.propagate_dense(graph, labels, 0.9)
+        assert np.abs(got - dense_reference(graph, labels, 0.9)).max() <= 1e-12
+        assert np.array_equal(got, got.T)
+
+    def test_propagate_dense_at_the_edges_is_propagate(self):
+        # one solve behind both: the dense result read at the kNN edges is
+        # the edge result bit for bit
+        rng = np.random.default_rng(12)
+        cases = [(NeighborGraph(n=4, k=2, neighbors=nbrs), np.array([0, -1, 1, 0]), 0.7)
+                 for nbrs in HAND_BUILT]
+        for _ in range(30):
+            graph, labels = random_graph(rng)
+            cases.append((graph, labels, float(rng.choice([0.0, 0.5, 0.9, 0.99]))))
+        for graph, labels, gamma in cases:
+            dense = ssdml.propagate_dense(graph, labels, gamma)
+            assert np.array_equal(on_edges(dense, graph),
+                                  ssdml.propagate(graph, labels, gamma).edges)
 
     def test_label_count_must_match_graph(self):
         graph = ssdml.build_knn(np.arange(6.0)[:, None], 2)
@@ -304,9 +318,9 @@ class TestPropagate:
             ssdml.propagate(graph, [0, 0, -1, -1], 1.0)
 
     def test_oversized_problem_fails_before_allocating(self):
-        # 300,000 nodes need about 1 TiB for the block inverse and 4.6 TiB
-        # for the dense reference; both checks must fire before anything
-        # n x n is allocated
+        # 300,000 nodes need about 0.8 TiB for the block inverse and 1.5 TiB
+        # with the dense result's transpose copy; both checks must fire
+        # before anything n x n is allocated
         n = 300_000
         graph = NeighborGraph(n=n, k=2, neighbors=np.zeros((n, 2), dtype=np.int64))
         for run in (ssdml.propagate, ssdml.propagate_dense):
@@ -338,10 +352,11 @@ class TestPropagate:
             ssdml.propagate(graph, labels, 0.5)
 
     def test_dense_reference_memory_check(self, monkeypatch):
+        # the in-place inverse plus the n x n copy that X += X.T makes
         n = 50
         graph = ssdml.build_knn(np.arange(float(n))[:, None], 2)
         labels = np.full(n, -1)
-        need = propagation.DENSE_REFERENCE_ARRAYS * n * n * 8
+        need = propagation._block_inverse_bytes(n, 0) + 8 * n * n
         monkeypatch.setattr(propagation, "_physical_memory_bytes", lambda: need)
         ssdml.propagate_dense(graph, labels, 0.5)
         monkeypatch.setattr(propagation, "_physical_memory_bytes", lambda: need - 1)
@@ -360,8 +375,15 @@ class TestPropagate:
         try:
             edges = ssdml.propagate(graph, labels, 0.99).edges
             _, peak = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            dense = ssdml.propagate_dense(graph, labels, 0.99)
+            _, dense_peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert edges.shape == (n, 10)
         assert peak <= 2 * n * n * 8
         assert peak <= propagation._block_inverse_bytes(n, 5)
+        # the dense result is the inverted array itself, plus one n x n
+        # transpose copy while it is symmetrized
+        assert dense.shape == (n, n)
+        assert dense_peak <= propagation._block_inverse_bytes(n, 5) + 8 * n * n
