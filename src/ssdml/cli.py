@@ -11,7 +11,6 @@ import argparse
 import contextlib
 import json
 import sys
-from dataclasses import fields
 
 import numpy as np
 
@@ -52,60 +51,51 @@ def _add_data_flags(p):
     p.add_argument("--labels-idx", help="IDX label file (use with --images-idx)")
 
 
+# Help text for each TrainConfig field that `train` exposes, in --help order.
+# The flag's name, type and default come from the field; `normalize` and
+# `val_fraction` stay library-only.
+_TRAIN_HELP = {
+    "method": "graph-triplet method or a classical pairwise baseline",
+    "gamma": "affinity propagation weight",
+    "k": "kNN graph degree",
+    "alpha_deg": "angular loss angle in degrees",
+    "embed_dim": "embedding dimension l",
+    "lr": "encoder SGD learning rate",
+    "batch_triplets": "mini-batch size in triplets (pairs for baselines)",
+    "partition_size": "unlabeled rows per partition (0 = all)",
+    "epochs_per_partition": None,
+    "max_epochs": "total training epochs across partitions",
+    "inner_l_iters": "metric optimizer steps per batch",
+    "seed": "run seed (drives every RNG stream)",
+    "orth": "keep the metric factor orthonormal (Stiefel steps)",
+    "encoder": "train the affine encoder alongside the metric",
+    "seraph_eta": "entropy baseline distance threshold",
+    "seraph_mu": "entropy baseline unlabeled weight",
+    "seraph_lambda": "entropy baseline trace weight",
+    "lrml_gamma_s": "Laplacian baseline similar-pair weight",
+    "lrml_gamma_d": "Laplacian baseline dissimilar-pair weight",
+}
+
+
+def _add_config_flags(p, names):
+    defaults = TrainConfig()
+    for name in names:
+        default = getattr(defaults, name)
+        if isinstance(default, bool):
+            kind = dict(action=argparse.BooleanOptionalAction)
+        elif name == "method":
+            kind = dict(choices=METHODS)
+        else:
+            kind = dict(type=type(default))
+        p.add_argument("--" + name.replace("_", "-"), default=default,
+                       help=_TRAIN_HELP[name], **kind)
+
+
 def _add_partition_flags(p):
     """Partition, graph and output flags shared by propagate and mine."""
-    p.add_argument("--gamma", type=float, default=TrainConfig.gamma,
-                   help="affinity propagation weight")
-    p.add_argument("--k", type=int, default=TrainConfig.k, help="kNN graph degree")
-    p.add_argument("--partition-size", type=int,
-                   default=TrainConfig.partition_size,
-                   help="unlabeled rows per partition (0 = all)")
+    _add_config_flags(p, ("gamma", "k", "partition_size"))
     p.add_argument("--seed", type=int, default=0, help="partition sampling seed")
     p.add_argument("--out", help="CSV path (default stdout)")
-
-
-def _add_train_flags(p):
-    defaults = TrainConfig()
-    p.add_argument("--method", choices=METHODS, default=defaults.method,
-                   help="graph-triplet method or a classical pairwise baseline")
-    p.add_argument("--gamma", type=float, default=defaults.gamma,
-                   help="affinity propagation weight")
-    p.add_argument("--k", type=int, default=defaults.k, help="kNN graph degree")
-    p.add_argument("--alpha-deg", type=float, default=defaults.alpha_deg,
-                   help="angular loss angle in degrees")
-    p.add_argument("--embed-dim", type=int, default=defaults.embed_dim,
-                   help="embedding dimension l")
-    p.add_argument("--lr", type=float, default=defaults.lr,
-                   help="encoder SGD learning rate")
-    p.add_argument("--batch-triplets", type=int, default=defaults.batch_triplets,
-                   help="mini-batch size in triplets (pairs for baselines)")
-    p.add_argument("--partition-size", type=int, default=defaults.partition_size,
-                   help="unlabeled rows per partition (0 = all)")
-    p.add_argument("--epochs-per-partition", type=int,
-                   default=defaults.epochs_per_partition)
-    p.add_argument("--max-epochs", type=int, default=defaults.max_epochs,
-                   help="total training epochs across partitions")
-    p.add_argument("--inner-l-iters", type=int, default=defaults.inner_l_iters,
-                   help="metric optimizer steps per batch")
-    p.add_argument("--seed", type=int, default=defaults.seed,
-                   help="run seed (drives every RNG stream)")
-    p.add_argument("--orth", action=argparse.BooleanOptionalAction,
-                   default=defaults.orth,
-                   help="keep the metric factor orthonormal (Stiefel steps)")
-    p.add_argument("--encoder", action=argparse.BooleanOptionalAction,
-                   default=defaults.encoder,
-                   help="train the affine encoder alongside the metric")
-    p.add_argument("--seraph-eta", type=float, default=defaults.seraph_eta,
-                   help="entropy baseline distance threshold")
-    p.add_argument("--seraph-mu", type=float, default=defaults.seraph_mu,
-                   help="entropy baseline unlabeled weight")
-    p.add_argument("--seraph-lambda", type=float,
-                   default=defaults.seraph_lambda,
-                   help="entropy baseline trace weight")
-    p.add_argument("--lrml-gamma-s", type=float, default=defaults.lrml_gamma_s,
-                   help="Laplacian baseline similar-pair weight")
-    p.add_argument("--lrml-gamma-d", type=float, default=defaults.lrml_gamma_d,
-                   help="Laplacian baseline dissimilar-pair weight")
 
 
 def _load_dataset(args):
@@ -116,15 +106,9 @@ def _load_dataset(args):
     raise _UsageError("provide --data or both --images-idx and --labels-idx")
 
 
-def _config_from_args(args) -> TrainConfig:
-    names = {f.name for f in fields(TrainConfig)}
-    kwargs = {name: getattr(args, name) for name in names if hasattr(args, name)}
-    return TrainConfig(**kwargs)
-
-
 def _cmd_train(args) -> int:
     dataset = _load_dataset(args)
-    config = _config_from_args(args)
+    config = TrainConfig(**{name: getattr(args, name) for name in _TRAIN_HELP})
     model = train(dataset, config)
     if args.model:
         save_model(model, args.model)
@@ -164,8 +148,7 @@ def _cmd_propagate(args) -> int:
     graph, labels = _partition_graph(args)
     W = propagate_dense(graph, labels, args.gamma)
     with _out_stream(args.out) as out:
-        for row in W:
-            out.write(",".join(f"{v:.17g}" for v in row) + "\n")
+        np.savetxt(out, W, fmt="%.17g", delimiter=",")
     return 0
 
 
@@ -173,9 +156,8 @@ def _cmd_mine(args) -> int:
     graph, labels = _partition_graph(args)
     triplets = mine_triplets(propagate(graph, labels, args.gamma), graph)
     with _out_stream(args.out) as out:
-        out.write("anchor,positive,negative\n")
-        for a, p, n in triplets.tolist():
-            out.write(f"{a},{p},{n}\n")
+        np.savetxt(out, triplets, fmt="%d", delimiter=",",
+                   header="anchor,positive,negative", comments="")
     return 0
 
 
@@ -190,6 +172,8 @@ def _cmd_blobs(args) -> int:
 
 
 def _cmd_gradcheck(args) -> int:
+    if args.trials < 1:
+        raise _UsageError(f"--trials must be >= 1, got {args.trials}")
     errors = gc.run_all(seed=args.seed, trials=args.trials)
     ok = True
     for name, err in errors.items():
@@ -207,7 +191,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("train", help="learn a metric (and optional encoder)", **fmt)
     _add_data_flags(p)
-    _add_train_flags(p)
+    _add_config_flags(p, _TRAIN_HELP)
     p.add_argument("--model", help="where to write the trained model")
     p.add_argument("--out", help="history JSON-lines path (default stdout)")
     p.set_defaults(func=_cmd_train)

@@ -100,6 +100,9 @@ class TrainingDiverged(NumericalError):
 
 
 def _validate(config: TrainConfig, dataset: Dataset):
+    for name, value in asdict(config).items():
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(f"{name} must be finite (got {value})")
     if config.method not in METHODS:
         raise ConfigError(f"unknown method {config.method!r}; expected one of {METHODS}")
     if not 0.0 <= config.gamma < 1.0:
@@ -347,10 +350,6 @@ def evaluate_checkpoint(model: Model, dataset: Dataset,
     return evaluation.evaluate_embeddings(E, y, n_classes=n_clusters, ks=ks, seed=seed)
 
 
-def _fmt_row(row) -> str:
-    return " ".join(f"{v:.17g}" for v in row)
-
-
 def save_model(model: Model, path) -> None:
     """Text format: header, row-major matrices at 17 significant digits,
 
@@ -361,12 +360,10 @@ def save_model(model: Model, path) -> None:
     d, l = model.L.shape
     with open(path, "w") as fh:
         fh.write(f"{MODEL_MAGIC} {MODEL_VERSION} {d} {l} {int(has_enc)} {norm}\n")
-        for row in model.L:
-            fh.write(_fmt_row(row) + "\n")
+        np.savetxt(fh, model.L, fmt="%.17g")
         if has_enc:
-            for row in model.encoder.A:
-                fh.write(_fmt_row(row) + "\n")
-            fh.write(_fmt_row(model.encoder.b) + "\n")
+            np.savetxt(fh, model.encoder.A, fmt="%.17g")
+            np.savetxt(fh, model.encoder.b[None], fmt="%.17g")
         if model.config is not None:
             fh.write(json.dumps({"config": asdict(model.config)}) + "\n")
         for rec in model.history:
@@ -382,7 +379,12 @@ def load_model(path) -> Model:
     head = lines[0].split()
     if len(head) != 6 or head[0] != MODEL_MAGIC or head[1] != MODEL_VERSION:
         raise ConfigError(f"{path}: not a {MODEL_MAGIC} {MODEL_VERSION} file")
-    d, l, has_enc, norm = (int(v) for v in head[2:])
+    try:
+        d, l, has_enc, norm = (int(v) for v in head[2:])
+    except ValueError:
+        raise ConfigError(f"{path}: header fields must be integers") from None
+    if min(d, l) < 1 or not {has_enc, norm} <= {0, 1}:
+        raise ConfigError(f"{path}: header needs d, l >= 1 and 0/1 flags")
     pos = 1
 
     def take_matrix(rows, cols):
@@ -397,6 +399,8 @@ def load_model(path) -> Model:
             raise ConfigError(f"{path}: bad matrix entry ({exc})") from None
         if mat.shape != (rows, cols):
             raise ConfigError(f"{path}: bad matrix shape {mat.shape}")
+        if not np.isfinite(mat).all():
+            raise ConfigError(f"{path}: non-finite matrix entry")
         return mat
 
     L = take_matrix(d, l)

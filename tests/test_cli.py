@@ -8,10 +8,21 @@ import pytest
 import ssdml
 from ssdml import propagation
 from ssdml.cli import build_parser, run
+from ssdml.encoder import l2_normalize_rows
+from ssdml.graph import build_knn
+from ssdml.mining import mine_triplets
 
 
 def run_cli(args):
     return run([str(a) for a in args])
+
+
+def partition_graph(csv_path, k):
+    """The graph `propagate` and `mine` build at their default partition."""
+    dataset = ssdml.load_csv(csv_path)
+    part = ssdml.sample_partition(dataset, dataset.unlabeled_indices.size, 0)
+    rows = part.node_rows
+    return build_knn(l2_normalize_rows(dataset.features[rows]), k), dataset.labels[rows]
 
 
 @pytest.fixture()
@@ -123,6 +134,9 @@ class TestPropagateMine:
         assert len(rows) == 60 and all(len(r) == 60 for r in rows)
         W = np.array([[float(v) for v in r] for r in rows])
         assert np.abs(W - W.T).max() <= 1e-12
+        # %.17g reloads bit-exactly: the CSV is the solve's own matrix
+        expected = propagation.propagate_dense(*partition_graph(blob_csv, 4), 0.9)
+        assert W.tobytes() == expected.tobytes()
 
     def test_mine_dumps_triplet_rows(self, blob_csv, tmp_path):
         out = tmp_path / "t.csv"
@@ -133,6 +147,10 @@ class TestPropagateMine:
         assert len(lines) - 1 == 60 * 2  # n * k/2
         a, p, n = (int(v) for v in lines[1].split(","))
         assert len({a, p, n}) == 3
+        graph, labels = partition_graph(blob_csv, 4)
+        expected = mine_triplets(propagation.propagate(graph, labels, 0.99), graph)
+        rows = [[int(v) for v in ln.split(",")] for ln in lines[1:]]
+        assert np.array_equal(rows, expected)
 
 
 class TestGradcheck:
@@ -141,6 +159,13 @@ class TestGradcheck:
         out = capsys.readouterr().out.strip().splitlines()
         assert len(out) == 5
         assert all("max relative error" in ln for ln in out)
+
+    @pytest.mark.parametrize("trials", [0, -2])
+    def test_no_trials_is_one(self, capsys, trials):
+        # zero instances would print five vacuous "ok" lines
+        assert run_cli(["gradcheck", "--trials", trials]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and "--trials" in err
 
 
 class TestIdxInput:
@@ -198,6 +223,21 @@ class TestExitCodes:
         bad.write_text("ssdml-model v1 2 1 0 1\n0.5\nnot-a-number\n")
         assert run_cli(["eval", "--data", blob_csv, "--model", bad]) == 2
 
+    @pytest.mark.parametrize("text", [
+        "ssdml-model v1 x 2 0 1\n0.5 0.5\n",
+        "ssdml-model v1 5 1 0 1\n0.5\nnan\n0.5\n0.5\n0.5\n",
+        "ssdml-model v1 5 1 0 1\n0.5\n0.5\n0.5\n0.5\n-inf\n",
+        "ssdml-model v1 5 0 0 1\n\n\n\n\n\n",
+        "ssdml-model v1 5 1 0 3\n0.5\n0.5\n0.5\n0.5\n0.5\n",
+    ], ids=["header", "nan", "inf", "zero-width", "flag"])
+    def test_corrupt_model_header_or_entry_is_two(self, blob_csv, tmp_path,
+                                                  capsys, text):
+        bad = tmp_path / "bad.model"
+        bad.write_text(text)
+        assert run_cli(["eval", "--data", blob_csv, "--model", bad]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+
     def test_threads_flag_is_one(self, blob_csv, capsys):
         # the flag was parsed and ignored; it is gone, so it is a usage error
         assert run_cli(["--threads", 1, "train", "--data", blob_csv]) == 1
@@ -248,14 +288,21 @@ class TestExitCodes:
         ["mine", "--k", 4, "--partition-size", -1],
         ["propagate", "--k", 4, "--partition-size", -1],
         ["blobs", "--classes", 2, "--per-class", 3, "--labeled-per-class", -1],
+        ["train", "--encoder", "--embed-dim", 3, "--lr", "nan"],
+        ["train", "--encoder", "--embed-dim", 3, "--lr", "inf"],
+        ["train", "--method", "seraph", "--embed-dim", 3, "--seraph-eta", "nan"],
+        ["train", "--method", "lrml", "--embed-dim", 3, "--lrml-gamma-d", "nan"],
     ])
     def test_bad_weight_or_count_is_two(self, blob_csv, capsys, args):
         # each must stop on one error line, not a ValueError traceback
+        non_finite = "nan" in args or "inf" in args
         if args[0] != "blobs":
             args = args + ["--data", blob_csv]
         assert run_cli(args) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+        if non_finite:  # rejected up front, not after a diverged run
+            assert "must be finite" in err
 
     def test_seraph_ignores_lrml_weights(self, blob_csv):
         # only the running method's weights are built and checked
@@ -282,12 +329,17 @@ def test_train_flag_defaults_equal_train_config():
 
     args = build_parser().parse_args(["train", "--data", "x.csv"])
     cfg = TrainConfig()
-    covered = 0
-    for f in fields(TrainConfig):
-        if hasattr(args, f.name):
-            assert getattr(args, f.name) == getattr(cfg, f.name), f.name
-            covered += 1
-    assert covered >= 15  # every exposed flag mirrors the config default
+    exposed = {f.name for f in fields(TrainConfig) if hasattr(args, f.name)}
+    # normalize and val_fraction are library-only
+    assert exposed == {
+        "method", "gamma", "k", "alpha_deg", "embed_dim", "lr", "batch_triplets",
+        "partition_size", "epochs_per_partition", "max_epochs", "inner_l_iters",
+        "seed", "orth", "encoder", "seraph_eta", "seraph_mu", "seraph_lambda",
+        "lrml_gamma_s", "lrml_gamma_d"}
+    assert set(vars(args)) - exposed == {"command", "func", "data", "images_idx",
+                                         "labels_idx", "model", "out"}
+    for name in exposed:
+        assert getattr(args, name) == getattr(cfg, name), name
 
 
 def test_every_subcommand_help_lists_defaults():
