@@ -7,11 +7,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .graph import _exact_knn
+from .graph import KNN_BLOCK_ENTRIES, SCREEN_RTOL, _exact_knn
 
 KMEANS_RESTARTS = 10
 KMEANS_MAX_ITER = 100
 DEFAULT_RECALL_KS = (1, 2, 4, 8)
+# Squared norms below this keep the k-means distance screen finite.
+SCREEN_MAX_SQ = np.finfo(np.float64).max / 4.0
 
 
 @dataclass(frozen=True)
@@ -29,27 +31,203 @@ class EvalReport:
         return out
 
 
-def _sq_dists_to(Z: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    diff = Z[:, None, :] - centers[None, :, :]
-    return np.einsum("ijk,ijk->ij", diff, diff)
+def _sq_dists(Z, centers, r, i, c):
+    """Explicit-difference squared distances ||Z[i] - centers[r, c]||^2.
+
+    Summed like an einsum over a full difference tensor, in chunks of about
+    KNN_BLOCK_ENTRIES entries.
+    """
+    out = np.empty(i.size)
+    chunk = max(1, KNN_BLOCK_ENTRIES // Z.shape[1])
+    for s in range(0, i.size, chunk):
+        diff = Z[i[s:s + chunk]] - centers[r[s:s + chunk], c[s:s + chunk]]
+        out[s:s + chunk] = np.einsum("ij,ij->i", diff, diff)
+    return out
 
 
-def _kmeanspp_init(Z: np.ndarray, n_clusters: int, rng) -> np.ndarray:
+def _choose(p: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Per row of p, the index Generator.choice(n, p=row) picks when its
+    uniform draw is u: the same normalized cumulative-sum search."""
+    cdf = p.cumsum(axis=1)
+    cdf /= cdf[:, -1:]
+    return (cdf <= u[:, None]).sum(axis=1)  # searchsorted(u, side="right")
+
+
+def _sq_dists_to_rows(Z, idx):
+    """(R, n) squared distances of every row to row idx[r], summed as
+    np.sum((Z - Z[idx[r]]) ** 2, axis=1) does."""
+    diff = Z - Z[idx, None]
+    diff *= diff
+    return diff.sum(axis=2)
+
+
+def _kmeanspp_init(Z: np.ndarray, n_clusters: int, rngs) -> np.ndarray:
+    """(R, C, l) k-means++ centers, one restart per generator.
+
+    Each restart draws rng.choice(n, p=d2 / d2.sum()) from its own generator
+    (see _choose); when all its remaining mass is zero it takes the
+    smallest unchosen index instead.
+    """
     n = Z.shape[0]
-    chosen = [int(rng.integers(n))]
-    d2 = np.sum((Z - Z[chosen[0]]) ** 2, axis=1)
-    for _ in range(1, n_clusters):
-        total = d2.sum()
-        if total > 0:
-            probs = d2 / total
-            idx = int(rng.choice(n, p=probs))
-        else:
-            # all remaining mass is zero: grab the smallest unchosen index
-            remaining = np.setdiff1d(np.arange(n), np.array(chosen))
-            idx = int(remaining[0])
-        chosen.append(idx)
-        d2 = np.minimum(d2, np.sum((Z - Z[idx]) ** 2, axis=1))
-    return Z[chosen].copy()
+    R = len(rngs)
+    runs = np.arange(R)
+    chosen = np.empty((R, n_clusters), dtype=np.int64)
+    chosen[:, 0] = [rng.integers(n) for rng in rngs]
+    taken = np.zeros((R, n), dtype=bool)
+    taken[runs, chosen[:, 0]] = True
+    d2 = _sq_dists_to_rows(Z, chosen[:, 0])
+    for j in range(1, n_clusters):
+        total = d2.sum(axis=1)
+        draw = np.flatnonzero(total > 0)
+        if not np.isfinite(total[draw]).all():
+            raise ValueError("k-means++ seeding: squared distances overflow")
+        idx = taken.argmin(axis=1)  # the smallest unchosen index
+        if draw.size:
+            u = np.array([rngs[r].random() for r in draw])
+            idx[draw] = _choose(d2[draw] / total[draw, None], u)
+        chosen[:, j] = idx
+        taken[runs, idx] = True
+        d2 = np.minimum(d2, _sq_dists_to_rows(Z, idx))
+    return Z[chosen]
+
+
+def _nearest(Z, sq, centers):
+    """(R, n) index of each row's nearest center, ties to the smaller index.
+
+    One GEMM screen with graph._candidates' rounding slack decides which
+    explicit distances can be the smallest; a row with more than one such
+    center (or every row, without a safe screen) has them recomputed from
+    explicit differences, so the result equals the argmin of the explicit
+    distances.
+    """
+    R, C, _ = centers.shape
+    n = Z.shape[0]
+    csq = np.einsum("rcj,rcj->rc", centers, centers)
+    # |screen| and every distance stay below 4 * max ||x||^2: no overflow
+    if sq.max() < SCREEN_MAX_SQ and csq.max() < SCREEN_MAX_SQ:
+        S = centers @ Z.T  # (R, C, n)
+        S *= -2.0
+        S += sq
+        S += csq[..., None]
+        slack = SCREEN_RTOL * (sq + csq.max(axis=1)[:, None])
+        near = S <= (S.min(axis=1) + 2.0 * slack)[:, None, :]
+        S[...] = near  # the screen is done with: reuse it for near as floats
+        # per row, the number of centers at or below the bar and their index
+        # sum: the nearest center's index wherever the count is 1
+        count, best = (np.array([np.ones(C), np.arange(C)]) @ S).transpose(1, 0, 2)
+        best = best.astype(np.int64)
+        tied = np.flatnonzero(count > 1)
+    else:
+        best = np.zeros((R, n), dtype=np.int64)
+        tied = np.arange(R * n)
+        near = np.ones((R, C, n), dtype=bool)
+    block = max(1, KNN_BLOCK_ENTRIES // (C * Z.shape[1]))
+    for s in range(0, tied.size, block):
+        rows = tied[s:s + block]
+        r, i = np.divmod(rows, n)
+        k, c = np.nonzero(near[r, :, i])
+        D = np.full((rows.size, C), np.inf)
+        D[k, c] = _sq_dists(Z, centers, r[k], i[k], c)
+        best.reshape(-1)[rows] = D.argmin(axis=1)
+    return best
+
+
+def _own_sq_dists(Z, centers, assign):
+    """(R, n) explicit squared distance of each row to its assigned center."""
+    r, i = np.divmod(np.arange(assign.size), Z.shape[0])
+    return _sq_dists(Z, centers, r, i, assign.ravel()).reshape(assign.shape)
+
+
+def _counts(assign, n_clusters):
+    """(R, C) member counts and each row's flat (restart, cluster) bin."""
+    R = assign.shape[0]
+    bins = (assign + n_clusters * np.arange(R)[:, None]).ravel()
+    return np.bincount(bins, minlength=R * n_clusters).reshape(R, n_clusters), bins
+
+
+def _reseed_empty(Z, centers, assign):
+    """In every restart with an empty cluster, each empty cluster in index
+    order takes the row farthest from its center (that row's distance
+    becomes 0), as a per-restart loop would."""
+    counts, _ = _counts(assign, centers.shape[1])
+    runs = np.flatnonzero((counts == 0).any(axis=1))
+    if not runs.size:
+        return
+    cen, own, counts = centers[runs], assign[runs], counts[runs]
+    dist_to_own = _own_sq_dists(Z, cen, own)
+    for c in range(counts.shape[1]):
+        empty = np.flatnonzero(counts[:, c] == 0)
+        if empty.size:
+            far = dist_to_own[empty].argmax(axis=1)
+            np.subtract.at(counts, (empty, own[empty, far]), 1)
+            counts[empty, c] = 1
+            cen[empty, c] = Z[far]
+            own[empty, far] = c
+            dist_to_own[empty, far] = 0.0
+    centers[runs], assign[runs] = cen, own
+
+
+def _move_to_means(Zt, centers, assign):
+    """Move each nonempty cluster's center to its members' mean; Zt is Z.T
+    tiled at least R times.
+
+    Each column's sums run over the rows in order, as mean(axis=0) of a
+    member matrix does.  A one-column member matrix sums pairwise instead,
+    so l = 1 sums each cluster by itself.
+    """
+    R, n = assign.shape
+    C = centers.shape[1]
+    counts, bins = _counts(assign, C)
+    if Zt.shape[0] == 1:
+        sums = np.zeros(R * C)
+        for b in np.flatnonzero(counts):
+            r, c = divmod(int(b), C)
+            sums[b] = Zt[0, :n][assign[r] == c].sum()
+    else:
+        sums = np.column_stack([np.bincount(bins, weights=col[:R * n], minlength=R * C)
+                                for col in Zt])
+    filled = counts > 0
+    centers[filled] = sums.reshape(R, C, -1)[filled] / counts[filled, None]
+
+
+def _kmeans_runs(Z, n_clusters: int, seeds):
+    """Lloyd's algorithm from k-means++ seeding, all restarts at once.
+
+    Each restart runs until its assignment reaches a fixed point or
+    KMEANS_MAX_ITER steps; empty clusters are reseeded to the point farthest
+    from its current center.  Returns (assignments (R, n), inertias (R,)).
+    """
+    Z = np.ascontiguousarray(Z, dtype=np.float64)
+    centers = _kmeanspp_init(Z, n_clusters, [np.random.default_rng(int(s)) for s in seeds])
+    sq = np.einsum("ij,ij->i", Z, Z)
+    Zt = np.tile(Z.T, len(seeds))
+    assign = np.full((len(seeds), Z.shape[0]), -1, dtype=np.int64)
+    live = np.arange(len(seeds))  # restarts whose assignment still moves
+    for _ in range(KMEANS_MAX_ITER):
+        cen = centers[live]
+        new = _nearest(Z, sq, cen)
+        _reseed_empty(Z, cen, new)
+        centers[live] = cen
+        moved = (new != assign[live]).any(axis=1)
+        live, new = live[moved], new[moved]
+        if not live.size:
+            break
+        assign[live] = new
+        cen = centers[live]
+        _move_to_means(Zt, cen, new)
+        centers[live] = cen
+    return assign, _own_sq_dists(Z, centers, assign).sum(axis=1)
+
+
+def _check_kmeans_args(Z, n_clusters, seed) -> np.ndarray:
+    Z = np.asarray(Z, dtype=np.float64)
+    if Z.ndim != 2 or 0 in Z.shape:
+        raise ConfigError("k-means needs at least one point, as an (n, l) matrix with l >= 1")
+    if not 1 <= n_clusters <= Z.shape[0]:
+        raise ConfigError(f"n_clusters must lie in [1, {Z.shape[0]}] (got {n_clusters})")
+    if int(seed) < 0:
+        raise ConfigError("seed must be non-negative")
+    return Z
 
 
 def kmeans(Z: np.ndarray, n_clusters: int, seed=0):
@@ -59,47 +237,21 @@ def kmeans(Z: np.ndarray, n_clusters: int, seed=0):
     clusters are reseeded to the point farthest from its current center.
     Returns (assignments, inertia).
     """
-    Z = np.asarray(Z, dtype=np.float64)
-    n = Z.shape[0]
-    if n_clusters > n:
-        raise ConfigError(f"n_clusters {n_clusters} exceeds point count {n}")
-    if int(seed) < 0:
-        raise ConfigError("seed must be non-negative")
-    rng = np.random.default_rng(int(seed))
-    centers = _kmeanspp_init(Z, n_clusters, rng)
-    assign = np.full(n, -1, dtype=np.int64)
-    for _ in range(KMEANS_MAX_ITER):
-        d2 = _sq_dists_to(Z, centers)
-        new_assign = d2.argmin(axis=1)
-        dist_to_own = d2[np.arange(n), new_assign]
-        for c in range(n_clusters):
-            if not np.any(new_assign == c):
-                far = int(dist_to_own.argmax())
-                centers[c] = Z[far]
-                new_assign[far] = c
-                dist_to_own[far] = 0.0
-        if np.array_equal(new_assign, assign):
-            break
-        assign = new_assign
-        for c in range(n_clusters):
-            members = Z[assign == c]
-            if len(members):
-                centers[c] = members.mean(axis=0)
-    d2 = _sq_dists_to(Z, centers)
-    inertia = float(d2[np.arange(n), assign].sum())
-    return assign, inertia
+    Z = _check_kmeans_args(Z, n_clusters, seed)
+    assign, inertia = _kmeans_runs(Z, n_clusters, [seed])
+    return assign[0], float(inertia[0])
 
 
 def kmeans_best(Z, n_clusters, seed=0):
-    """Best-inertia assignment over KMEANS_RESTARTS seed-derived restarts."""
-    if int(seed) < 0:
-        raise ConfigError("seed must be non-negative")
+    """Best-inertia assignment over KMEANS_RESTARTS seed-derived restarts
+    (the first one on ties)."""
+    Z = _check_kmeans_args(Z, n_clusters, seed)
     seeds = np.random.SeedSequence(int(seed)).generate_state(KMEANS_RESTARTS)
+    assign, inertia = _kmeans_runs(Z, n_clusters, seeds)
     best_assign, best_inertia = None, np.inf
-    for s in seeds:
-        assign, inertia = kmeans(Z, n_clusters, seed=int(s))
-        if inertia < best_inertia:
-            best_assign, best_inertia = assign, inertia
+    for a, i in zip(assign, inertia.tolist()):
+        if i < best_inertia:
+            best_assign, best_inertia = a, i
     return best_assign, best_inertia
 
 
@@ -113,6 +265,8 @@ def nmi(assignments, labels) -> float:
     y = np.asarray(labels).ravel()
     if a.shape != y.shape:
         raise ValueError("assignments and labels differ in length")
+    if a.size == 0:
+        raise ValueError("assignments and labels are empty")
     n = a.size
     _, ai = np.unique(a, return_inverse=True)
     _, yi = np.unique(y, return_inverse=True)

@@ -1,14 +1,17 @@
 """Clustering and retrieval metrics against brute-force references."""
 
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
 import pytest
 
 import ssdml
+from ssdml import evaluation
 from ssdml.errors import ConfigError
-from ssdml.evaluation import evaluate_embeddings, kmeans, kmeans_best
+from ssdml.evaluation import (KMEANS_MAX_ITER, KMEANS_RESTARTS, evaluate_embeddings,
+                              kmeans, kmeans_best)
 
 
 def nmi_reference(assignments, labels):
@@ -42,6 +45,238 @@ def recall_reference(Z, labels, ks):
     return {k: 100.0 * v / n for k, v in out.items()}
 
 
+# The one-restart-at-a-time k-means that the batched kernel replaced, kept
+# verbatim (names aside) as the bit-exact reference.
+
+def _reference_sq_dists_to(Z: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    diff = Z[:, None, :] - centers[None, :, :]
+    return np.einsum("ijk,ijk->ij", diff, diff)
+
+
+def _reference_kmeanspp_init(Z: np.ndarray, n_clusters: int, rng) -> np.ndarray:
+    n = Z.shape[0]
+    chosen = [int(rng.integers(n))]
+    d2 = np.sum((Z - Z[chosen[0]]) ** 2, axis=1)
+    for _ in range(1, n_clusters):
+        total = d2.sum()
+        if total > 0:
+            probs = d2 / total
+            idx = int(rng.choice(n, p=probs))
+        else:
+            # all remaining mass is zero: grab the smallest unchosen index
+            remaining = np.setdiff1d(np.arange(n), np.array(chosen))
+            idx = int(remaining[0])
+        chosen.append(idx)
+        d2 = np.minimum(d2, np.sum((Z - Z[idx]) ** 2, axis=1))
+    return Z[chosen].copy()
+
+
+def reference_kmeans(Z: np.ndarray, n_clusters: int, seed=0):
+    """Lloyd's algorithm with k-means++ seeding.
+
+    Runs until the assignment reaches a fixed point or KMEANS_MAX_ITER; empty
+    clusters are reseeded to the point farthest from its current center.
+    Returns (assignments, inertia).
+    """
+    Z = np.asarray(Z, dtype=np.float64)
+    n = Z.shape[0]
+    if n_clusters > n:
+        raise ConfigError(f"n_clusters {n_clusters} exceeds point count {n}")
+    if int(seed) < 0:
+        raise ConfigError("seed must be non-negative")
+    rng = np.random.default_rng(int(seed))
+    centers = _reference_kmeanspp_init(Z, n_clusters, rng)
+    assign = np.full(n, -1, dtype=np.int64)
+    for _ in range(KMEANS_MAX_ITER):
+        d2 = _reference_sq_dists_to(Z, centers)
+        new_assign = d2.argmin(axis=1)
+        dist_to_own = d2[np.arange(n), new_assign]
+        for c in range(n_clusters):
+            if not np.any(new_assign == c):
+                far = int(dist_to_own.argmax())
+                centers[c] = Z[far]
+                new_assign[far] = c
+                dist_to_own[far] = 0.0
+        if np.array_equal(new_assign, assign):
+            break
+        assign = new_assign
+        for c in range(n_clusters):
+            members = Z[assign == c]
+            if len(members):
+                centers[c] = members.mean(axis=0)
+    d2 = _reference_sq_dists_to(Z, centers)
+    inertia = float(d2[np.arange(n), assign].sum())
+    return assign, inertia
+
+
+def reference_kmeans_best(Z, n_clusters, seed=0):
+    """Best-inertia assignment over KMEANS_RESTARTS seed-derived restarts."""
+    if int(seed) < 0:
+        raise ConfigError("seed must be non-negative")
+    seeds = np.random.SeedSequence(int(seed)).generate_state(KMEANS_RESTARTS)
+    best_assign, best_inertia = None, np.inf
+    for s in seeds:
+        assign, inertia = reference_kmeans(Z, n_clusters, seed=int(s))
+        if inertia < best_inertia:
+            best_assign, best_inertia = assign, inertia
+    return best_assign, best_inertia
+
+
+KMEANS_CASES = ("gaussian", "rounded", "duplicated", "zero_rows", "all_zero",
+                "one_column", "offset")
+
+
+def kmeans_instance(rng, case):
+    """(Z, n_clusters) of one kind; n_clusters is 1, n or in between."""
+    # duplicated rows keep reseeding emptied clusters to the step limit: fewer rows
+    n = int(rng.integers(1, 30 if case == "duplicated" else 60))
+    l = 1 if case == "one_column" else int(rng.integers(1, 6))
+    if case == "rounded":  # coarse grid: duplicates and exact distance ties
+        Z = np.round(2.0 * rng.standard_normal((n, l))) / 2.0
+    elif case == "duplicated":  # few distinct rows: identical centers, empty clusters
+        Z = rng.standard_normal((int(rng.integers(1, 5)), l))
+        Z = Z[rng.integers(0, len(Z), size=n)]
+    elif case == "zero_rows":
+        Z = rng.standard_normal((n, l))
+        Z[rng.random(n) < 0.5] = 0.0
+    elif case == "all_zero":
+        Z = np.zeros((n, l))
+    elif case == "offset":  # large common offset: the screen's slack matters
+        Z = 1e6 + 1e-3 * np.round(rng.standard_normal((n, l)), 1)
+    else:
+        Z = rng.standard_normal((n, l))
+    pick = int(rng.integers(3))
+    n_clusters = 1 if pick == 0 else n if pick == 1 else int(rng.integers(1, n + 1))
+    return Z, n_clusters
+
+
+class TestKmeansMatchesReference:
+    """The batched kernel against the one-restart-at-a-time reference."""
+
+    @pytest.mark.parametrize("case", KMEANS_CASES)
+    def test_bit_identical_on_random_instances(self, case, monkeypatch):
+        had_empty = []
+        reseed = evaluation._reseed_empty
+
+        def spy(Z, centers, assign):
+            n_clusters = centers.shape[1]
+            had_empty.append(any(np.unique(a).size < n_clusters for a in assign))
+            reseed(Z, centers, assign)
+
+        monkeypatch.setattr(evaluation, "_reseed_empty", spy)
+        rng = np.random.default_rng(KMEANS_CASES.index(case))
+        for _ in range(30):
+            Z, n_clusters = kmeans_instance(rng, case)
+            seed = int(rng.integers(2**32))
+            a, i = kmeans(Z, n_clusters, seed=seed)
+            ra, ri = reference_kmeans(Z, n_clusters, seed=seed)
+            assert np.array_equal(a, ra) and i == ri
+            a, i = kmeans_best(Z, n_clusters, seed=seed)
+            ra, ri = reference_kmeans_best(Z, n_clusters, seed=seed)
+            assert np.array_equal(a, ra) and i == ri
+        if case in ("duplicated", "all_zero"):
+            assert any(had_empty)  # clusters went empty and were reseeded
+
+    def test_blobs_past_the_screen(self):
+        rng = np.random.default_rng(12)
+        for n, l, C in ((300, 16, 10), (200, 2, 25), (150, 40, 3)):
+            Z = rng.standard_normal((n, l)) + 3.0 * rng.integers(0, 4, size=(n, 1))
+            for seed in (0, 5):
+                a, i = kmeans_best(Z, C, seed=seed)
+                ra, ri = reference_kmeans_best(Z, C, seed=seed)
+                assert np.array_equal(a, ra) and i == ri
+
+    def test_unsafe_screen_takes_the_exact_path(self):
+        # ||z||^2 near the float64 limit: the inner-product screen would
+        # overflow, yet every pairwise distance is finite
+        rng = np.random.default_rng(13)
+        Z = 8e153 * (1.0 + 1e-3 * rng.standard_normal((40, 1)))
+        for C in (1, 3, 7):
+            a, i = kmeans_best(Z, C, seed=C)
+            ra, ri = reference_kmeans_best(Z, C, seed=C)
+            assert np.array_equal(a, ra) and i == ri
+
+    def test_nan_rows_match_the_reference(self):
+        rng = np.random.default_rng(14)
+        for _ in range(20):
+            n = int(rng.integers(2, 15))
+            Z = rng.standard_normal((n, 3))
+            Z[rng.integers(n, size=2), rng.integers(3, size=2)] = np.nan
+            C, seed = int(rng.integers(1, n + 1)), int(rng.integers(100))
+            with np.errstate(invalid="ignore"):
+                a, i = kmeans(Z, C, seed=seed)
+                ra, ri = reference_kmeans(Z, C, seed=seed)
+            assert np.array_equal(a, ra) and np.isnan(i) and np.isnan(ri)
+
+    def test_seeding_matches_reference(self):
+        rng = np.random.default_rng(18)
+        for case in KMEANS_CASES * 6:
+            Z, n_clusters = kmeans_instance(rng, case)
+            seeds = rng.integers(2**32, size=4)
+            got = evaluation._kmeanspp_init(Z, n_clusters,
+                                            [np.random.default_rng(s) for s in seeds])
+            for centers, s in zip(got, seeds):
+                want = _reference_kmeanspp_init(Z, n_clusters, np.random.default_rng(s))
+                assert np.array_equal(centers, want)
+
+    def test_reseeding_matches_reference_loop(self):
+        rng = np.random.default_rng(19)
+        for _ in range(200):
+            n, l = int(rng.integers(2, 25)), int(rng.integers(1, 4))
+            C = int(rng.integers(2, n + 1))
+            Z = np.round(rng.standard_normal((n, l)), 1)
+            # half the centers near rows, the rest far away: empty clusters,
+            # and rows alone in a cluster far from its center
+            near_rows = Z[rng.integers(n, size=(3, C))] + 0.5 * rng.standard_normal((3, C, l))
+            centers = np.where(rng.random((3, C, 1)) < 0.5, near_rows,
+                               50.0 * rng.standard_normal((3, C, l)))
+            assign = np.stack([_reference_sq_dists_to(Z, c).argmin(axis=1) for c in centers])
+            want_centers, want_assign = centers.copy(), assign.copy()
+            for cen, new_assign in zip(want_centers, want_assign):
+                dist_to_own = _reference_sq_dists_to(Z, cen)[np.arange(n), new_assign]
+                for c in range(C):  # the reference's loop
+                    if not np.any(new_assign == c):
+                        far = int(dist_to_own.argmax())
+                        cen[c] = Z[far]
+                        new_assign[far] = c
+                        dist_to_own[far] = 0.0
+            evaluation._reseed_empty(Z, centers, assign)
+            assert np.array_equal(centers, want_centers)
+            assert np.array_equal(assign, want_assign)
+
+    def test_overflowing_seeding_raises_like_the_reference(self):
+        Z = np.random.default_rng(15).standard_normal((12, 3))
+        Z[3] = 1e155
+        with pytest.raises(ValueError), np.errstate(all="ignore"):
+            reference_kmeans(Z, 4, seed=1)
+        with pytest.raises(ValueError), np.errstate(all="ignore"):
+            kmeans(Z, 4, seed=1)
+
+    def test_choose_matches_generator_choice(self):
+        rng = np.random.default_rng(16)
+        for _ in range(300):
+            n = int(rng.integers(1, 50))
+            p = rng.random(n) * (rng.random(n) < 0.6)
+            p[int(rng.integers(n))] += 1e-3  # at least one nonzero entry
+            p /= p.sum()
+            seeds = rng.integers(2**32, size=3)
+            u = np.array([np.random.default_rng(s).random() for s in seeds])
+            got = evaluation._choose(np.tile(p, (3, 1)), u)
+            want = [np.random.default_rng(s).choice(n, p=p) for s in seeds]
+            assert got.tolist() == want
+
+    def test_scratch_stays_a_few_restart_blocks(self):
+        n, l, C = 4000, 16, 10
+        Z = np.random.default_rng(17).standard_normal((n, l))
+        tracemalloc.start()
+        try:
+            kmeans_best(Z, C, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * KMEANS_RESTARTS * n * max(C, l) * 8
+
+
 class TestKmeans:
     def test_one_cluster_per_point(self):
         rng = np.random.default_rng(0)
@@ -67,6 +302,18 @@ class TestKmeans:
         with pytest.raises(ConfigError):
             kmeans(np.zeros((3, 2)), 4)
 
+    @pytest.mark.parametrize("fn", [kmeans, kmeans_best])
+    @pytest.mark.parametrize("n_clusters", [0, -1])
+    def test_fewer_than_one_cluster_rejected(self, fn, n_clusters):
+        with pytest.raises(ConfigError, match="n_clusters"):
+            fn(np.ones((3, 2)), n_clusters)
+
+    @pytest.mark.parametrize("fn", [kmeans, kmeans_best])
+    @pytest.mark.parametrize("n_clusters", [0, 1])
+    def test_empty_input_rejected(self, fn, n_clusters):
+        with pytest.raises(ConfigError, match="at least one point"):
+            fn(np.zeros((0, 2)), n_clusters)
+
     def test_restarts_never_worse(self):
         rng = np.random.default_rng(3)
         Z = rng.standard_normal((50, 2))
@@ -91,6 +338,10 @@ class TestNmi:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             ssdml.nmi([0, 1], [0, 1, 2])
+
+    def test_empty_rejected(self):
+        with pytest.raises(ValueError, match="empty"):
+            ssdml.nmi([], [])
 
     def test_matches_reference_on_random_instances(self):
         rng = np.random.default_rng(4)
