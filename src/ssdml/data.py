@@ -153,47 +153,115 @@ def _parse_label_cells(cells):
     return labels, n_classes
 
 
+_BLANK_LINES = ("\n", "\r\n", "\r")
+# Characters numpy's number parser skips as whitespace but float() rejects.
+_FLOAT_REJECTS = "\x1c\x1d\x1e\x1f"
+
+
+def _read_block(lines, n_cols, label_pos):
+    """Parse the data lines with numpy's C reader: (features, label cells).
+
+    numpy reads numbers with the routine behind float() and splits quoted
+    cells as csv.reader does, but it skips blank lines, takes \\x1c-\\x1f
+    for whitespace and has no field size limit.  Returns None for those
+    inputs and for any numpy rejects, so that `_scan_cells` decides them.
+    """
+    if not lines or lines[0] in _BLANK_LINES:  # numpy warns on all-blank input
+        return None
+    if max(map(len, lines)) > csv.field_size_limit():
+        return None
+    text = "".join(lines)
+    if any(c in text for c in _FLOAT_REJECTS):
+        return None
+    label_cells = []
+
+    def keep_label(cell):
+        label_cells.append(cell.strip())
+        return 0.0
+
+    try:
+        block = np.loadtxt(
+            lines, dtype=np.float64, delimiter=",", comments=None, quotechar='"',
+            ndmin=2, converters=None if label_pos is None else {label_pos: keep_label},
+        )
+    except ValueError:
+        return None
+    # fewer rows than lines: numpy skipped a blank line or joined the lines
+    # of a quoted cell; another column count: no row matches the header
+    if block.shape != (len(lines), n_cols):
+        return None
+    if label_pos is None:
+        return block, [""] * len(lines)
+    return np.delete(block, label_pos, axis=1), label_cells
+
+
+def _scan_cells(path, lines, header, label_pos, feature_cols):
+    """Parse the data lines one cell at a time with csv and float()."""
+    rows, label_cells = [], []
+    for i, row in enumerate(csv.reader(lines), start=1):
+        if len(row) != len(header):
+            raise DataFormatError(
+                f"{path}: row {i} has {len(row)} cells, expected {len(header)}"
+            )
+        values = []
+        for j in feature_cols:
+            try:
+                values.append(float(row[j]))
+            except ValueError:
+                raise DataFormatError(
+                    f"{path}: row {i}, column {header[j]!r}: "
+                    f"cannot parse {row[j]!r} as a number"
+                ) from None
+        rows.append(values)
+        label_cells.append(row[label_pos].strip() if label_pos is not None else "")
+    return rows, label_cells
+
+
 def load_csv(path, label_column: str | None = "label") -> Dataset:
     """Load a dataset from a headered CSV file.
 
     Every column except `label_column` is a feature column; an absent label
     column yields a fully unlabeled dataset with n_classes = 0.
+
+    The dialect is `csv`'s default: comma-separated cells, '"' quoting with
+    doubled quotes inside a quoted cell, and \\n, \\r\\n or \\r line ends.
+    A feature cell is any text float() reads, surrounding whitespace
+    included.  The file is read in the default text encoding.  Raises
+    DataFormatError, naming the path, for an empty file, a file with no
+    data rows or no feature columns, a row whose cell count differs from
+    the header's (a blank line is a row of 0 cells), a feature cell float()
+    cannot read, a non-finite feature value, and bytes that do not decode.
+
+    numpy's reader parses the data; any input it might read differently
+    from csv.reader plus float() is scanned one cell at a time instead, so
+    both give the same dataset or the same error.
     """
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataFormatError(f"{path}: empty file") from None
-        header = [h.strip() for h in header]
-        label_pos = None
-        if label_column is not None and label_column in header:
-            label_pos = header.index(label_column)
-        feature_cols = [j for j in range(len(header)) if j != label_pos]
+    try:
+        with open(path, newline="") as fh:
+            try:
+                header = next(csv.reader(fh))
+            except StopIteration:
+                raise DataFormatError(f"{path}: empty file") from None
+            lines = fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise DataFormatError(
+            f"{path}: not valid {exc.encoding} text ({exc.reason})"
+        ) from None
+    header = [h.strip() for h in header]
+    label_pos = None
+    if label_column is not None and label_column in header:
+        label_pos = header.index(label_column)
+    feature_cols = [j for j in range(len(header)) if j != label_pos]
 
-        rows, label_cells = [], []
-        for i, row in enumerate(reader, start=1):
-            if len(row) != len(header):
-                raise DataFormatError(
-                    f"{path}: row {i} has {len(row)} cells, expected {len(header)}"
-                )
-            values = []
-            for j in feature_cols:
-                try:
-                    values.append(float(row[j]))
-                except ValueError:
-                    raise DataFormatError(
-                        f"{path}: row {i}, column {header[j]!r}: "
-                        f"cannot parse {row[j]!r} as a number"
-                    ) from None
-            rows.append(values)
-            label_cells.append(row[label_pos].strip() if label_pos is not None else "")
-
-    if not rows:
+    parsed = _read_block(lines, len(header), label_pos)
+    if parsed is None:
+        parsed = _scan_cells(path, lines, header, label_pos, feature_cols)
+    rows, label_cells = parsed
+    if not label_cells:
         raise DataFormatError(f"{path}: no data rows")
     if not feature_cols:
         raise DataFormatError(f"{path}: no feature columns")
-    features = np.array(rows, dtype=np.float64)
+    features = np.asarray(rows, dtype=np.float64)
     bad = np.argwhere(~np.isfinite(features))
     if bad.size:
         i, j = bad[0]

@@ -223,6 +223,8 @@ def _check_kmeans_args(Z, n_clusters, seed) -> np.ndarray:
     Z = np.asarray(Z, dtype=np.float64)
     if Z.ndim != 2 or 0 in Z.shape:
         raise ConfigError("k-means needs at least one point, as an (n, l) matrix with l >= 1")
+    if not np.isfinite(Z).all():
+        raise ConfigError("k-means needs finite points (the input holds NaN or inf)")
     if not 1 <= n_clusters <= Z.shape[0]:
         raise ConfigError(f"n_clusters must lie in [1, {Z.shape[0]}] (got {n_clusters})")
     if int(seed) < 0:

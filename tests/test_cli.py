@@ -249,6 +249,18 @@ class TestExitCodes:
         assert err.startswith("error:") and "absent.csv" in err
         assert len(err.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_undecodable_data_is_two(self, tmp_path, capsys, command):
+        bad = tmp_path / "latin.csv"
+        bad.write_bytes(b"f0,f1,label\n1.0,2.0,0\n3.0,4.0,\xff\n")
+        args = [command, "--data", bad]
+        if command == "eval":
+            args += ["--model", tmp_path / "unused.model"]
+        assert run_cli(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "latin.csv" in err
+        assert len(err.strip().splitlines()) == 1
+
     def test_unwritable_out_is_two(self, tmp_path, capsys):
         out = tmp_path / "no-such-dir" / "blobs.csv"
         assert run_cli(["blobs", "--classes", 2, "--per-class", 3,

@@ -1,12 +1,17 @@
 """Dataset construction, file round trips, and sampling."""
 
+import csv
+import random
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import ssdml
-from ssdml.data import UNLABELED, Dataset, strip_labels
+from ssdml import data
+from ssdml.data import UNLABELED, Dataset, _parse_label_cells, strip_labels
 from ssdml.errors import ConfigError, DataFormatError
 
 
@@ -65,16 +70,205 @@ class TestLoadCsv:
         assert ds.features.tolist() == [[1.0, 2.0], [3.0, 4.0]]
         assert ds.labels.tolist() == [0, 1]
 
-    def test_roundtrip_bit_exact(self, tmp_path):
-        rng = np.random.default_rng(5)
-        ds = Dataset(rng.standard_normal((20, 4)) * 1e3,
-                     np.array([0, 1, UNLABELED, 2] * 5), 3)
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(features=hnp.arrays(
+               np.float64, st.tuples(st.integers(1, 20), st.integers(1, 5)),
+               elements=st.floats(allow_nan=False, allow_infinity=False)),
+           label_codes=st.lists(st.integers(UNLABELED, 4), min_size=20, max_size=20))
+    @example(features=np.random.default_rng(5).standard_normal((20, 4)) * 1e3,
+             label_codes=[0, 1, UNLABELED, 2] * 5)
+    @example(features=np.array([[5e-324, -0.0, 1.7976931348623157e308],
+                                [-1.7976931348623157e308, 2.2250738585072014e-308, 0.0]]),
+             label_codes=[UNLABELED] * 20)
+    def test_roundtrip_bit_exact(self, tmp_path, features, label_codes):
+        labels = np.array(label_codes[:features.shape[0]])
+        n_classes = max(labels.max() + 1, 2) if labels.max() >= 0 else 0
+        ds = Dataset(features, labels, n_classes)
         p = tmp_path / "rt.csv"
         ssdml.write_csv(ds, p)
         back = ssdml.load_csv(p)
-        assert np.array_equal(back.features, ds.features)
+        assert back.features.tobytes() == ds.features.tobytes()  # -0.0 too
+        assert back.features.shape == ds.features.shape
         assert np.array_equal(back.labels, ds.labels)
         assert back.n_classes == ds.n_classes
+
+    @pytest.mark.parametrize("raw", [b"f0,f1\n1.0,2\xff\n", b"f\xff0,f1\n1.0,2.0\n"],
+                             ids=["data", "header"])
+    def test_undecodable_bytes_name_the_file(self, tmp_path, raw):
+        p = tmp_path / "latin.csv"
+        p.write_bytes(raw)
+        with pytest.raises(DataFormatError, match="latin.csv: not valid utf-8 text"):
+            ssdml.load_csv(p)
+
+
+def reference_load_csv(path, label_column="label"):
+    """The per-cell loader that numpy's reader replaced, copied verbatim."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise DataFormatError(f"{path}: empty file") from None
+        header = [h.strip() for h in header]
+        label_pos = None
+        if label_column is not None and label_column in header:
+            label_pos = header.index(label_column)
+        feature_cols = [j for j in range(len(header)) if j != label_pos]
+
+        rows, label_cells = [], []
+        for i, row in enumerate(reader, start=1):
+            if len(row) != len(header):
+                raise DataFormatError(
+                    f"{path}: row {i} has {len(row)} cells, expected {len(header)}"
+                )
+            values = []
+            for j in feature_cols:
+                try:
+                    values.append(float(row[j]))
+                except ValueError:
+                    raise DataFormatError(
+                        f"{path}: row {i}, column {header[j]!r}: "
+                        f"cannot parse {row[j]!r} as a number"
+                    ) from None
+            rows.append(values)
+            label_cells.append(row[label_pos].strip() if label_pos is not None else "")
+
+    if not rows:
+        raise DataFormatError(f"{path}: no data rows")
+    if not feature_cols:
+        raise DataFormatError(f"{path}: no feature columns")
+    features = np.array(rows, dtype=np.float64)
+    bad = np.argwhere(~np.isfinite(features))
+    if bad.size:
+        i, j = bad[0]
+        raise DataFormatError(
+            f"{path}: row {i + 1}, column {header[feature_cols[j]]!r}: "
+            f"non-finite value {features[i, j]!r}"
+        )
+    labels, n_classes = _parse_label_cells(label_cells)
+    return Dataset(features, labels, n_classes)
+
+
+def load_outcome(loader, path, label_column):
+    """Everything a caller can observe: the dataset's bytes or the error."""
+    try:
+        ds = loader(path, label_column)
+    except Exception as exc:  # the exception type is part of the outcome
+        return type(exc), str(exc)
+    return (ds.features.shape, ds.features.tobytes(), ds.labels.tobytes(),
+            ds.n_classes, ds.ids.tobytes())
+
+
+LONG_CELL = "0" * csv.field_size_limit() + "1"
+PARITY_CORPUS = {
+    "plain": "f0,f1,label\n1.5,-2,0\n3,4e-3,\n5,6,1\n",
+    "quoted cells": 'f0,f1,label\n"1.5",2,"3"\n4,"5",""\n',
+    "quoted label with comma": 'f0,label\n1,"a,b"\n2,c\n3,"a,b"\n',
+    "doubled quotes in label": 'f0,label\n1,"say ""hi"""\n2,x\n',
+    "doubled quotes in feature": 'f0,label\n"1""2",0\n',
+    "quote inside a cell": 'f0,label\n1"2",0\n',
+    "text after a closing quote": 'f0,label\n"1"2,0\n',
+    "quoted line break in label": 'f0,label\n1,"a\nb"\n2,c\n',
+    "quoted line break in feature": 'f0,label\n"1\n",0\n',
+    "crlf": "f0,f1,label\r\n1,2,0\r\n3,4,1\r\n",
+    "bare cr": "f0,f1,label\r1,2,0\r3,4,1\r",
+    "mixed line ends": "f0,label\n1,0\r\n2,1\r3,0",
+    "blank line mid-file": "f0,label\n1,0\n\n2,1\n",
+    "blank line at the end": "f0,label\n1,0\n2,1\n\n",
+    "blank crlf line at the end": "f0,label\r\n1,0\r\n\r\n",
+    "blank first data line": "f0,label\n\n1,0\n",
+    "blank lines only": "f0,label\n\n\n",
+    "whitespace line": "f0,f1\n1,2\n   \n",
+    "trailing comma": "f0,f1\n1,2,\n",
+    "trailing comma in header too": "f0,f1,\n1,2,\n",
+    "every row short": "f0,f1,f2\n1,2\n3,4\n",
+    "every row long": "f0\n1,2\n3,4\n",
+    "spaces around cells": "f0,f1,label\n 1.5 , 2\t, 1 \n3,4, 0\n",
+    "spaces around string labels": "f0,label\n1,cat\n2, cat \n3,dog\n",
+    "underscore digits": "f0,label\n1_000,0\n2,1\n",
+    "non-ascii digits": "f0,label\n\u0661\u0662,0\n\uff13,1\n",
+    "no-break space": "f0\n\xa01.5\n",
+    "separator control": "f0\n\x1c1\n",
+    "nul": "f0\n1\x00\n",
+    "nan feature": "f0,f1,label\n1,2,0\n3,nan,1\n",
+    "inf feature": "f0,f1\n1,-infinity\n",
+    "overflowing feature": "f0,f1\n1,1e309\n",
+    "subnormal and negative zero": "f0,f1\n4.9e-324,-0\n-0.0,2.2250738585072011e-308\n",
+    "nan and inf labels": "f0,label\n1,nan\n2,inf\n3,nan\n",
+    "negative label": "f0,label\n1,-1\n2,3\n",
+    "unparsable feature after a bad row": "f0,f1\n1,x\n1\n",
+    "label first": "label,f0,f1\n0,1,2\n1,3,4\n",
+    "label middle": "f0,label,f1\n1,0,2\n3,1,4\n",
+    "label absent": "f0,f1\n1,2\n3,4\n",
+    "label only": "label\n0\n1\n",
+    "one row one feature": "f0\n3.5\n",
+    "one row with label": "f0,label\n3.5,1\n",
+    "header only": "f0,f1,label\n",
+    "header without line end": "f0,f1,label",
+    "empty file": "",
+    "utf-8 bom": "\ufefff0,label\n1,0\n2,1\n",
+    "utf-8 bom before label": "\ufefflabel,f0\n0,1\n1,2\n",
+    "cell over the csv field limit": "f0,label\n" + LONG_CELL + ",0\n",
+}
+
+
+# cases numpy's reader decides itself (with the label column in place)
+NUMPY_READ = {"plain", "quoted cells", "quoted label with comma", "doubled quotes in label",
+              "text after a closing quote", "crlf", "bare cr", "mixed line ends",
+              "spaces around cells", "spaces around string labels", "no-break space", "nan feature",
+              "subnormal and negative zero", "label first", "one row one feature", "utf-8 bom"}
+
+
+@pytest.fixture()
+def took_numpy(monkeypatch):
+    """Per load, whether numpy's reader gave the rows (else the cell scan)."""
+    took = []
+    read_block = data._read_block
+
+    def spy(*args):
+        block = read_block(*args)
+        took.append(block is not None)
+        return block
+
+    monkeypatch.setattr(data, "_read_block", spy)
+    return took
+
+
+@pytest.mark.filterwarnings("error")
+class TestLoadCsvParity:
+    """numpy's reader plus its fallback against the per-cell reference."""
+
+    @pytest.mark.parametrize("label_column", ["label", None])
+    @pytest.mark.parametrize("name", list(PARITY_CORPUS))
+    def test_corpus_matches_reference(self, tmp_path, took_numpy, name, label_column):
+        p = tmp_path / "d.csv"
+        p.write_bytes(PARITY_CORPUS[name].encode("utf-8"))
+        assert load_outcome(ssdml.load_csv, p, label_column) == \
+            load_outcome(reference_load_csv, p, label_column)
+        if label_column and name in NUMPY_READ:
+            assert took_numpy == [True]
+
+    def test_random_corpus_matches_reference(self, tmp_path, took_numpy):
+        tokens = ["1", "-2.5", "-0", "1e309", "5e-324", "nan", "-inf", "1_0",
+                  "\u0661", "\x1c", "\x00", "\xa0", " ", "a", '"', '""', '"1"',
+                  '"a,b"', ",", ",", "\n", "\n", "\r", "\r\n", "7", "+.5"]
+        rng = random.Random(13)
+        p = tmp_path / "d.csv"
+        for _ in range(400):
+            width = rng.randint(1, 3)
+            header = [f"f{j}" for j in range(width)]
+            header.insert(rng.randint(0, width), "label")
+            eol = rng.choice(["\n", "\r\n", "\r"])
+            rows = [",".join(rng.choice(["1", "-0.5", "3", '"2"', "", "a", " 4 "])
+                             + (rng.choice(tokens) if rng.random() < 0.15 else "")
+                             for _ in header)
+                    for _ in range(rng.randint(0, 5))]
+            text = eol.join([",".join(header)] + rows) + eol
+            p.write_bytes(text.encode("utf-8"))
+            assert load_outcome(ssdml.load_csv, p, "label") == \
+                load_outcome(reference_load_csv, p, "label"), repr(text)
+        assert any(took_numpy) and not all(took_numpy)
 
 
 class TestParseIdx:

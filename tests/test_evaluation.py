@@ -196,18 +196,6 @@ class TestKmeansMatchesReference:
             ra, ri = reference_kmeans_best(Z, C, seed=C)
             assert np.array_equal(a, ra) and i == ri
 
-    def test_nan_rows_match_the_reference(self):
-        rng = np.random.default_rng(14)
-        for _ in range(20):
-            n = int(rng.integers(2, 15))
-            Z = rng.standard_normal((n, 3))
-            Z[rng.integers(n, size=2), rng.integers(3, size=2)] = np.nan
-            C, seed = int(rng.integers(1, n + 1)), int(rng.integers(100))
-            with np.errstate(invalid="ignore"):
-                a, i = kmeans(Z, C, seed=seed)
-                ra, ri = reference_kmeans(Z, C, seed=seed)
-            assert np.array_equal(a, ra) and np.isnan(i) and np.isnan(ri)
-
     def test_seeding_matches_reference(self):
         rng = np.random.default_rng(18)
         for case in KMEANS_CASES * 6:
@@ -313,6 +301,17 @@ class TestKmeans:
     def test_empty_input_rejected(self, fn, n_clusters):
         with pytest.raises(ConfigError, match="at least one point"):
             fn(np.zeros((0, 2)), n_clusters)
+
+    def test_non_finite_points_rejected(self):
+        # a NaN makes every restart's inertia NaN, so kmeans_best would have
+        # no restart to return and evaluate_embeddings would fail inside nmi
+        for bad in (np.nan, np.inf, -np.inf):
+            Z = np.random.default_rng(14).standard_normal((12, 3))
+            Z[5, 1] = bad
+            for fn in (lambda: kmeans(Z, 3), lambda: kmeans_best(Z, 3),
+                       lambda: evaluate_embeddings(Z, np.arange(12) % 3)):
+                with pytest.raises(ConfigError, match="finite points"):
+                    fn()
 
     def test_restarts_never_worse(self):
         rng = np.random.default_rng(3)
