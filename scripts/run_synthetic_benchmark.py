@@ -32,11 +32,10 @@ def identity_oracle(semi, seed):
     """Raw-feature metrics on the same validation split train() will use."""
     state = np.random.SeedSequence(seed).generate_state(4)
     _, val = split_validation(semi, TrainConfig().val_fraction, int(state[0]))
-    r1 = evaluation.recall_at_k(val.features, val.labels, ks=(1,))[1]
-    assign, _ = evaluation.kmeans_best(val.features,
-                                       min(semi.n_classes, val.n),
-                                       seed=int(state[2]))
-    return evaluation.nmi(assign, val.labels), r1
+    report = evaluation.evaluate_embeddings(val.features, val.labels,
+                                            min(semi.n_classes, val.n), ks=(1,),
+                                            seed=int(state[2]))
+    return report.nmi, report.recall_at[1]
 
 
 def pipeline_diagnostics(blobs, semi, config):

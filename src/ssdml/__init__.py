@@ -14,8 +14,7 @@ from .errors import (ConfigError, ConvergenceError, DataFormatError,
 from .evaluation import EvalReport, evaluate_embeddings, kmeans, nmi, recall_at_k
 from .graph import NeighborGraph, build_knn, laplacian, neighbor_matrix, seed_affinity
 from .manifold import optimize_L, retract_qr, tangent_project
-from .metric import (angular_loss, angular_loss_grad_embeddings,
-                     angular_loss_grad_L, angular_margin, embed, mahalanobis_sq)
+from .metric import angular_loss, angular_margin, embed, mahalanobis_sq
 from .mining import batch_triplets, mine_triplets, sorted_neighborhood
 from .propagation import (EdgeAffinity, propagate, propagate_dense,
                           propagate_direct, propagate_iterative, symmetrize)
@@ -27,8 +26,7 @@ __version__ = "0.1.0"
 __all__ = [
     "ConfigError", "ConvergenceError", "DataFormatError", "Dataset",
     "EdgeAffinity", "EvalReport", "Model", "NeighborGraph", "NumericalError",
-    "Partition", "SsdmlError", "TrainConfig", "angular_loss",
-    "angular_loss_grad_L", "angular_loss_grad_embeddings", "angular_margin",
+    "Partition", "SsdmlError", "TrainConfig", "angular_loss", "angular_margin",
     "batch_triplets", "build_knn", "embed", "evaluate_checkpoint",
     "evaluate_embeddings", "kmeans", "laplacian", "load_csv", "load_model",
     "mahalanobis_sq", "make_blobs", "mine_triplets", "neighbor_matrix", "nmi",

@@ -198,22 +198,25 @@ def _read_block(lines, n_cols, label_pos):
 def _scan_cells(path, lines, header, label_pos, feature_cols):
     """Parse the data lines one cell at a time with csv and float()."""
     rows, label_cells = [], []
-    for i, row in enumerate(csv.reader(lines), start=1):
-        if len(row) != len(header):
-            raise DataFormatError(
-                f"{path}: row {i} has {len(row)} cells, expected {len(header)}"
-            )
-        values = []
-        for j in feature_cols:
-            try:
-                values.append(float(row[j]))
-            except ValueError:
+    try:
+        for i, row in enumerate(csv.reader(lines), start=1):
+            if len(row) != len(header):
                 raise DataFormatError(
-                    f"{path}: row {i}, column {header[j]!r}: "
-                    f"cannot parse {row[j]!r} as a number"
-                ) from None
-        rows.append(values)
-        label_cells.append(row[label_pos].strip() if label_pos is not None else "")
+                    f"{path}: row {i} has {len(row)} cells, expected {len(header)}"
+                )
+            values = []
+            for j in feature_cols:
+                try:
+                    values.append(float(row[j]))
+                except ValueError:
+                    raise DataFormatError(
+                        f"{path}: row {i}, column {header[j]!r}: "
+                        f"cannot parse {row[j]!r} as a number"
+                    ) from None
+            rows.append(values)
+            label_cells.append(row[label_pos].strip() if label_pos is not None else "")
+    except csv.Error as exc:  # a cell over csv.field_size_limit()
+        raise DataFormatError(f"{path}: row {len(rows) + 1}: {exc}") from None
     return rows, label_cells
 
 
@@ -230,7 +233,8 @@ def load_csv(path, label_column: str | None = "label") -> Dataset:
     DataFormatError, naming the path, for an empty file, a file with no
     data rows or no feature columns, a row whose cell count differs from
     the header's (a blank line is a row of 0 cells), a feature cell float()
-    cannot read, a non-finite feature value, and bytes that do not decode.
+    cannot read, a non-finite feature value, a cell longer than
+    csv.field_size_limit(), and bytes that do not decode.
 
     numpy's reader parses the data; any input it might read differently
     from csv.reader plus float() is scanned one cell at a time instead, so
@@ -242,6 +246,8 @@ def load_csv(path, label_column: str | None = "label") -> Dataset:
                 header = next(csv.reader(fh))
             except StopIteration:
                 raise DataFormatError(f"{path}: empty file") from None
+            except csv.Error as exc:
+                raise DataFormatError(f"{path}: header: {exc}") from None
             lines = fh.readlines()
     except UnicodeDecodeError as exc:
         raise DataFormatError(

@@ -7,13 +7,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .graph import KNN_BLOCK_ENTRIES, SCREEN_RTOL, _exact_knn
+from .graph import (KNN_BLOCK_ENTRIES, SCREEN_RTOL, _exact_knn, _pair_sq_dists,
+                    _screen_is_safe)
 
 KMEANS_RESTARTS = 10
 KMEANS_MAX_ITER = 100
 DEFAULT_RECALL_KS = (1, 2, 4, 8)
-# Squared norms below this keep the k-means distance screen finite.
-SCREEN_MAX_SQ = np.finfo(np.float64).max / 4.0
 
 
 @dataclass(frozen=True)
@@ -32,17 +31,9 @@ class EvalReport:
 
 
 def _sq_dists(Z, centers, r, i, c):
-    """Explicit-difference squared distances ||Z[i] - centers[r, c]||^2.
-
-    Summed like an einsum over a full difference tensor, in chunks of about
-    KNN_BLOCK_ENTRIES entries.
-    """
-    out = np.empty(i.size)
-    chunk = max(1, KNN_BLOCK_ENTRIES // Z.shape[1])
-    for s in range(0, i.size, chunk):
-        diff = Z[i[s:s + chunk]] - centers[r[s:s + chunk], c[s:s + chunk]]
-        out[s:s + chunk] = np.einsum("ij,ij->i", diff, diff)
-    return out
+    """Explicit-difference squared distances ||Z[i] - centers[r, c]||^2."""
+    R, C, l = centers.shape
+    return _pair_sq_dists(Z, i, centers.reshape(R * C, l), r * C + c)
 
 
 def _choose(p: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -103,8 +94,7 @@ def _nearest(Z, sq, centers):
     R, C, _ = centers.shape
     n = Z.shape[0]
     csq = np.einsum("rcj,rcj->rc", centers, centers)
-    # |screen| and every distance stay below 4 * max ||x||^2: no overflow
-    if sq.max() < SCREEN_MAX_SQ and csq.max() < SCREEN_MAX_SQ:
+    if _screen_is_safe(sq, csq):
         S = centers @ Z.T  # (R, C, n)
         S *= -2.0
         S += sq

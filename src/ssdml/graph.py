@@ -41,6 +41,29 @@ KNN_BLOCK_ENTRIES = 1 << 16
 SCREEN_RTOL = 1e-9
 
 
+def _screen_is_safe(*sq_norms) -> bool:
+    """Whether an inner-product screen over points with these squared norms
+    stays finite (|screen| and every distance lie below 4 * max ||z||^2).
+    It only picks the screened or the all-explicit path; both rank alike."""
+    with np.errstate(over="ignore"):  # an overflow to inf is the answer
+        return all(bool(np.isfinite(4.0 * sq.max())) for sq in sq_norms)
+
+
+def _pair_sq_dists(A, ia, B, ib):
+    """Explicit-difference squared distances ||A[ia] - B[ib]||^2.
+
+    Summed like an einsum over a full difference tensor, in chunks of about
+    KNN_BLOCK_ENTRIES entries.  (a - b)^2 equals (b - a)^2 in IEEE
+    arithmetic, so the order of the two sides does not change a result.
+    """
+    out = np.empty(ia.size)
+    chunk = max(1, KNN_BLOCK_ENTRIES // max(A.shape[1], 1))
+    for s in range(0, ia.size, chunk):
+        diff = A[ia[s:s + chunk]] - B[ib[s:s + chunk]]
+        out[s:s + chunk] = np.einsum("ij,ij->i", diff, diff)
+    return out
+
+
 def _candidates(Z, sq, start, stop, k):
     """(rows, cols) of the block's entries that can rank among the k nearest.
 
@@ -75,14 +98,12 @@ def _exact_knn(Z: np.ndarray, k: int) -> np.ndarray:
     data.
     """
     Z = np.ascontiguousarray(Z, dtype=np.float64)
-    n, d = Z.shape
+    n, _ = Z.shape
     if not 1 <= k < n:
         raise ConfigError(f"k must satisfy 1 <= k < n (got k={k}, n={n})")
     sq = np.einsum("ij,ij->i", Z, Z)
-    # |screen| and every distance stay below 4 * max ||z||^2: no overflow
-    screen = bool(np.isfinite(4.0 * sq.max()))
+    screen = _screen_is_safe(sq)
     block = max(1, KNN_BLOCK_ENTRIES // n)
-    chunk = max(1, KNN_BLOCK_ENTRIES // max(d, 1))
     neighbors = np.empty((n, k), dtype=np.int64)
     for start in range(0, n, block):
         stop = min(start + block, n)
@@ -90,10 +111,7 @@ def _exact_knn(Z: np.ndarray, k: int) -> np.ndarray:
             rows, cols = _candidates(Z, sq, start, stop, k)
         else:
             rows, cols = np.divmod(np.arange((stop - start) * n), n)
-        d2 = np.empty(rows.size)
-        for s in range(0, rows.size, chunk):
-            diff = Z[cols[s:s + chunk]] - Z[start + rows[s:s + chunk]]
-            d2[s:s + chunk] = np.einsum("ij,ij->i", diff, diff)
+        d2 = _pair_sq_dists(Z, cols, Z, start + rows)
         d2[cols == start + rows] = np.inf
         order = np.lexsort((cols, d2, rows))  # by row, then distance, then index
         counts = np.bincount(rows, minlength=stop - start)

@@ -125,11 +125,6 @@ def embedding_grad(L, W, batch_idx, n_rows, t) -> np.ndarray:
     return grad.reshape(n_rows, d)
 
 
-def angular_margins(L, embeddings, batch_idx, alpha_deg):
-    """Vector of margins m_i for a (T, 3) index batch."""
-    return _margins(L, triplet_diffs(embeddings, batch_idx), tan2(alpha_deg))[0]
-
-
 def angular_margin(L, z, z_pos, z_neg, alpha_deg) -> float:
     """Margin of a single triplet; the mean point is formed in input space."""
     t = tan2(alpha_deg)
@@ -138,19 +133,7 @@ def angular_margin(L, z, z_pos, z_neg, alpha_deg) -> float:
 
 
 def angular_loss(L, embeddings, batch_idx, alpha_deg) -> float:
-    """Sum of softplus(m_i) over the batch's triplets."""
-    return float(softplus(angular_margins(L, embeddings, batch_idx, alpha_deg)).sum())
-
-
-def angular_loss_grad_L(L, embeddings, batch_idx, alpha_deg) -> np.ndarray:
-    """d loss / dL for a (T, 3) index batch (see loss_and_grad)."""
-    return loss_and_grad(L, triplet_diffs(embeddings, batch_idx), tan2(alpha_deg))[1]
-
-
-def angular_loss_grad_embeddings(L, embeddings, batch_idx, alpha_deg) -> np.ndarray:
-    """Per-node gradient of the batch loss with respect to all embeddings
-    (see embedding_grad)."""
-    Z = np.asarray(embeddings, dtype=np.float64)
-    batch_idx = np.asarray(batch_idx, dtype=np.int64)
-    return embedding_grad(L, triplet_diffs(Z, batch_idx), batch_idx, Z.shape[0],
-                          tan2(alpha_deg))
+    """Sum of softplus(m_i) over a (T, 3) index batch's triplets: the scalar
+    whose gradients loss_and_grad and embedding_grad give."""
+    m = _margins(L, triplet_diffs(embeddings, batch_idx), tan2(alpha_deg))[0]
+    return float(softplus(m).sum())

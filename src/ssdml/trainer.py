@@ -147,13 +147,6 @@ def _represent(encoder, normalize: bool, X):
     return enc_mod.l2_normalize_rows(X) if normalize else X
 
 
-def _val_metrics(L, encoder, normalize, val_ds: Dataset, n_clusters: int, eval_seed):
-    E = metric.embed(L, _represent(encoder, normalize, val_ds.features))
-    report = evaluation.evaluate_embeddings(E, val_ds.labels, n_clusters, ks=(1,),
-                                            seed=eval_seed)
-    return report.nmi, report.recall_at[1]
-
-
 def _all_labeled_pairs(y_nodes: np.ndarray, n_labeled: int):
     """All labeled-node pairs (i < j) with +1/-1 same/different-class tags."""
     i, j = np.triu_indices(n_labeled, k=1)
@@ -174,7 +167,6 @@ def train(dataset: Dataset, config: TrainConfig) -> Model:
     train_ds, val_ds = split_validation(dataset, config.val_fraction, split_seed)
     if val_ds.n < 2:
         raise ConfigError("validation split has fewer than 2 rows; add labeled data")
-    n_clusters = min(dataset.n_classes, val_ds.n)
     n_p = train_ds.unlabeled_indices.size if config.partition_size == 0 \
         else config.partition_size
 
@@ -187,9 +179,10 @@ def train(dataset: Dataset, config: TrainConfig) -> Model:
     history, best = [], None
     try:
         for epoch, (partition, loss, L, encoder) in enumerate(epochs):
-            v_nmi, v_r1 = _val_metrics(L, encoder, config.normalize, val_ds,
-                                       n_clusters, eval_seed)
-            _record(history, epoch, partition, loss, v_nmi, v_r1)
+            report = evaluate_checkpoint(Model(L, encoder, None, normalize=config.normalize),
+                                         val_ds, ks=(1,), seed=eval_seed)
+            v_r1 = report.recall_at[1]
+            _record(history, epoch, partition, loss, report.nmi, v_r1)
             if best is None or v_r1 > best[0]:
                 best = (v_r1, L.copy(), None if encoder is None else encoder.copy())
     except TrainingDiverged as exc:

@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, outputs, exit codes."""
 
+import csv
 import json
 
 import numpy as np
@@ -259,6 +260,14 @@ class TestExitCodes:
         assert run_cli(args) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and "latin.csv" in err
+        assert len(err.strip().splitlines()) == 1
+
+    def test_over_long_cell_is_two(self, tmp_path, capsys):
+        bad = tmp_path / "long.csv"
+        bad.write_text("f0,label\n" + "0" * csv.field_size_limit() + "1,0\n")
+        assert run_cli(["train", "--data", bad]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "long.csv" in err
         assert len(err.strip().splitlines()) == 1
 
     def test_unwritable_out_is_two(self, tmp_path, capsys):

@@ -15,6 +15,9 @@ from ssdml.data import UNLABELED, Dataset, _parse_label_cells, strip_labels
 from ssdml.errors import ConfigError, DataFormatError
 
 
+LONG_CELL = "0" * csv.field_size_limit() + "1"
+
+
 def write_lines(path, lines):
     path.write_text("\n".join(lines) + "\n")
 
@@ -101,6 +104,17 @@ class TestLoadCsv:
         with pytest.raises(DataFormatError, match="latin.csv: not valid utf-8 text"):
             ssdml.load_csv(p)
 
+    @pytest.mark.parametrize("text, where", [
+        ("f0,label\n1,0\n" + LONG_CELL + ",0\n", "row 2"),
+        ("f0," + LONG_CELL + "\n1,2\n", "header"),
+    ], ids=["data", "header"])
+    def test_over_long_cell_names_the_file(self, tmp_path, text, where):
+        # csv refuses a cell over csv.field_size_limit()
+        p = tmp_path / "long.csv"
+        p.write_text(text)
+        with pytest.raises(DataFormatError, match=f"long.csv: {where}: field larger"):
+            ssdml.load_csv(p)
+
 
 def reference_load_csv(path, label_column="label"):
     """The per-cell loader that numpy's reader replaced, copied verbatim."""
@@ -160,7 +174,6 @@ def load_outcome(loader, path, label_column):
             ds.n_classes, ds.ids.tobytes())
 
 
-LONG_CELL = "0" * csv.field_size_limit() + "1"
 PARITY_CORPUS = {
     "plain": "f0,f1,label\n1.5,-2,0\n3,4e-3,\n5,6,1\n",
     "quoted cells": 'f0,f1,label\n"1.5",2,"3"\n4,"5",""\n',
@@ -209,7 +222,6 @@ PARITY_CORPUS = {
     "empty file": "",
     "utf-8 bom": "\ufefff0,label\n1,0\n2,1\n",
     "utf-8 bom before label": "\ufefflabel,f0\n0,1\n1,2\n",
-    "cell over the csv field limit": "f0,label\n" + LONG_CELL + ",0\n",
 }
 
 

@@ -116,8 +116,9 @@ class TestGradients:
         Z = np.ones((3, 4))
         idx = [[0, 1, 2]]
         L = np.random.default_rng(0).standard_normal((4, 2))
-        assert np.all(ssdml.angular_loss_grad_L(L, Z, idx, 40.0) == 0.0)
-        assert np.all(ssdml.angular_loss_grad_embeddings(L, Z, idx, 40.0) == 0.0)
+        W, t = metric.triplet_diffs(Z, idx), metric.tan2(40.0)
+        assert np.all(metric.loss_and_grad(L, W, t)[1] == 0.0)
+        assert np.all(metric.embedding_grad(L, W, idx, 3, t) == 0.0)
 
     def test_grad_L_matches_finite_differences(self):
         assert gradcheck.check_angular_grad_L(seed=3, trials=25) <= 1e-5
@@ -132,7 +133,8 @@ class TestGradients:
         Z = rng.standard_normal((5, d))
         L = rng.standard_normal((d, l))
         idx = np.array([[0, 1, 2], [3, 4, 0]])
-        analytic = ssdml.angular_loss_grad_L(L, Z, idx, 45.0)
+        analytic = metric.loss_and_grad(L, metric.triplet_diffs(Z, idx),
+                                        metric.tan2(45.0))[1]
         h = 1e-6
         for (i, j) in [(0, 0), (3, 2), (5, 1)]:
             Lp, Lm = L.copy(), L.copy()
@@ -149,10 +151,12 @@ class TestGradients:
         a = rng.choice(8, size=(3, 3), replace=True)
         b = rng.choice(8, size=(4, 3), replace=True)
         both = np.vstack([a, b])
-        g = ssdml.angular_loss_grad_L
-        np.testing.assert_allclose(g(L, Z, both, 40.0),
-                                   g(L, Z, a, 40.0) + g(L, Z, b, 40.0),
-                                   atol=1e-12)
+
+        def g(idx):
+            return metric.loss_and_grad(L, metric.triplet_diffs(Z, idx),
+                                        metric.tan2(40.0))[1]
+
+        np.testing.assert_allclose(g(both), g(a) + g(b), atol=1e-12)
 
     @staticmethod
     def random_batches(seed, count=50):
@@ -166,11 +170,17 @@ class TestGradients:
                    float(rng.uniform(15.0, 75.0)))
 
     def test_fused_loss_and_grad_bitwise_equal_to_separate_calls(self):
+        # the fused loss is the scalar gradcheck differentiates, and the
+        # batch-local rows the trainer uses give the same loss and gradient
         for L, Z, idx, alpha in self.random_batches(6):
-            loss, grad = metric.loss_and_grad(L, metric.triplet_diffs(Z, idx),
-                                              metric.tan2(alpha))
+            t = metric.tan2(alpha)
+            loss, grad = metric.loss_and_grad(L, metric.triplet_diffs(Z, idx), t)
             assert loss == ssdml.angular_loss(L, Z, idx, alpha)
-            assert np.array_equal(grad, ssdml.angular_loss_grad_L(L, Z, idx, alpha))
+            nodes, local = metric.batch_rows(idx)
+            local_loss, local_grad = metric.loss_and_grad(
+                L, metric.triplet_diffs(Z[nodes], local), t)
+            assert local_loss == loss
+            assert np.array_equal(local_grad, grad)
 
     def test_batch_local_embedding_grad_scatters_to_full_rows_grad(self):
         for L, Z, idx, alpha in self.random_batches(7):
@@ -180,7 +190,8 @@ class TestGradients:
             scattered = np.zeros_like(Z)
             scattered[nodes] = metric.embedding_grad(L, W, local, nodes.size,
                                                      metric.tan2(alpha))
-            full = ssdml.angular_loss_grad_embeddings(L, Z, idx, alpha)
+            full = metric.embedding_grad(L, metric.triplet_diffs(Z, idx), idx,
+                                         Z.shape[0], metric.tan2(alpha))
             assert np.array_equal(scattered, full)
 
     @staticmethod
@@ -217,7 +228,9 @@ class TestGradients:
         rng = np.random.default_rng(5)
         Z = rng.standard_normal((3, 4))
         L = rng.standard_normal((4, 2))
-        g = ssdml.angular_loss_grad_embeddings(L, Z, [[0, 1, 2]], 35.0)
+        idx = np.array([[0, 1, 2]])
+        g = metric.embedding_grad(L, metric.triplet_diffs(Z, idx), idx, 3,
+                                  metric.tan2(35.0))
         np.testing.assert_allclose(g.sum(axis=0), np.zeros(4), atol=1e-12)
 
 

@@ -10,6 +10,7 @@ from ssdml import encoder as enc_mod
 from ssdml import metric, trainer
 from ssdml.data import Dataset, sample_partition, split_validation
 from ssdml.errors import ConfigError
+from ssdml.evaluation import EvalReport
 from ssdml.trainer import (Model, TrainConfig, TrainingDiverged,
                            evaluate_checkpoint, load_model, save_model, train)
 
@@ -31,6 +32,14 @@ FAST = dict(k=4, embed_dim=4, batch_triplets=50, max_epochs=4,
             epochs_per_partition=2, inner_l_iters=5)
 
 
+def train_seeds(config):
+    """The seed state train() draws from: (split, batch, eval, pair) seeds,
+    then one seed per partition."""
+    n_partitions = math.ceil(config.max_epochs / config.epochs_per_partition)
+    state = np.random.SeedSequence(config.seed).generate_state(4 + n_partitions)
+    return [int(s) for s in state[:4]], [int(s) for s in state[4:]]
+
+
 def full_rows_train_ours(dataset, config):
     """Oracle for train(method="ours", encoder=True): the same alternation,
     but the loss, the embedding gradient and the encoder run on every row
@@ -38,26 +47,23 @@ def full_rows_train_ours(dataset, config):
 
     Returns (history, L, encoder) of the best-validation checkpoint.
     """
-    n_partitions = math.ceil(config.max_epochs / config.epochs_per_partition)
-    state = np.random.SeedSequence(config.seed).generate_state(4 + n_partitions)
-    split_seed, batch_seed, eval_seed, _ = (int(s) for s in state[:4])
+    (split_seed, batch_seed, eval_seed, _), partition_seeds = train_seeds(config)
     train_ds, val_ds = split_validation(dataset, config.val_fraction, split_seed)
-    n_clusters = min(dataset.n_classes, val_ds.n)
     n_p = train_ds.unlabeled_indices.size
     L = trainer._initial_L(train_ds.dim, config.embed_dim)
     encoder = enc_mod.Encoder.initial(train_ds.dim, normalize=config.normalize)
-    alpha = config.alpha_deg
+    t = metric.tan2(config.alpha_deg)
 
     def validate(epoch, partition, loss):
-        v_nmi, v_r1 = trainer._val_metrics(L, encoder, config.normalize, val_ds,
-                                           n_clusters, eval_seed)
-        trainer._record(history, epoch, partition, loss, v_nmi, v_r1)
-        return v_r1
+        report = evaluate_checkpoint(Model(L, encoder, None, normalize=config.normalize),
+                                     val_ds, ks=(1,), seed=eval_seed)
+        trainer._record(history, epoch, partition, loss, report.nmi, report.recall_at[1])
+        return report.recall_at[1]
 
     history = []
     best = (validate(0, None, None), L.copy(), encoder.copy())
     epoch, step = 0, trainer.METRIC_MAX_STEP
-    for p, part_seed in enumerate(int(s) for s in state[4:]):
+    for p, part_seed in enumerate(partition_seeds):
         rows = sample_partition(train_ds, n_p, part_seed).node_rows
         X = train_ds.features[rows]
         Z = enc_mod.forward(encoder, X)
@@ -71,15 +77,16 @@ def full_rows_train_ours(dataset, config):
             epoch_loss = 0.0
             for idx in ssdml.batch_triplets(triplets, config.batch_triplets,
                                             seed=batch_seed, epoch=epoch):
-                def fun_and_grad(Lm, idx=idx, Z=Z):
-                    return (metric.angular_loss(Lm, Z, idx, alpha),
-                            metric.angular_loss_grad_L(Lm, Z, idx, alpha))
+                W = metric.triplet_diffs(Z, idx)
+
+                def fun_and_grad(Lm, W=W):
+                    return metric.loss_and_grad(Lm, W, t)
 
                 res = ssdml.optimize_L(L, fun_and_grad, max_iter=config.inner_l_iters,
                                        step0=step, max_step=trainer.METRIC_MAX_STEP)
                 L, step = res.L, res.step
                 epoch_loss += res.objective
-                upstream = metric.angular_loss_grad_embeddings(L, Z, idx, alpha)
+                upstream = metric.embedding_grad(L, W, idx, Z.shape[0], t)
                 grads = enc_mod.backward(encoder, X, upstream)
                 encoder = enc_mod.sgd_update(encoder, grads, config.lr)
                 Z = enc_mod.forward(encoder, X)
@@ -239,11 +246,12 @@ class TestDriver:
         scripted = iter([10.0, 30.0, 30.0, 20.0, 5.0, 0.0])
         seen = []
 
-        def val_metrics(L, encoder, normalize, val_ds, n_clusters, eval_seed):
-            seen.append((L.copy(), None if encoder is None else encoder.copy()))
-            return 0.5, next(scripted)
+        def scripted_report(model, dataset, ks, seed):
+            enc = model.encoder
+            seen.append((model.L.copy(), None if enc is None else enc.copy()))
+            return EvalReport(nmi=0.5, recall_at={1: next(scripted)}, n_test=dataset.n)
 
-        monkeypatch.setattr(trainer, "_val_metrics", val_metrics)
+        monkeypatch.setattr(trainer, "evaluate_checkpoint", scripted_report)
         model = train(small_semi_dataset(), TrainConfig(**run, **DRIVER))
         assert [rec["val_r1"] for rec in model.history] == [10, 30, 30, 20, 5, 0]
         assert len(seen) == 6
@@ -256,6 +264,19 @@ class TestDriver:
         else:
             assert np.array_equal(model.encoder.A, enc1.A)
             assert np.array_equal(model.encoder.b, enc1.b)
+
+    @pytest.mark.parametrize("run", DRIVER_RUNS.values(), ids=list(DRIVER_RUNS))
+    def test_history_scores_are_evaluate_checkpoint(self, run):
+        # the kept checkpoint's record is its held-out-style report on the
+        # validation split, bit for bit
+        dataset = small_semi_dataset()
+        config = TrainConfig(**run, **DRIVER)
+        model = train(dataset, config)
+        (split_seed, _, eval_seed, _), _ = train_seeds(config)
+        _, val_ds = split_validation(dataset, config.val_fraction, split_seed)
+        report = evaluate_checkpoint(model, val_ds, ks=(1,), seed=eval_seed)
+        kept = max(model.history, key=lambda rec: rec["val_r1"])
+        assert (kept["val_r1"], kept["val_nmi"]) == (report.recall_at[1], report.nmi)
 
 
 class TestTrainBaselines:
