@@ -1,0 +1,84 @@
+#!/usr/bin/env python3
+"""Digests of fixed training runs, for checking that a change keeps results
+bit-identical.
+
+    python3 scripts/run_digests.py
+
+Prints one ``name digest`` line per run.  The digest is the first 16 hex
+digits of sha256 over the run's ``history`` as sorted-key JSON, then the
+bytes of ``L`` and, when the model has an encoder, of its ``A`` and ``b``.
+Runs on one BLAS thread, as the benchmark does, so that the digests do not
+depend on the machine's core count.  The perfbench runs train on the CSV
+files that ``perfbench/workloads.make_inputs`` writes to a temporary
+directory; ``perfbench/`` is only read (no bytecode is written there).
+"""
+
+import os
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import hashlib  # noqa: E402
+import json  # noqa: E402
+import sys  # noqa: E402
+import tempfile  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT / "perfbench"))
+sys.dont_write_bytecode = True
+
+import ssdml  # noqa: E402
+from workloads import WORKLOADS, make_inputs  # noqa: E402
+
+
+def digest(model) -> str:
+    h = hashlib.sha256(json.dumps(model.history, sort_keys=True).encode())
+    h.update(model.L.tobytes())
+    if model.encoder is not None:
+        h.update(model.encoder.A.tobytes())
+        h.update(model.encoder.b.tobytes())
+    return h.hexdigest()[:16]
+
+
+def perfbench_run(workload, seed):
+    def run():
+        with tempfile.TemporaryDirectory() as tmp:
+            inputs = make_inputs(WORKLOADS[workload], seed, Path(tmp))
+            dataset = ssdml.load_csv(inputs.train_csv)
+        config = ssdml.TrainConfig(seed=seed, **WORKLOADS[workload].config)
+        return ssdml.train(dataset, config)
+    return run
+
+
+def criterion8_run(**config):
+    """Criterion 8's seed-0 blobs: 10x200 rows, 5 signal + 45 noise dims."""
+    def run():
+        blobs = ssdml.make_blobs(10, 200, 5, 45, 6.0, 4.0, seed=0)
+        semi = ssdml.strip_labels(blobs, 10, seed=0)
+        return ssdml.train(semi, ssdml.TrainConfig(**config))
+    return run
+
+
+RUNS = {
+    "perfbench-ours-encoder-141": perfbench_run("ours-encoder", 141),
+    "perfbench-ours-encoder-142": perfbench_run("ours-encoder", 142),
+    "perfbench-lrml-141": perfbench_run("lrml", 141),
+    "perfbench-lrml-142": perfbench_run("lrml", 142),
+    "criterion8-default": criterion8_run(),
+    "criterion8-encoder-5": criterion8_run(encoder=True, max_epochs=5),
+    "criterion8-seraph-5": criterion8_run(method="seraph", max_epochs=5),
+    "criterion8-no-orth-5": criterion8_run(orth=False, max_epochs=5),
+    "criterion8-seraph-20": criterion8_run(method="seraph", max_epochs=20),
+    "criterion8-lrml-50": criterion8_run(method="lrml", max_epochs=50),
+}
+
+
+def main():
+    for name, run in RUNS.items():
+        print(name, digest(run()), flush=True)
+
+
+if __name__ == "__main__":
+    main()

@@ -9,8 +9,6 @@ Both are minimized by projected gradient descent on the PSD cone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import NumericalError
@@ -20,43 +18,18 @@ PLOGP_FLOOR = 1e-300
 PG_MAX_BACKTRACKS = 30
 
 
-@dataclass(frozen=True)
-class SeraphConfig:
-    """Entropy-baseline hyperparameters: distance threshold, unlabeled
-    weight and trace weight."""
-
-    eta: float = 1.0
-    mu: float = 1.0
-    lam: float = 1e-3
+def pair_diffs(Z: np.ndarray, pairs: np.ndarray) -> np.ndarray:
+    """Pair-difference rows u = z_i - z_j, one per (i, j) row of `pairs`."""
+    return Z[pairs[:, 0]] - Z[pairs[:, 1]]
 
 
-@dataclass(frozen=True)
-class LrmlConfig:
-    """Pair-loss weights for similar and dissimilar labeled pairs."""
+def quad_forms(M: np.ndarray, U: np.ndarray) -> np.ndarray:
+    """u^T M u for each row u of U: delta^2_M of the pair it came from.
 
-    gamma_s: float = 1.0
-    gamma_d: float = 1.0
-
-    def __post_init__(self):
-        if self.gamma_s < 0 or self.gamma_d < 0 or self.gamma_s + self.gamma_d == 0:
-            raise ValueError("pair weights must be non-negative and not both zero")
-
-
-def _pair_diffs_and_dists(M, Z, pairs):
-    """Pair differences U (u = z_i - z_j per row) and each u^T M u.
-
-    The quadratic forms take one GEMM, U M, and a row-wise dot product; a
-    three-operand einsum would run them as an unblocked loop.
+    One GEMM, U M, and a row-wise dot product; a three-operand einsum would
+    run them as an unblocked loop.
     """
-    U = Z[pairs[:, 0]] - Z[pairs[:, 1]]
-    return U, np.einsum("ij,ij->i", U @ M, U)
-
-
-def pairwise_sq_dists(M: np.ndarray, Z: np.ndarray, pairs: np.ndarray) -> np.ndarray:
-    """delta^2_M(z_i, z_j) = u^T M u for each (i, j) row of `pairs`."""
-    if len(pairs) == 0:
-        return np.zeros(0)
-    return _pair_diffs_and_dists(M, Z, pairs)[1]
+    return np.einsum("ij,ij->i", U @ M, U)
 
 
 def pair_probability(M, z_i, z_j, y: int, eta: float) -> float:
@@ -83,73 +56,54 @@ def _entropy_terms(a: np.ndarray):
     return H, dH_da
 
 
-def seraph_objective(M, Z, labeled_pairs, labeled_y, unlabeled_pairs,
-                     config: SeraphConfig) -> float:
+def seraph_objective(M, U, y, V, *, eta, mu, lam) -> float:
     """Labeled-pair negative log-likelihood + mu * unlabeled entropy
-    + lam * trace(M)."""
-    labeled_pairs = np.asarray(labeled_pairs, dtype=np.int64).reshape(-1, 2)
-    unlabeled_pairs = np.asarray(unlabeled_pairs, dtype=np.int64).reshape(-1, 2)
-    labeled_y = np.asarray(labeled_y, dtype=np.float64)
-    obj = config.lam * float(np.trace(M))
-    if len(labeled_pairs):
-        a = pairwise_sq_dists(M, Z, labeled_pairs) - config.eta
+    + lam * trace(M).
+
+    U holds the labeled pair rows with +1/-1 same/different tags y, and V
+    the unlabeled pair rows (see `pair_diffs`).
+    """
+    obj = lam * float(np.trace(M))
+    if len(U):
+        a = quad_forms(M, U) - eta
         # -log p(y) for the logistic model is softplus(y * a)
-        obj += float(softplus(labeled_y * a).sum())
-    if len(unlabeled_pairs):
-        a = pairwise_sq_dists(M, Z, unlabeled_pairs) - config.eta
-        H, _ = _entropy_terms(a)
-        obj += config.mu * float(H.sum())
+        obj += float(softplus(y * a).sum())
+    if len(V):
+        H, _ = _entropy_terms(quad_forms(M, V) - eta)
+        obj += mu * float(H.sum())
     return obj
 
 
-def seraph_gradient(M, Z, labeled_pairs, labeled_y, unlabeled_pairs,
-                    config: SeraphConfig) -> np.ndarray:
+def seraph_gradient(M, U, y, V, *, eta, mu, lam) -> np.ndarray:
     """Analytic gradient of seraph_objective wrt M (symmetric output)."""
-    labeled_pairs = np.asarray(labeled_pairs, dtype=np.int64).reshape(-1, 2)
-    unlabeled_pairs = np.asarray(unlabeled_pairs, dtype=np.int64).reshape(-1, 2)
-    labeled_y = np.asarray(labeled_y, dtype=np.float64)
-    d = M.shape[0]
-    grad = config.lam * np.eye(d)
-    if len(labeled_pairs):
-        U, d2 = _pair_diffs_and_dists(M, Z, labeled_pairs)
-        a = d2 - config.eta
-        coeff = labeled_y * sigmoid(labeled_y * a)  # d softplus(y a)/da
+    grad = lam * np.eye(M.shape[0])
+    if len(U):
+        a = quad_forms(M, U) - eta
+        coeff = y * sigmoid(y * a)  # d softplus(y a)/da
         grad += U.T @ (coeff[:, None] * U)
-    if len(unlabeled_pairs):
-        U, d2 = _pair_diffs_and_dists(M, Z, unlabeled_pairs)
-        a = d2 - config.eta
-        _, dH = _entropy_terms(a)
-        grad += config.mu * (U.T @ (dH[:, None] * U))
+    if len(V):
+        _, dH = _entropy_terms(quad_forms(M, V) - eta)
+        grad += mu * (V.T @ (dH[:, None] * V))
     return (grad + grad.T) / 2.0
 
 
-def lrml_objective(M, Z, sim_pairs, dis_pairs, quad, config: LrmlConfig) -> float:
+def lrml_objective(M, S, D, quad, *, gamma_s, gamma_d) -> float:
     """gamma_s * sum_sim delta^2 - gamma_d * sum_dis delta^2 + Tr(M quad).
 
+    S and D hold the similar and dissimilar pair rows (see `pair_diffs`).
     `quad` is the Laplacian smoothness matrix Z^T Lap Z (X Lap X^T with
     examples as columns), or None for no Laplacian term.
     """
-    sim_pairs = np.asarray(sim_pairs, dtype=np.int64).reshape(-1, 2)
-    dis_pairs = np.asarray(dis_pairs, dtype=np.int64).reshape(-1, 2)
-    obj = config.gamma_s * float(pairwise_sq_dists(M, Z, sim_pairs).sum())
-    obj -= config.gamma_d * float(pairwise_sq_dists(M, Z, dis_pairs).sum())
+    obj = gamma_s * float(quad_forms(M, S).sum())
+    obj -= gamma_d * float(quad_forms(M, D).sum())
     if quad is not None:
         obj += float(np.sum(M * quad))  # Tr(M quad) for symmetric quad
     return obj
 
 
-def lrml_gradient(Z, sim_pairs, dis_pairs, quad, config: LrmlConfig) -> np.ndarray:
+def lrml_gradient(S, D, quad, *, gamma_s, gamma_d) -> np.ndarray:
     """Gradient of lrml_objective; independent of M (the objective is linear)."""
-    sim_pairs = np.asarray(sim_pairs, dtype=np.int64).reshape(-1, 2)
-    dis_pairs = np.asarray(dis_pairs, dtype=np.int64).reshape(-1, 2)
-    d = Z.shape[1]
-    grad = np.zeros((d, d))
-    if len(sim_pairs):
-        U = Z[sim_pairs[:, 0]] - Z[sim_pairs[:, 1]]
-        grad += config.gamma_s * (U.T @ U)
-    if len(dis_pairs):
-        U = Z[dis_pairs[:, 0]] - Z[dis_pairs[:, 1]]
-        grad -= config.gamma_d * (U.T @ U)
+    grad = gamma_s * (S.T @ S) - gamma_d * (D.T @ D)
     if quad is not None:
         grad = grad + quad
     return (grad + grad.T) / 2.0

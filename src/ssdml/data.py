@@ -382,8 +382,12 @@ def make_blobs(n_classes, per_class, d_signal, d_noise, signal_sep,
     for c in range(n_classes):
         block = slice(c * per_class, (c + 1) * per_class)
         signal[block] += _blob_mean(c, d_signal, signal_sep)
-    noise = noise_sigma * rng.standard_normal((n, d_noise))
+    with np.errstate(over="ignore"):  # an overflowing scale is rejected below
+        noise = noise_sigma * rng.standard_normal((n, d_noise))
     features = np.hstack([signal, noise])
+    if not np.isfinite(features).all():
+        raise ConfigError(f"blob features must be finite (signal_sep {signal_sep}, "
+                          f"noise_sigma {noise_sigma})")
     labels = np.repeat(np.arange(n_classes, dtype=np.int64), per_class)
     return Dataset(features, labels, int(n_classes))
 

@@ -11,13 +11,25 @@ from .errors import ConfigError, NumericalError
 MIN_EMBED_NORM = 1e-12
 
 
-def l2_normalize_rows(Z: np.ndarray) -> np.ndarray:
-    """Scale every row to unit norm; near-zero rows are degenerate."""
-    Z = np.asarray(Z, dtype=np.float64)
-    norms = np.linalg.norm(Z, axis=1, keepdims=True)
+def _row_norms(Z: np.ndarray) -> np.ndarray:
+    """Column of row norms; a near-zero or non-finite norm is degenerate.
+
+    A row whose norm overflows would otherwise normalize to all zeros.
+    """
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(Z, axis=1, keepdims=True)
     if np.any(norms < MIN_EMBED_NORM):
         raise NumericalError("degenerate embedding: a row has (near-)zero norm")
-    return Z / norms
+    if not np.isfinite(norms).all():
+        raise NumericalError("degenerate embedding: a row norm is not finite")
+    return norms
+
+
+def l2_normalize_rows(Z: np.ndarray) -> np.ndarray:
+    """Scale every row to unit norm; near-zero rows and rows whose norm
+    overflows are degenerate."""
+    Z = np.asarray(Z, dtype=np.float64)
+    return Z / _row_norms(Z)
 
 
 @dataclass
@@ -73,9 +85,7 @@ def backward(encoder: Encoder, X: np.ndarray, upstream: np.ndarray):
         raise ValueError("upstream gradient shape does not match")
     if encoder.normalize:
         P = X @ encoder.A.T + encoder.b
-        norms = np.linalg.norm(P, axis=1, keepdims=True)
-        if np.any(norms < MIN_EMBED_NORM):
-            raise NumericalError("degenerate embedding: a row has (near-)zero norm")
+        norms = _row_norms(P)
         Zhat = P / norms
         G = (G - Zhat * np.sum(Zhat * G, axis=1, keepdims=True)) / norms
     dA = G.T @ X

@@ -7,6 +7,7 @@ import numpy as np
 from . import baselines as bl
 from . import encoder as enc_mod
 from . import metric
+from .errors import ConfigError
 
 FD_STEP = 1e-6
 REL_TOL = 1e-4
@@ -129,28 +130,29 @@ def _random_pair_instance(rng, max_d: int = 6):
     lp = rng.integers(0, n, size=(n_lab, 2))
     up = rng.integers(0, n, size=(n_unlab, 2))
     y = rng.choice([-1, 1], size=n_lab)
-    return d, Z, M, lp, y, up
+    return Z, M, lp, y, up
 
 
 def check_seraph_grad(seed=0, trials: int = 100) -> float:
     rng = np.random.default_rng(seed)
-    cfg = bl.SeraphConfig(eta=1.0, mu=0.7, lam=1e-3)
+    weights = dict(eta=1.0, mu=0.7, lam=1e-3)
     worst = 0.0
     for _ in range(trials):
-        _, Z, M, lp, y, up = _random_pair_instance(rng)
-        analytic = bl.seraph_gradient(M, Z, lp, y, up, cfg)
+        Z, M, lp, y, up = _random_pair_instance(rng)
+        U, V = bl.pair_diffs(Z, lp), bl.pair_diffs(Z, up)
+        analytic = bl.seraph_gradient(M, U, y, V, **weights)
         numeric = finite_difference_grad(
-            lambda Mx: bl.seraph_objective(Mx, Z, lp, y, up, cfg), M)
+            lambda Mx: bl.seraph_objective(Mx, U, y, V, **weights), M)
         worst = max(worst, relative_error(analytic, numeric))
     return worst
 
 
 def check_lrml_grad(seed=0, trials: int = 100) -> float:
     rng = np.random.default_rng(seed)
-    cfg = bl.LrmlConfig(gamma_s=1.0, gamma_d=0.5)
+    weights = dict(gamma_s=1.0, gamma_d=0.5)
     worst = 0.0
     for _ in range(trials):
-        _, Z, M, lp, y, _ = _random_pair_instance(rng)
+        Z, M, lp, y, _ = _random_pair_instance(rng)
         # random symmetric affinity -> valid Laplacian
         n = Z.shape[0]
         W = rng.random((n, n))
@@ -158,10 +160,11 @@ def check_lrml_grad(seed=0, trials: int = 100) -> float:
         np.fill_diagonal(W, 0.0)
         Lap = np.diag(W.sum(axis=1)) - W
         quad = Z.T @ Lap @ Z
-        sim, dis = lp[y > 0], lp[y < 0]
-        analytic = bl.lrml_gradient(Z, sim, dis, quad, cfg)
+        U = bl.pair_diffs(Z, lp)
+        S, D = U[y > 0], U[y < 0]
+        analytic = bl.lrml_gradient(S, D, quad, **weights)
         numeric = finite_difference_grad(
-            lambda Mx: bl.lrml_objective(Mx, Z, sim, dis, quad, cfg), M)
+            lambda Mx: bl.lrml_objective(Mx, S, D, quad, **weights), M)
         worst = max(worst, relative_error(analytic, numeric))
     return worst
 
@@ -177,4 +180,6 @@ SUITES = {
 
 def run_all(seed=0, trials: int = 100) -> dict:
     """Max relative error per suite, keyed by suite name."""
+    if seed < 0:
+        raise ConfigError("seed must be non-negative")
     return {name: fn(seed=seed, trials=trials) for name, fn in SUITES.items()}

@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -266,11 +267,12 @@ def _baseline_epochs(config, train_ds, schedule, batch_seed, pair_seed):
     the partition's labeled pairs; the yielded L is M's rank-l factor."""
     d, l = train_ds.dim, config.embed_dim
     M = np.eye(d)
-    if config.method == "seraph":
-        cfg = bl.SeraphConfig(eta=config.seraph_eta, mu=config.seraph_mu,
-                              lam=config.seraph_lambda)
+    seraph = config.method == "seraph"
+    if seraph:
+        weights = dict(eta=config.seraph_eta, mu=config.seraph_mu,
+                       lam=config.seraph_lambda)
     else:
-        cfg = bl.LrmlConfig(gamma_s=config.lrml_gamma_s, gamma_d=config.lrml_gamma_d)
+        weights = dict(gamma_s=config.lrml_gamma_s, gamma_d=config.lrml_gamma_d)
     yield None, None, bl.factor_metric(M, l), None
 
     step_carry = 1.0
@@ -280,7 +282,7 @@ def _baseline_epochs(config, train_ds, schedule, batch_seed, pair_seed):
         y = train_ds.labels[rows]
         n_labeled = part.labeled_idx.size
         pairs, y_pairs = _all_labeled_pairs(y, n_labeled)
-        if config.method == "lrml":
+        if not seraph:
             # amortize the Laplacian term across batches
             quad = knn_laplacian_form(build_knn(Z, config.k), Z)
         unlab_nodes = np.arange(n_labeled, part.n)
@@ -293,28 +295,23 @@ def _baseline_epochs(config, train_ds, schedule, batch_seed, pair_seed):
             epoch_loss = 0.0
             for b in range(n_batches):
                 sel = order[b * config.batch_triplets:(b + 1) * config.batch_triplets]
-                bp, by = pairs[sel], y_pairs[sel]
-                if config.method == "seraph":
+                U, by = bl.pair_diffs(Z, pairs[sel]), y_pairs[sel]
+                if seraph:
                     if unlab_nodes.size >= 2:
                         up = np.stack([rng.choice(unlab_nodes, size=len(sel)),
                                        rng.choice(unlab_nodes, size=len(sel))], axis=1)
-                        up = up[up[:, 0] != up[:, 1]]
+                        V = bl.pair_diffs(Z, up[up[:, 0] != up[:, 1]])
                     else:
-                        up = np.zeros((0, 2), dtype=np.int64)
-
-                    def objective(Mm, bp=bp, by=by, up=up):
-                        return bl.seraph_objective(Mm, Z, bp, by, up, cfg)
-
-                    def gradient(Mm, bp=bp, by=by, up=up):
-                        return bl.seraph_gradient(Mm, Z, bp, by, up, cfg)
+                        V = np.zeros((0, d))
+                    objective = partial(bl.seraph_objective, U=U, y=by, V=V, **weights)
+                    gradient = partial(bl.seraph_gradient, U=U, y=by, V=V, **weights)
                 else:
-                    sim, dis = bp[by > 0], bp[by < 0]
+                    S, D = U[by > 0], U[by < 0]
+                    objective = partial(bl.lrml_objective, S=S, D=D, quad=quad, **weights)
+                    G = bl.lrml_gradient(S, D, quad, **weights)
 
-                    def objective(Mm, sim=sim, dis=dis):
-                        return bl.lrml_objective(Mm, Z, sim, dis, quad, cfg)
-
-                    def gradient(Mm, sim=sim, dis=dis):
-                        return bl.lrml_gradient(Z, sim, dis, quad, cfg)
+                    def gradient(Mm, G=G):  # linear objective: one gradient for every M
+                        return G
 
                 M, accepted, value = bl.projected_gradient_step(M, objective, gradient,
                                                                 step=step_carry)

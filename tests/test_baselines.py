@@ -1,17 +1,22 @@
 """Entropy and Laplacian pairwise baselines on the PSD cone."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import ssdml
 from ssdml import gradcheck
-from ssdml.baselines import (LrmlConfig, SeraphConfig, factor_metric,
-                             lrml_gradient, lrml_objective, pair_probability,
-                             pairwise_sq_dists, project_psd,
-                             projected_gradient_step, seraph_gradient,
-                             seraph_objective)
+from ssdml.baselines import (factor_metric, lrml_gradient, lrml_objective,
+                             pair_diffs, pair_probability, project_psd,
+                             projected_gradient_step, quad_forms,
+                             seraph_gradient, seraph_objective)
+
+
+def rows(Z, pairs):
+    """Pair-difference rows of Z for a (possibly empty) list of index pairs."""
+    return pair_diffs(Z, np.array(pairs, dtype=np.int64).reshape(-1, 2))
 
 
 class TestPairProbability:
@@ -76,17 +81,19 @@ class TestPairDistances:
     def test_pairwise_sq_dists(self, counts):
         M, Z, labeled, _, unlabeled = self.problem(sum(counts), *counts)
         for pairs in (labeled, unlabeled):
-            got, ref = pairwise_sq_dists(M, Z, pairs), loop_sq_dists(M, Z, pairs)
+            got = quad_forms(M, pair_diffs(Z, pairs))
+            ref = loop_sq_dists(M, Z, pairs)
             assert got.shape == ref.shape == (len(pairs),)
             assert np.abs(got - ref).max(initial=0.0) <= 1e-12 * ref.max(initial=0.0)
 
     @pytest.mark.parametrize("counts", [(0, 0), (0, 7), (9, 0), (9, 7), (40, 30)])
     def test_seraph_objective_and_gradient(self, counts):
         M, Z, labeled, y, unlabeled = self.problem(sum(counts), *counts)
-        cfg = SeraphConfig(eta=1.0, mu=0.7, lam=0.1)
+        cfg = SimpleNamespace(eta=1.0, mu=0.7, lam=0.1)
         obj_ref, grad_ref = loop_seraph(M, Z, labeled, y, unlabeled, cfg)
-        obj = seraph_objective(M, Z, labeled, y, unlabeled, cfg)
-        grad = seraph_gradient(M, Z, labeled, y, unlabeled, cfg)
+        U, V = pair_diffs(Z, labeled), pair_diffs(Z, unlabeled)
+        obj = seraph_objective(M, U, y, V, **vars(cfg))
+        grad = seraph_gradient(M, U, y, V, **vars(cfg))
         assert obj == pytest.approx(obj_ref, rel=1e-12)
         assert np.abs(grad - grad_ref).max() <= 1e-12 * np.abs(grad_ref).max()
 
@@ -94,48 +101,47 @@ class TestPairDistances:
 class TestSeraphObjective:
     def test_single_pair_at_threshold_gives_log_two(self):
         Z = np.array([[0.0, 0.0], [1.0, 0.0]])
-        cfg = SeraphConfig(eta=1.0, mu=1.0, lam=0.0)
-        obj = seraph_objective(np.eye(2), Z, [[0, 1]], [1], np.zeros((0, 2)), cfg)
+        obj = seraph_objective(np.eye(2), rows(Z, [[0, 1]]), np.array([1]),
+                               rows(Z, []), eta=1.0, mu=1.0, lam=0.0)
         assert obj == pytest.approx(math.log(2.0), abs=1e-12)
 
     def test_unlabeled_pair_at_threshold_contributes_mu_log_two(self):
         # the bracketed entropy term of the objective is maximal (log 2)
         # exactly at p = 1/2
         Z = np.array([[0.0, 0.0], [1.0, 0.0]])
-        cfg = SeraphConfig(eta=1.0, mu=0.7, lam=0.0)
-        obj = seraph_objective(np.eye(2), Z, np.zeros((0, 2)), [], [[0, 1]], cfg)
+        obj = seraph_objective(np.eye(2), rows(Z, []), np.array([]),
+                               rows(Z, [[0, 1]]), eta=1.0, mu=0.7, lam=0.0)
         assert obj == pytest.approx(0.7 * math.log(2.0), abs=1e-12)
 
     def test_trace_term(self):
-        cfg = SeraphConfig(eta=1.0, mu=1.0, lam=0.25)
         Z = np.zeros((2, 3))
-        obj = seraph_objective(np.eye(3), Z, np.zeros((0, 2)), [],
-                               np.zeros((0, 2)), cfg)
+        obj = seraph_objective(np.eye(3), rows(Z, []), np.array([]), rows(Z, []),
+                               eta=1.0, mu=1.0, lam=0.25)
         assert obj == pytest.approx(0.25 * 3.0)
 
     def test_entropy_term_maximized_at_threshold_distance(self):
         # minimizing the objective therefore pushes unlabeled pairs away
         # from the uncertain p = 1/2 point (entropy minimization)
-        cfg = SeraphConfig(eta=1.0, mu=1.0, lam=0.0)
         vals = []
         for d in np.linspace(0.0, 3.0, 31):
             Z = np.array([[0.0, 0.0], [math.sqrt(d), 0.0]]) if d > 0 else np.zeros((2, 2))
-            vals.append(seraph_objective(np.eye(2), Z, np.zeros((0, 2)), [],
-                                         [[0, 1]], cfg))
+            vals.append(seraph_objective(np.eye(2), rows(Z, []), np.array([]),
+                                         rows(Z, [[0, 1]]), eta=1.0, mu=1.0, lam=0.0))
         assert np.argmax(vals) == 10  # dist2 = 1.0 = eta
 
     def test_gradient_matches_finite_differences(self):
         assert gradcheck.check_seraph_grad(seed=2, trials=25) <= 1e-5
 
     def test_gradient_symmetric_and_trace_only_when_no_pairs(self):
-        cfg = SeraphConfig(eta=1.0, mu=1.0, lam=0.5)
+        weights = dict(eta=1.0, mu=1.0, lam=0.5)
         Z = np.zeros((2, 4))
-        G = seraph_gradient(np.eye(4), Z, np.zeros((0, 2)), [], np.zeros((0, 2)), cfg)
+        G = seraph_gradient(np.eye(4), rows(Z, []), np.array([]), rows(Z, []),
+                            **weights)
         assert np.allclose(G, 0.5 * np.eye(4))
         rng = np.random.default_rng(0)
         Zr = rng.standard_normal((6, 3))
-        G = seraph_gradient(np.eye(3), Zr, [[0, 1], [2, 3]], [1, -1],
-                            [[4, 5]], cfg)
+        G = seraph_gradient(np.eye(3), rows(Zr, [[0, 1], [2, 3]]), np.array([1, -1]),
+                            rows(Zr, [[4, 5]]), **weights)
         assert np.abs(G - G.T).max() <= 1e-12
 
 
@@ -166,9 +172,9 @@ class TestLrml:
         rng = np.random.default_rng(2)
         Z = rng.standard_normal((5, 3))
         Lap = ssdml.laplacian(np.ones((5, 5)) - np.eye(5))
-        cfg = LrmlConfig()
         quad = Z.T @ Lap @ Z
-        obj = lrml_objective(np.zeros((3, 3)), Z, [[0, 1]], [[2, 3]], quad, cfg)
+        obj = lrml_objective(np.zeros((3, 3)), rows(Z, [[0, 1]]), rows(Z, [[2, 3]]),
+                             quad, gamma_s=1.0, gamma_d=1.0)
         assert obj == 0.0
 
     def test_similar_only_identity_metric(self):
@@ -176,9 +182,9 @@ class TestLrml:
         Z = rng.standard_normal((4, 2))
         W = np.zeros((4, 4))
         Lap = ssdml.laplacian(W)
-        cfg = LrmlConfig(gamma_s=1.0, gamma_d=0.0)
         sim = [[0, 1], [2, 3]]
-        obj = lrml_objective(np.eye(2), Z, sim, np.zeros((0, 2)), Z.T @ Lap @ Z, cfg)
+        obj = lrml_objective(np.eye(2), rows(Z, sim), rows(Z, []), Z.T @ Lap @ Z,
+                             gamma_s=1.0, gamma_d=0.0)
         expected = sum(float(np.sum((Z[i] - Z[j]) ** 2)) for i, j in sim)
         assert obj == pytest.approx(expected)
 
@@ -189,19 +195,14 @@ class TestLrml:
         rng = np.random.default_rng(4)
         Z = rng.standard_normal((6, 3))
         Lap = ssdml.laplacian(np.ones((6, 6)) - np.eye(6))
-        cfg = LrmlConfig()
-        g = lrml_gradient(Z, [[0, 1]], [[2, 3]], Z.T @ Lap @ Z, cfg)
+        g = lrml_gradient(rows(Z, [[0, 1]]), rows(Z, [[2, 3]]), Z.T @ Lap @ Z,
+                          gamma_s=1.0, gamma_d=1.0)
         assert np.abs(g - g.T).max() <= 1e-12  # symmetric by construction
 
     def test_no_pairs_no_graph_zero_gradient(self):
         Z = np.zeros((3, 2))
-        g = lrml_gradient(Z, np.zeros((0, 2)), np.zeros((0, 2)), None,
-                          LrmlConfig())
+        g = lrml_gradient(rows(Z, []), rows(Z, []), None, gamma_s=1.0, gamma_d=1.0)
         assert np.all(g == 0.0)
-
-    def test_config_rejects_both_zero(self):
-        with pytest.raises(ValueError):
-            LrmlConfig(gamma_s=0.0, gamma_d=0.0)
 
 
 class TestProjectPsd:
@@ -231,9 +232,10 @@ class TestProjectedGradientTraining:
         pairs = np.array([[i, j] for i in range(6) for j in range(i + 1, 6)])
         y_pairs = np.where(y[pairs[:, 0]] == y[pairs[:, 1]], 1, -1)
         unlab = np.array([[i, j] for i in range(6, 12) for j in range(i + 1, 12)])
-        cfg = SeraphConfig()
-        obj = lambda M: seraph_objective(M, Z, pairs, y_pairs, unlab, cfg)
-        grad = lambda M: seraph_gradient(M, Z, pairs, y_pairs, unlab, cfg)
+        U, V = pair_diffs(Z, pairs), pair_diffs(Z, unlab)
+        weights = dict(eta=1.0, mu=1.0, lam=1e-3)
+        obj = lambda M: seraph_objective(M, U, y_pairs, V, **weights)
+        grad = lambda M: seraph_gradient(M, U, y_pairs, V, **weights)
         M = np.eye(3)
         values = [obj(M)]
         step = 1.0
@@ -250,12 +252,12 @@ class TestProjectedGradientTraining:
         W = (W + W.T) / 2
         np.fill_diagonal(W, 0.0)
         Lap = ssdml.laplacian(W)
-        cfg = LrmlConfig(gamma_s=1.0, gamma_d=0.3)
-        sim = np.array([[0, 1], [2, 3]])
-        dis = np.array([[4, 5], [6, 7]])
+        weights = dict(gamma_s=1.0, gamma_d=0.3)
+        S = rows(Z, [[0, 1], [2, 3]])
+        D = rows(Z, [[4, 5], [6, 7]])
         quad = Z.T @ Lap @ Z
-        obj = lambda M: lrml_objective(M, Z, sim, dis, quad, cfg)
-        grad = lambda M: lrml_gradient(Z, sim, dis, quad, cfg)
+        obj = lambda M: lrml_objective(M, S, D, quad, **weights)
+        grad = lambda M: lrml_gradient(S, D, quad, **weights)
         M = np.eye(3)
         values = [obj(M)]
         step = 1.0

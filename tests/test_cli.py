@@ -313,11 +313,23 @@ class TestExitCodes:
         ["train", "--encoder", "--embed-dim", 3, "--lr", "inf"],
         ["train", "--method", "seraph", "--embed-dim", 3, "--seraph-eta", "nan"],
         ["train", "--method", "lrml", "--embed-dim", 3, "--lrml-gamma-d", "nan"],
+        ["gradcheck", "--seed", -1],
+        ["blobs", "--classes", 3, "--per-class", 20, "--sep", "nan"],
+        ["blobs", "--classes", 3, "--per-class", 20, "--noise-sigma", "inf"],
+        ["blobs", "--classes", 11, "--per-class", 2, "--sep", "1e308"],  # mean 2e308
+        ["blobs", "--classes", 3, "--per-class", 20, "--noise-sigma", "1e308"],
+        ["train", "--embed-dim", 3, "--data", "overflow.csv"],
     ])
-    def test_bad_weight_or_count_is_two(self, blob_csv, capsys, args):
+    def test_bad_weight_or_count_is_two(self, blob_csv, tmp_path, capsys, args):
         # each must stop on one error line, not a ValueError traceback
         non_finite = "nan" in args or "inf" in args
-        if args[0] != "blobs":
+        if "overflow.csv" in args:
+            # finite cells, but every row's norm overflows to inf
+            huge = tmp_path / "overflow.csv"
+            assert run_cli(["blobs", "--classes", 3, "--per-class", 20,
+                            "--sep", "1e308", "--out", huge]) == 0
+            args = [huge if a == "overflow.csv" else a for a in args]
+        elif args[0] not in ("blobs", "gradcheck"):
             args = args + ["--data", blob_csv]
         assert run_cli(args) == 2
         err = capsys.readouterr().err

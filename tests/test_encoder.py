@@ -87,3 +87,16 @@ class TestSgdUpdate:
 def test_l2_normalize_rows_rejects_near_zero():
     with pytest.raises(NumericalError):
         l2_normalize_rows(np.array([[1.0, 0.0], [0.0, 0.0]]))
+
+
+def test_row_whose_norm_overflows_is_rejected():
+    # ||(1e200, 1e200)|| overflows to inf; dividing by it would give a zero row
+    X = np.array([[1e200, 1e200], [1.0, 2.0]])
+    enc = Encoder(A=np.eye(2), b=np.zeros(2), normalize=True)
+    with np.errstate(all="raise"):  # no overflow warning reaches the caller
+        with pytest.raises(NumericalError, match="not finite"):
+            l2_normalize_rows(X)
+        with pytest.raises(NumericalError, match="not finite"):
+            backward(enc, X, np.ones((2, 2)))
+    ok = X[1:]
+    assert np.array_equal(l2_normalize_rows(ok), ok / np.linalg.norm(ok, axis=1, keepdims=True))
