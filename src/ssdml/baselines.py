@@ -1,10 +1,12 @@
-"""Classical semi-supervised metric baselines over a full PSD matrix M.
+"""Classical semi-supervised metric baselines over a metric M.
 
 Two objectives are provided: an entropy-regularized pairwise likelihood
 (labeled pairs fit a logistic similarity model, unlabeled pairs pay their
 predictive entropy, a trace term keeps the metric sparse in projections)
 and a min-max pairwise objective with a graph Laplacian smoothness term.
-Both are minimized by projected gradient descent on the PSD cone.
+The first is minimized by projected gradient descent on the PSD cone.  The
+second is linear in M, so over M = L L^T with L^T L = I it is minimized in
+closed form by the bottom eigenvectors of its gradient (`stiefel_minimizer`).
 """
 
 from __future__ import annotations
@@ -107,6 +109,41 @@ def lrml_gradient(S, D, quad, *, gamma_s, gamma_d) -> np.ndarray:
     if quad is not None:
         grad = grad + quad
     return (grad + grad.T) / 2.0
+
+
+def class_pair_rows(Z: np.ndarray, y: np.ndarray):
+    """Rows (S, D) with S^T S and D^T D equal to the scatter of the pair rows
+    of all same-class and all different-class pairs i < j of Z, and the
+    numbers of those pairs, without building one row per pair.
+
+    With class means mu_c, class sizes n_c and N rows in all, the same-class
+    scatter is sum_c n_c W_c, W_c the centred scatter of class c; the
+    all-pairs scatter is N times the centred scatter of Z, so the
+    different-class one is sum_c (N - n_c) W_c + N sum_c n_c (mu_c - mu)
+    (mu_c - mu)^T.  S has one row per row of Z; D one more per class.
+    """
+    classes, inv, counts = np.unique(y, return_inverse=True, return_counts=True)
+    n = len(inv)
+    means = np.zeros((classes.size, Z.shape[1]))
+    np.add.at(means, inv, Z)
+    means /= counts[:, None]
+    centred = Z - means[inv]
+    S = np.sqrt(counts[inv])[:, None] * centred
+    D = np.vstack([np.sqrt(n - counts[inv])[:, None] * centred,
+                   np.sqrt(n * counts)[:, None] * (means - counts @ means / max(n, 1))])
+    n_sim = int((counts * (counts - 1) // 2).sum())
+    return S, D, n_sim, n * (n - 1) // 2 - n_sim
+
+
+def stiefel_minimizer(G: np.ndarray, l: int):
+    """(L, Tr(L^T G L)) for the L with L^T L = I that minimizes the trace:
+    the eigenvectors of G's l smallest eigenvalues, whose sum is the minimum
+    (Ky Fan).  G must be symmetric."""
+    try:
+        w, V = np.linalg.eigh(G)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"eigendecomposition failed: {exc}") from exc
+    return V[:, :l], float(w[:l].sum())
 
 
 def project_psd(M: np.ndarray) -> np.ndarray:

@@ -8,10 +8,10 @@ import pytest
 
 import ssdml
 from ssdml import gradcheck
-from ssdml.baselines import (factor_metric, lrml_gradient, lrml_objective,
-                             pair_diffs, pair_probability, project_psd,
-                             projected_gradient_step, quad_forms,
-                             seraph_gradient, seraph_objective)
+from ssdml.baselines import (class_pair_rows, factor_metric, lrml_gradient,
+                             lrml_objective, pair_diffs, pair_probability,
+                             project_psd, projected_gradient_step, quad_forms,
+                             seraph_gradient, seraph_objective, stiefel_minimizer)
 
 
 def rows(Z, pairs):
@@ -203,6 +203,76 @@ class TestLrml:
         Z = np.zeros((3, 2))
         g = lrml_gradient(rows(Z, []), rows(Z, []), None, gamma_s=1.0, gamma_d=1.0)
         assert np.all(g == 0.0)
+
+
+def labeled_pair_rows(Z, y):
+    """Pair-difference rows of every same-class and every different-class
+    pair i < j, built one row per pair."""
+    i, j = np.triu_indices(len(y), k=1)
+    pairs = np.stack([i, j], axis=1)
+    same = y[i] == y[j]
+    return pair_diffs(Z, pairs[same]), pair_diffs(Z, pairs[~same])
+
+
+class TestClassPairRows:
+    @pytest.mark.parametrize("labels", [
+        [0, 1, 2, 0, 1, 2, 0, 0, 3],  # several classes, one a singleton
+        [0, 1, 2, 3, 4],              # no similar pair
+        [5, 5, 5, 5],                 # no dissimilar pair
+        [7],
+    ])
+    def test_same_scatters_and_counts_as_one_row_per_pair(self, labels):
+        rng = np.random.default_rng(10)
+        y = np.array(labels)
+        Z = rng.standard_normal((y.size, 4)) + 3.0
+        quad = rng.standard_normal((4, 4))
+        quad = quad @ quad.T
+        S_pairs, D_pairs = labeled_pair_rows(Z, y)
+        S, D, n_sim, n_dis = class_pair_rows(Z, y)
+        assert (n_sim, n_dis) == (len(S_pairs), len(D_pairs))
+        assert S.shape[0] == y.size and D.shape[0] == y.size + np.unique(y).size
+        for weights in (dict(gamma_s=1.0, gamma_d=1.0), dict(gamma_s=0.2, gamma_d=3.0)):
+            want = lrml_gradient(S_pairs, D_pairs, quad, **weights)
+            got = lrml_gradient(S, D, quad, **weights)
+            assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+        for rows_, pair_rows in ((S, S_pairs), (D, D_pairs)):
+            assert np.abs(rows_.T @ rows_ - pair_rows.T @ pair_rows).max() \
+                <= 1e-10 * max(1.0, np.abs(pair_rows.T @ pair_rows).max())
+
+
+class TestStiefelMinimizer:
+    def problem(self, seed=11, n=14, d=6):
+        rng = np.random.default_rng(seed)
+        Z = rng.standard_normal((n, d))
+        y = rng.integers(0, 3, size=n)
+        W = rng.random((n, n))
+        W = (W + W.T) / 2
+        np.fill_diagonal(W, 0.0)
+        quad = Z.T @ ssdml.laplacian(W) @ Z
+        S, D = labeled_pair_rows(Z, y)
+        weights = dict(gamma_s=1.0 / len(S), gamma_d=1.0 / len(D))
+        return S, D, quad, weights
+
+    @pytest.mark.parametrize("l", [1, 3, 6])
+    def test_orthonormal_full_rank_minimizer(self, l):
+        S, D, quad, weights = self.problem()
+        G = lrml_gradient(S, D, quad, **weights)
+        L, value = stiefel_minimizer(G, l)
+        d = G.shape[0]
+        assert L.shape == (d, l)
+        assert np.linalg.norm(L.T @ L - np.eye(l)) <= 1e-10
+        assert np.linalg.matrix_rank(L) == l
+
+        def objective(Lx):
+            return lrml_objective(Lx @ Lx.T, S, D, quad, **weights)
+
+        bottom = np.linalg.eigvalsh(G)[:l].sum()
+        assert value == pytest.approx(bottom, rel=1e-10)
+        assert objective(L) == pytest.approx(bottom, rel=1e-10)
+        rng = np.random.default_rng(12)
+        others = [np.linalg.qr(rng.standard_normal((d, l)))[0] for _ in range(200)]
+        others.append(factor_metric(np.eye(d), l))  # LRML's starting point
+        assert all(objective(L) <= objective(Lx) + 1e-12 for Lx in others)
 
 
 class TestProjectPsd:

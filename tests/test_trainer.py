@@ -243,7 +243,7 @@ class TestDriver:
 
     @pytest.mark.parametrize("run", DRIVER_RUNS.values(), ids=list(DRIVER_RUNS))
     def test_keeps_first_best_checkpoint(self, run, monkeypatch):
-        scripted = iter([10.0, 30.0, 30.0, 20.0, 5.0, 0.0])
+        scripted = iter([10.0, 30.0, 20.0, 30.0, 5.0, 0.0])
         seen = []
 
         def scripted_report(model, dataset, ks, seed):
@@ -252,12 +252,15 @@ class TestDriver:
             return EvalReport(nmi=0.5, recall_at={1: next(scripted)}, n_test=dataset.n)
 
         monkeypatch.setattr(trainer, "evaluate_checkpoint", scripted_report)
-        model = train(small_semi_dataset(), TrainConfig(**run, **DRIVER))
-        assert [rec["val_r1"] for rec in model.history] == [10, 30, 30, 20, 5, 0]
+        # partitions of 100 of the 128 unlabeled rows differ, and so do the
+        # checkpoints of LRML, which repeats one solution within a partition
+        model = train(small_semi_dataset(), TrainConfig(**run, **DRIVER, partition_size=100))
+        assert [rec["val_r1"] for rec in model.history] == [10, 30, 20, 30, 5, 0]
         assert len(seen) == 6
-        # the tie at epoch 2 is between distinct checkpoints; the earlier wins
-        (L1, enc1), (L2, _) = seen[1], seen[2]
-        assert not np.array_equal(L1, L2)
+        # the tie at epoch 3 (partition 1) is between distinct checkpoints;
+        # the earlier, epoch 1 (partition 0), wins
+        (L1, enc1), (L3, _) = seen[1], seen[3]
+        assert not np.array_equal(L1, L3)
         assert np.array_equal(model.L, L1)
         if enc1 is None:
             assert model.encoder is None
@@ -292,6 +295,55 @@ class TestTrainBaselines:
     def test_baseline_metric_psd_factorization_shape(self):
         model = train(small_semi_dataset(), TrainConfig(method="lrml", **FAST))
         assert model.L.shape == (8, 4)
+
+
+def criterion8_dataset(seed=0):
+    """Criterion 8's blobs: 10 classes of 200 rows, 5 signal and 45 noise
+    dimensions, 10 labels kept per class."""
+    blobs = ssdml.make_blobs(10, 200, 5, 45, 6.0, 4.0, seed=seed)
+    return ssdml.strip_labels(blobs, 10, seed=seed)
+
+
+class TestLrmlClosedForm:
+    CONFIG = TrainConfig(method="lrml", max_epochs=20)  # two partitions
+
+    def test_every_epoch_of_a_partition_yields_one_orthonormal_rank_l_metric(
+            self, monkeypatch):
+        scored = []
+        score = trainer.evaluate_checkpoint
+
+        def recording_score(model, *args, **kwargs):
+            scored.append(model.L.copy())
+            return score(model, *args, **kwargs)
+
+        monkeypatch.setattr(trainer, "evaluate_checkpoint", recording_score)
+        dataset = criterion8_dataset()
+        model = train(dataset, self.CONFIG)
+        l = self.CONFIG.embed_dim
+        assert len(scored) == len(model.history) == 21
+        for L in scored[1:]:
+            assert L.shape == (dataset.dim, l) and np.abs(L).max() > 0
+            assert np.linalg.matrix_rank(L) == l
+            assert np.linalg.norm(L.T @ L - np.eye(l)) <= 1e-10
+        for first in (1, 11):  # each partition's epochs repeat its solution
+            part = range(first, first + 10)
+            assert all(np.array_equal(scored[e], scored[first]) for e in part)
+            assert len({model.history[e]["loss"] for e in part}) == 1
+
+        # the start is LRML's factor of M = I, scored on the validation split
+        start_L = ssdml.baselines.factor_metric(np.eye(dataset.dim), l)
+        assert np.array_equal(scored[0], start_L)
+        (split_seed, _, eval_seed, _), _ = train_seeds(self.CONFIG)
+        _, val_ds = split_validation(dataset, self.CONFIG.val_fraction, split_seed)
+        start = evaluate_checkpoint(Model(start_L, None, None), val_ds, ks=(1,), seed=eval_seed)
+        assert model.history[0] == {"epoch": 0, "partition": None, "loss": None,
+                                    "val_nmi": start.nmi, "val_r1": start.recall_at[1]}
+
+    def test_reruns_are_bit_identical(self):
+        dataset = criterion8_dataset()
+        a, b = train(dataset, self.CONFIG), train(dataset, self.CONFIG)
+        assert a.history == b.history
+        assert np.array_equal(a.L, b.L)
 
 
 class TestDeterminism:
