@@ -85,11 +85,11 @@ def _kmeanspp_init(Z: np.ndarray, n_clusters: int, rngs) -> np.ndarray:
 def _nearest(Z, sq, centers):
     """(R, n) index of each row's nearest center, ties to the smaller index.
 
-    One GEMM screen with graph._candidates' rounding slack decides which
-    explicit distances can be the smallest; a row with more than one such
-    center (or every row, without a safe screen) has them recomputed from
-    explicit differences, so the result equals the argmin of the explicit
-    distances.
+    One GEMM screen with the rounding slack of graph._exact_knn's screen
+    (SCREEN_RTOL) decides which explicit distances can be the smallest; a
+    row with more than one such center (or every row, without a safe
+    screen) has them recomputed from explicit differences, so the result
+    equals the argmin of the explicit distances.
     """
     R, C, _ = centers.shape
     n = Z.shape[0]

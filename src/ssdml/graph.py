@@ -35,9 +35,14 @@ class NeighborGraph:
 # array a block stays cache-sized; larger blocks were no faster, and 1 << 18
 # left the LRML benchmark's peak RSS 8 MiB higher.
 KNN_BLOCK_ENTRIES = 1 << 16
-# The screen ||z_i||^2 + ||z_j||^2 - 2 z_i.z_j and the explicit-difference
-# distance both lie within a few d*eps*(||z_i||^2 + ||z_j||^2) of the true
-# squared distance; this relative slack covers that for any d below ~1e6.
+# The screen ||z_j||^2 - 2 z_i.z_j is one (d+1)-term dot product whose
+# terms' magnitudes sum to at most ||z_i||^2 + 2 ||z_j||^2 (||z_j||^2 carries
+# its own d-term rounding; the scaling by -2 is exact), so it lies within
+# about 3 (d+1) eps (||z_i||^2 + max ||z||^2) of the squared distance less
+# the row constant ||z_i||^2, which is never added and so adds no rounding.
+# The explicit-difference distance lies within about 2 (d+2) eps times the
+# same sum of the true one.  This relative slack covers both for any d below
+# ~1e6.
 SCREEN_RTOL = 1e-9
 
 
@@ -64,51 +69,48 @@ def _pair_sq_dists(A, ia, B, ib):
     return out
 
 
-def _candidates(Z, sq, start, stop, k):
-    """(rows, cols) of the block's entries that can rank among the k nearest.
-
-    k columns screen at or below the row's k-th smallest screened value s_k,
-    so the k-th smallest explicit distance is at most s_k + slack, and every
-    column that can rank in the top k (ties included) screens at most
-    s_k + 2 * slack.
-    """
-    local = np.arange(stop - start)
-    S = Z[start:stop] @ Z.T
-    S *= -2.0
-    S += sq[start:stop, None]
-    S += sq
-    S[local, start + local] = np.inf
-    kth = np.partition(S, k - 1, axis=1)[:, k - 1]
-    slack = SCREEN_RTOL * (sq[start:stop] + sq.max())
-    return np.nonzero(S <= (kth + 2.0 * slack)[:, None])  # self stays out: +inf
-
-
 def _exact_knn(Z: np.ndarray, k: int) -> np.ndarray:
     """(n, k) indices of each row's k nearest other rows, nearest first.
 
     Rows are ranked by (squared distance, index) with distances from
     explicit row differences (no inner-product expansion), so duplicated
     points tie exactly and ties resolve to the smaller index.  Per block of
-    rows, an inner-product screen with a rigorous rounding slack only
-    decides which distances need computing, so the result equals a full
-    per-row sort of the explicit distances.  Without a safe screen (a
-    non-finite or overflowing row) every distance is computed, and a row's
-    own entry counts as +inf and NaN distances rank last, as in that sort.
-    Scratch memory stays a few KNN_BLOCK_ENTRIES-sized arrays whatever the
-    data.
+    rows, a screen decides which distances need computing: one GEMM of
+    [Z_block, 1] against the (d+1) x n operand [-2 Z^T; ||z||^2], built
+    once per call, gives ||z_j||^2 - 2 z_i.z_j, the squared distance less
+    the row constant ||z_i||^2, which leaves a row's order unchanged.  The
+    k columns at or below a row's k-th smallest screened value s_k have
+    explicit distances within a slack of s_k + ||z_i||^2 (SCREEN_RTOL), so
+    every column that can rank in the top k, ties included, screens at most
+    s_k + 2 * slack, and the result equals a full per-row sort of the
+    explicit distances.  Without a safe screen (a non-finite or overflowing
+    row) every distance is computed, and a row's own entry counts as +inf
+    and NaN distances rank last, as in that sort.  Scratch memory is the
+    operand and a few KNN_BLOCK_ENTRIES-sized arrays whatever the data.
     """
     Z = np.ascontiguousarray(Z, dtype=np.float64)
-    n, _ = Z.shape
+    n, d = Z.shape
     if not 1 <= k < n:
         raise ConfigError(f"k must satisfy 1 <= k < n (got k={k}, n={n})")
     sq = np.einsum("ij,ij->i", Z, Z)
     screen = _screen_is_safe(sq)
-    block = max(1, KNN_BLOCK_ENTRIES // n)
+    block = min(n, max(1, KNN_BLOCK_ENTRIES // n))
+    if screen:
+        P = np.empty((d + 1, n))
+        np.multiply(Z.T, -2.0, out=P[:d])
+        P[d] = sq
+        Zb = np.ones((block, d + 1))  # [Z_block, 1]
+        bar = 2.0 * SCREEN_RTOL * (sq + sq.max())
     neighbors = np.empty((n, k), dtype=np.int64)
     for start in range(0, n, block):
         stop = min(start + block, n)
         if screen:
-            rows, cols = _candidates(Z, sq, start, stop, k)
+            Zb[:stop - start, :d] = Z[start:stop]
+            S = Zb[:stop - start] @ P
+            S.reshape(-1)[start + np.arange(stop - start) * (n + 1)] = np.inf  # self
+            kth = np.partition(S, k - 1, axis=1)[:, k - 1]
+            hits = np.flatnonzero(S <= (kth + bar[start:stop])[:, None])
+            rows, cols = np.divmod(hits, n)  # self stays out: +inf
         else:
             rows, cols = np.divmod(np.arange((stop - start) * n), n)
         d2 = _pair_sq_dists(Z, cols, Z, start + rows)

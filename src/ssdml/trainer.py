@@ -2,7 +2,9 @@
 
 `train()` is the only loop that validates, records the history, keeps the
 checkpoint with the best validation Recall@1 and attaches the history to a
-`TrainingDiverged`.  Each method is a generator that yields one
+`TrainingDiverged`.  It scores a checkpoint only when L or the encoder
+differs bit for bit from the previous epoch's; a repeat records the
+previous report again.  Each method is a generator that yields one
 `(partition, loss, L, encoder)` per epoch, the starting point included,
 over the partitions and epochs that `_schedule` hands out.  The paper's
 method samples a partition of the unlabeled data, builds a kNN graph over
@@ -11,13 +13,17 @@ before the metric L is applied, propagates seed affinities, mines triplets,
 and then alternates per batch between metric steps and an SGD step on the
 encoder.  SERAPH takes projected-gradient steps on a full PSD matrix over
 the partition's labeled and unlabeled pairs instead; LRML solves for an
-orthonormal L in closed form once per partition.
+orthonormal L in closed form once per partition.  A partition whose rows
+(and, for the paper's method, Z) equal the previous partition's reuses its
+triplets or LRML's L: with `partition_size = 0` every partition holds the
+same rows.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import warnings
 from dataclasses import asdict, dataclass, field
 from functools import partial
 
@@ -47,6 +53,10 @@ METRIC_MAX_STEP = 0.05
 # every accepted step; uncapped, long runs could grow it until the trial
 # matrices overflow.
 BASELINE_MAX_STEP = 1e6
+
+# train() warns when some class has fewer validation rows than this: with
+# 2 rows per class, each query's Recall@1 hinges on one same-class row.
+VAL_MIN_PER_CLASS = 3
 
 # LRML weighs per-pair means of its similar and dissimilar terms against
 # this multiple of the kNN smoothness form's mean over n k / 2 edges (the
@@ -177,6 +187,15 @@ def train(dataset: Dataset, config: TrainConfig) -> Model:
     train_ds, val_ds = split_validation(dataset, config.val_fraction, split_seed)
     if val_ds.n < 2:
         raise ConfigError("validation split has fewer than 2 rows; add labeled data")
+    val_counts = np.bincount(val_ds.labels[val_ds.labeled_indices],
+                             minlength=dataset.n_classes)
+    if val_counts.min() < VAL_MIN_PER_CLASS:
+        warnings.warn(
+            f"validation split has fewer than {VAL_MIN_PER_CLASS} rows in class(es) "
+            f"{np.flatnonzero(val_counts < VAL_MIN_PER_CLASS).tolist()}; its Recall@1 "
+            "moves in coarse steps, so the kept checkpoint is a noisy pick",
+            stacklevel=2,
+        )
     n_p = train_ds.unlabeled_indices.size if config.partition_size == 0 \
         else config.partition_size
 
@@ -188,11 +207,16 @@ def train(dataset: Dataset, config: TrainConfig) -> Model:
     else:
         epochs = _lrml_epochs(config, train_ds, schedule)
 
-    history, best = [], None
+    history, best, scored = [], None, None
     try:
         for epoch, (partition, loss, L, encoder) in enumerate(epochs):
-            report = evaluate_checkpoint(Model(L, encoder, None, normalize=config.normalize),
-                                         val_ds, ks=(1,), seed=eval_seed)
+            # an epoch that left L and the encoder as they were, bit for bit,
+            # would score the same: record the previous report again
+            key = _bits(L) if encoder is None else _bits(L, encoder.A, encoder.b)
+            if key != scored:
+                scored = key
+                report = evaluate_checkpoint(Model(L, encoder, None, normalize=config.normalize),
+                                             val_ds, ks=(1,), seed=eval_seed)
             v_r1 = report.recall_at[1]
             _record(history, epoch, partition, loss, report.nmi, v_r1)
             if best is None or v_r1 > best[0]:
@@ -202,6 +226,11 @@ def train(dataset: Dataset, config: TrainConfig) -> Model:
         raise
     return Model(L=best[1], encoder=best[2], config=config, history=history,
                  normalize=config.normalize)
+
+
+def _bits(*arrays):
+    """The arrays as (shape, bytes) pairs: equal exactly when bit-identical."""
+    return tuple((a.shape, a.tobytes()) for a in arrays)
 
 
 def _record(history, epoch, partition, loss, v_nmi, v_r1):
@@ -236,13 +265,16 @@ def _ours_epochs(config, train_ds, schedule, batch_seed):
 
     t = metric.tan2(config.alpha_deg)
     step_carry = METRIC_MAX_STEP
+    mined, triplets = None, None  # the rows and Z last mined, and their triplets
     for p, part, epochs in schedule:
         rows = part.node_rows
         X = train_ds.features[rows]
         y = train_ds.labels[rows]
         Z = _represent(encoder, config.normalize, X)
-        graph = build_knn(Z, config.k)
-        triplets = mine_triplets(propagate(graph, y, config.gamma), graph)
+        if _bits(rows, Z) != mined:  # the same rows and Z give the same triplets
+            mined = _bits(rows, Z)
+            graph = build_knn(Z, config.k)
+            triplets = mine_triplets(propagate(graph, y, config.gamma), graph)
 
         for epoch in epochs:
             epoch_loss = 0.0
@@ -327,18 +359,22 @@ def _lrml_epochs(config, train_ds, schedule):
     d, l = train_ds.dim, config.embed_dim
     yield None, None, bl.factor_metric(np.eye(d), l), None
 
+    solved = None  # the rows of the last partition solved
     for p, part, epochs in schedule:
         rows = part.node_rows
-        Z = _represent(None, config.normalize, train_ds.features[rows])
-        n_labeled = part.labeled_idx.size
-        S, D, n_sim, n_dis = bl.class_pair_rows(Z[:n_labeled], train_ds.labels[rows[:n_labeled]])
-        quad = knn_laplacian_form(build_knn(Z, config.k), Z) \
-            * (2.0 * LRML_LAPLACIAN_WEIGHT / (part.n * config.k))
-        G = bl.lrml_gradient(S, D, quad, gamma_s=config.lrml_gamma_s / max(n_sim, 1),
-                             gamma_d=config.lrml_gamma_d / max(n_dis, 1))
-        if not np.isfinite(G).all():
-            raise TrainingDiverged("LRML objective became non-finite")
-        L, loss = bl.stiefel_minimizer(G, l)
+        if _bits(rows) != solved:  # the same rows give the same G and L
+            solved = _bits(rows)
+            Z = _represent(None, config.normalize, train_ds.features[rows])
+            n_labeled = part.labeled_idx.size
+            S, D, n_sim, n_dis = bl.class_pair_rows(Z[:n_labeled],
+                                                    train_ds.labels[rows[:n_labeled]])
+            quad = knn_laplacian_form(build_knn(Z, config.k), Z) \
+                * (2.0 * LRML_LAPLACIAN_WEIGHT / (part.n * config.k))
+            G = bl.lrml_gradient(S, D, quad, gamma_s=config.lrml_gamma_s / max(n_sim, 1),
+                                 gamma_d=config.lrml_gamma_d / max(n_dis, 1))
+            if not np.isfinite(G).all():
+                raise TrainingDiverged("LRML objective became non-finite")
+            L, loss = bl.stiefel_minimizer(G, l)
         for _ in epochs:
             yield p, loss, L, None
 

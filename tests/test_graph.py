@@ -128,6 +128,37 @@ class TestKnnKernelEdgeCases:
         for k in (1, 5, 29):
             assert np.array_equal(ssdml.build_knn(Z, k).neighbors, row_loop_knn(Z, k))
 
+    def test_criterion8_shaped_blobs_over_default_blocks(self):
+        # 600 l2-normalized rows of 5 signal + 45 noise dims: six blocks
+        blobs = ssdml.make_blobs(10, 60, 5, 45, 6.0, 4.0, seed=3)
+        Z = ssdml.encoder.l2_normalize_rows(blobs.features)
+        assert len(Z) // (graph_mod.KNN_BLOCK_ENTRIES // len(Z)) >= 5
+        for k in (1, 10, 40):
+            assert np.array_equal(ssdml.build_knn(Z, k).neighbors, row_loop_knn(Z, k))
+
+    def test_large_common_offset_in_fifty_dims(self):
+        # at squared norms ~5e13 the (d+1)-term screen rounds by ~0.1, more
+        # than the ~0.03 gaps between nearest distances, so the explicit
+        # recompute alone must order the candidates
+        rng = np.random.default_rng(13)
+        Z = 0.1 * rng.standard_normal((300, 50)) + 1e6
+        for k in (1, 10):
+            assert np.array_equal(ssdml.build_knn(Z, k).neighbors, row_loop_knn(Z, k))
+
+    def test_duplicates_straddle_a_block_boundary(self):
+        n = 500
+        block = graph_mod.KNN_BLOCK_ENTRIES // n
+        rng = np.random.default_rng(14)
+        Z = rng.standard_normal((n, 50))
+        Z[block - 3:block + 3] = Z[7]  # six copies across the boundary, and row 7
+        Z[2 * block - 1:2 * block + 1] = Z[block - 3]
+        for k in (3, 8, 12):
+            got = ssdml.build_knn(Z, k).neighbors
+            assert np.array_equal(got, row_loop_knn(Z, k))
+        copies = [7, *range(block - 3, block + 3), 2 * block - 1, 2 * block]
+        # each copy's nearest are the other copies, smallest index first
+        assert got[block].tolist()[:8] == [c for c in copies if c != block][:8]
+
     def test_scratch_memory_bounded_on_duplicates(self):
         n = 3000
         Z = np.ones((n, 2))

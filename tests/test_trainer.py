@@ -1,6 +1,7 @@
 """Orchestration: alternation, model selection, serialization, determinism."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -243,22 +244,29 @@ class TestDriver:
 
     @pytest.mark.parametrize("run", DRIVER_RUNS.values(), ids=list(DRIVER_RUNS))
     def test_keeps_first_best_checkpoint(self, run, monkeypatch):
-        scripted = iter([10.0, 30.0, 20.0, 30.0, 5.0, 0.0])
-        seen = []
+        scripted = [10.0, 30.0, 20.0, 30.0, 5.0, 0.0]  # by epoch
+        seen = record_checkpoints(monkeypatch, run["method"])
 
         def scripted_report(model, dataset, ks, seed):
-            enc = model.encoder
-            seen.append((model.L.copy(), None if enc is None else enc.copy()))
-            return EvalReport(nmi=0.5, recall_at={1: next(scripted)}, n_test=dataset.n)
+            # scored right after its epoch's yield: the latest checkpoint
+            assert same_checkpoint((model.L, model.encoder), seen[-1])
+            return EvalReport(nmi=0.5, recall_at={1: scripted[len(seen) - 1]},
+                              n_test=dataset.n)
 
         monkeypatch.setattr(trainer, "evaluate_checkpoint", scripted_report)
         # partitions of 100 of the 128 unlabeled rows differ, and so do the
         # checkpoints of LRML, which repeats one solution within a partition
         model = train(small_semi_dataset(), TrainConfig(**run, **DRIVER, partition_size=100))
-        assert [rec["val_r1"] for rec in model.history] == [10, 30, 20, 30, 5, 0]
         assert len(seen) == 6
+        # an epoch that repeats the previous checkpoint repeats its record
+        expected = scripted[:1]
+        for e in range(1, 6):
+            repeat = same_checkpoint(seen[e], seen[e - 1])
+            expected.append(expected[-1] if repeat else scripted[e])
+        assert [rec["val_r1"] for rec in model.history] == expected
         # the tie at epoch 3 (partition 1) is between distinct checkpoints;
         # the earlier, epoch 1 (partition 0), wins
+        assert expected[1] == expected[3] == max(expected)
         (L1, enc1), (L3, _) = seen[1], seen[3]
         assert not np.array_equal(L1, L3)
         assert np.array_equal(model.L, L1)
@@ -267,6 +275,26 @@ class TestDriver:
         else:
             assert np.array_equal(model.encoder.A, enc1.A)
             assert np.array_equal(model.encoder.b, enc1.b)
+
+    @pytest.mark.parametrize("run", [dict(method="lrml"), dict(method="ours", inner_l_iters=0)],
+                             ids=["lrml", "ours-frozen"])
+    def test_unchanged_checkpoint_is_scored_once(self, run, monkeypatch):
+        seen = record_checkpoints(monkeypatch, run["method"])
+        calls = count_calls(monkeypatch, ["evaluate_checkpoint"])
+        dataset = small_semi_dataset()
+        config = TrainConfig(**{**DRIVER, **run})
+        model = train(dataset, config)
+        # every partition holds the same rows: LRML solves one L, and the
+        # frozen run never moves its start
+        distinct = 1 + sum(not same_checkpoint(a, b) for a, b in zip(seen[1:], seen))
+        assert distinct == (2 if run["method"] == "lrml" else 1)
+        assert calls["evaluate_checkpoint"] == distinct
+        assert len(seen) == len(model.history) == 6
+        (split_seed, _, eval_seed, _), _ = train_seeds(config)
+        _, val_ds = split_validation(dataset, config.val_fraction, split_seed)
+        for (L, enc), rec in zip(seen, model.history):
+            fresh = evaluate_checkpoint(Model(L, enc, None), val_ds, ks=(1,), seed=eval_seed)
+            assert (rec["val_r1"], rec["val_nmi"]) == (fresh.recall_at[1], fresh.nmi)
 
     @pytest.mark.parametrize("run", DRIVER_RUNS.values(), ids=list(DRIVER_RUNS))
     def test_history_scores_are_evaluate_checkpoint(self, run):
@@ -280,6 +308,61 @@ class TestDriver:
         report = evaluate_checkpoint(model, val_ds, ks=(1,), seed=eval_seed)
         kept = max(model.history, key=lambda rec: rec["val_r1"])
         assert (kept["val_r1"], kept["val_nmi"]) == (report.recall_at[1], report.nmi)
+
+
+class TestPartitionReuse:
+    """A partition whose rows (and, for `ours`, representations Z) equal the
+    previous partition's reuses its graph, affinities and triplets, or its
+    LRML solution."""
+
+    @pytest.mark.parametrize("run, partition_size, distinct", [
+        (dict(method="ours"), 0, 1),
+        (dict(method="ours"), 100, 3),
+        (dict(method="ours", encoder=True, lr=1e-3), 0, 3),  # Z moves each partition
+        (dict(method="lrml"), 0, 1),
+        (dict(method="lrml"), 100, 3),
+    ], ids=["ours-same-rows", "ours-sampled", "ours-encoder", "lrml-same-rows",
+            "lrml-sampled"])
+    def test_one_graph_per_distinct_partition(self, monkeypatch, run, partition_size,
+                                              distinct):
+        calls = count_calls(monkeypatch, ["build_knn", "propagate"])
+        config = TrainConfig(**run, **DRIVER, partition_size=partition_size)
+        model = train(small_semi_dataset(), config)
+        assert sorted({rec["partition"] for rec in model.history[1:]}) == [0, 1, 2]
+        assert calls == {"build_knn": distinct,
+                         "propagate": distinct if run["method"] == "ours" else 0}
+
+    @pytest.mark.parametrize("run", [dict(method="ours"), dict(method="lrml"),
+                                     dict(method="ours", encoder=True, lr=1e-3)],
+                             ids=["ours", "lrml", "ours-encoder"])
+    def test_reuse_changes_no_bit(self, monkeypatch, run):
+        dataset, config = small_semi_dataset(), TrainConfig(**run, **DRIVER)
+        reused = train(dataset, config)
+        # no two keys compare equal: every partition is built and every
+        # epoch scored afresh
+        monkeypatch.setattr(trainer, "_bits", lambda *arrays: object())
+        fresh = train(dataset, config)
+        assert reused.history == fresh.history
+        assert np.array_equal(reused.L, fresh.L)
+        if reused.encoder is not None:
+            assert np.array_equal(reused.encoder.A, fresh.encoder.A)
+            assert np.array_equal(reused.encoder.b, fresh.encoder.b)
+
+
+class TestValidationSizeWarning:
+    def test_two_rows_per_class_warn(self):
+        # criterion 8's split: 10 labels per class leave 2 per class
+        blobs = ssdml.make_blobs(4, 40, 3, 5, 6.0, 1.5, seed=1)
+        with pytest.warns(UserWarning) as caught:
+            train(ssdml.strip_labels(blobs, 10, seed=1), TrainConfig(**FAST))
+        assert [str(w.message).split(";")[0] for w in caught] == [
+            "validation split has fewer than 3 rows in class(es) [0, 1, 2, 3]"]
+
+    def test_three_rows_per_class_are_quiet(self):
+        blobs = ssdml.make_blobs(4, 40, 3, 5, 6.0, 1.5, seed=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            train(ssdml.strip_labels(blobs, 20, seed=1), TrainConfig(**FAST))
 
 
 class TestTrainBaselines:
@@ -297,6 +380,43 @@ class TestTrainBaselines:
         assert model.L.shape == (8, 4)
 
 
+def record_checkpoints(monkeypatch, method):
+    """Make train() record the (L, encoder) its method's epoch generator
+    yields, as copies, one per epoch; returns the list they go to."""
+    name = f"_{method}_epochs"
+    epochs = getattr(trainer, name)
+    seen = []
+
+    def recording(*args, **kwargs):
+        for partition, loss, L, encoder in epochs(*args, **kwargs):
+            seen.append((L.copy(), None if encoder is None else encoder.copy()))
+            yield partition, loss, L, encoder
+
+    monkeypatch.setattr(trainer, name, recording)
+    return seen
+
+
+def count_calls(monkeypatch, names):
+    """Count train()'s calls to these trainer-module functions; returns the
+    name -> count dict the counts go to."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        def counted(*args, _fn=getattr(trainer, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(trainer, name, counted)
+    return calls
+
+
+def same_checkpoint(a, b):
+    """Whether two (L, encoder) checkpoints are bit-identical."""
+    (La, enc_a), (Lb, enc_b) = a, b
+    if (enc_a is None) != (enc_b is None):
+        return False
+    arrays = [(La, Lb)] if enc_a is None else [(La, Lb), (enc_a.A, enc_b.A), (enc_a.b, enc_b.b)]
+    return all(x.shape == y.shape and x.tobytes() == y.tobytes() for x, y in arrays)
+
+
 def criterion8_dataset(seed=0):
     """Criterion 8's blobs: 10 classes of 200 rows, 5 signal and 45 noise
     dimensions, 10 labels kept per class."""
@@ -309,30 +429,23 @@ class TestLrmlClosedForm:
 
     def test_every_epoch_of_a_partition_yields_one_orthonormal_rank_l_metric(
             self, monkeypatch):
-        scored = []
-        score = trainer.evaluate_checkpoint
-
-        def recording_score(model, *args, **kwargs):
-            scored.append(model.L.copy())
-            return score(model, *args, **kwargs)
-
-        monkeypatch.setattr(trainer, "evaluate_checkpoint", recording_score)
+        seen = record_checkpoints(monkeypatch, "lrml")
         dataset = criterion8_dataset()
         model = train(dataset, self.CONFIG)
         l = self.CONFIG.embed_dim
-        assert len(scored) == len(model.history) == 21
-        for L in scored[1:]:
+        assert len(seen) == len(model.history) == 21
+        for L, _ in seen[1:]:
             assert L.shape == (dataset.dim, l) and np.abs(L).max() > 0
             assert np.linalg.matrix_rank(L) == l
             assert np.linalg.norm(L.T @ L - np.eye(l)) <= 1e-10
         for first in (1, 11):  # each partition's epochs repeat its solution
             part = range(first, first + 10)
-            assert all(np.array_equal(scored[e], scored[first]) for e in part)
+            assert all(np.array_equal(seen[e][0], seen[first][0]) for e in part)
             assert len({model.history[e]["loss"] for e in part}) == 1
 
         # the start is LRML's factor of M = I, scored on the validation split
         start_L = ssdml.baselines.factor_metric(np.eye(dataset.dim), l)
-        assert np.array_equal(scored[0], start_L)
+        assert np.array_equal(seen[0][0], start_L)
         (split_seed, _, eval_seed, _), _ = train_seeds(self.CONFIG)
         _, val_ds = split_validation(dataset, self.CONFIG.val_fraction, split_seed)
         start = evaluate_checkpoint(Model(start_L, None, None), val_ds, ks=(1,), seed=eval_seed)
