@@ -1,12 +1,14 @@
-"""Classical semi-supervised metric baselines over a metric M.
+"""Classical semi-supervised metric baselines over a metric M = L L^T.
 
 Two objectives are provided: an entropy-regularized pairwise likelihood
 (labeled pairs fit a logistic similarity model, unlabeled pairs pay their
 predictive entropy, a trace term keeps the metric sparse in projections)
 and a min-max pairwise objective with a graph Laplacian smoothness term.
-The first is minimized by projected gradient descent on the PSD cone.  The
-second is linear in M, so over M = L L^T with L^T L = I it is minimized in
-closed form by the bottom eigenvectors of its gradient (`stiefel_minimizer`).
+Both are written as functions of M.  The first is minimized over the factor
+L, like the paper's metric: `seraph_loss_and_grad_L` gives its value and
+gradient wrt L for `manifold.optimize_L`.  The second is linear in M, so
+over L^T L = I it is minimized in closed form by the bottom eigenvectors of
+its gradient (`stiefel_minimizer`).
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ from .errors import NumericalError
 from .metric import sigmoid, softplus
 
 PLOGP_FLOOR = 1e-300
-PG_MAX_BACKTRACKS = 30
 
 
 def pair_diffs(Z: np.ndarray, pairs: np.ndarray) -> np.ndarray:
@@ -89,6 +90,14 @@ def seraph_gradient(M, U, y, V, *, eta, mu, lam) -> np.ndarray:
     return (grad + grad.T) / 2.0
 
 
+def seraph_loss_and_grad_L(L, U, y, V, **weights):
+    """(J(L L^T), 2 G(L L^T) L): seraph_objective J at M = L L^T and its
+    gradient wrt L, from the symmetric gradient G wrt M."""
+    M = L @ L.T
+    return (seraph_objective(M, U, y, V, **weights),
+            2.0 * (seraph_gradient(M, U, y, V, **weights) @ L))
+
+
 def lrml_objective(M, S, D, quad, *, gamma_s, gamma_d) -> float:
     """gamma_s * sum_sim delta^2 - gamma_d * sum_dis delta^2 + Tr(M quad).
 
@@ -145,40 +154,3 @@ def stiefel_minimizer(G: np.ndarray, l: int):
         raise NumericalError(f"eigendecomposition failed: {exc}") from exc
     return V[:, :l], float(w[:l].sum())
 
-
-def project_psd(M: np.ndarray) -> np.ndarray:
-    """Nearest PSD matrix: symmetrize, clamp negative eigenvalues to zero."""
-    S = (np.asarray(M, dtype=np.float64) + np.asarray(M, dtype=np.float64).T) / 2.0
-    try:
-        w, V = np.linalg.eigh(S)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"eigendecomposition failed: {exc}") from exc
-    w = np.maximum(w, 0.0)
-    R = (V * w) @ V.T
-    return (R + R.T) / 2.0
-
-
-def projected_gradient_step(M, objective_fn, gradient_fn, step: float):
-    """One monotone projected-gradient step on the PSD cone.
-
-    Halves the step, at most PG_MAX_BACKTRACKS times, until the objective
-    does not increase.  Returns (M, step, objective at the returned M); when
-    every trial fails, M comes back unchanged with step 0 (stalled).
-    """
-    J0 = objective_fn(M)
-    G = gradient_fn(M)
-    s = step
-    for _ in range(PG_MAX_BACKTRACKS):
-        M_new = project_psd(M - s * G)
-        J = objective_fn(M_new)
-        if J <= J0 + 1e-12:
-            return M_new, s, J
-        s *= 0.5
-    return M, 0.0, J0
-
-
-def factor_metric(M: np.ndarray, l: int) -> np.ndarray:
-    """Rank-l factor L with L L^T ~= M from the top-l eigenpairs."""
-    w, V = np.linalg.eigh((M + M.T) / 2.0)
-    order = np.argsort(w)[::-1][:l]
-    return V[:, order] * np.sqrt(np.maximum(w[order], 0.0))

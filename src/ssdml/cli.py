@@ -67,11 +67,11 @@ _TRAIN_HELP = {
     "max_epochs": "total training epochs across partitions",
     "inner_l_iters": "metric optimizer steps per batch",
     "seed": "run seed (drives every RNG stream)",
-    "orth": "keep the metric factor orthonormal (Stiefel steps)",
+    "orth": "keep the metric factor orthonormal (Stiefel steps); lrml requires it",
     "encoder": "train the affine encoder alongside the metric",
     "seraph_eta": "entropy baseline distance threshold",
     "seraph_mu": "entropy baseline unlabeled weight",
-    "seraph_lambda": "entropy baseline trace weight",
+    "seraph_lambda": "entropy baseline trace weight (acts only with --no-orth)",
     "lrml_gamma_s": "Laplacian baseline similar-pair weight",
     "lrml_gamma_d": "Laplacian baseline dissimilar-pair weight",
 }

@@ -11,12 +11,13 @@ method samples a partition of the unlabeled data, builds a kNN graph over
 its representations Z (the l2-normalized inputs, or the encoder's output)
 before the metric L is applied, propagates seed affinities, mines triplets,
 and then alternates per batch between metric steps and an SGD step on the
-encoder.  SERAPH takes projected-gradient steps on a full PSD matrix over
-the partition's labeled and unlabeled pairs instead; LRML solves for an
-orthonormal L in closed form once per partition.  A partition whose rows
-(and, for the paper's method, Z) equal the previous partition's reuses its
-triplets or LRML's L: with `partition_size = 0` every partition holds the
-same rows.
+encoder.  SERAPH takes one `optimize_L` step per batch of the partition's
+labeled and unlabeled pairs instead; LRML solves for an orthonormal L in
+closed form once per partition.  Every method starts from the same L, the
+first l coordinates (`_initial_L`), and fits M = L L^T through L alone.  A
+partition whose rows (and, for the paper's method, Z) equal the previous
+partition's reuses its triplets or LRML's L: with `partition_size = 0`
+every partition holds the same rows.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ import json
 import math
 import warnings
 from dataclasses import asdict, dataclass, field
-from functools import partial
 
 import numpy as np
 
@@ -48,11 +48,6 @@ MODEL_VERSION = "v1"
 # Batches are small and noisy; unbounded Armijo steps let every batch drag L
 # to its private optimum, erasing the consensus built by earlier batches.
 METRIC_MAX_STEP = 0.05
-
-# Upper bound for SERAPH's projected-gradient trial step, which doubles after
-# every accepted step; uncapped, long runs could grow it until the trial
-# matrices overflow.
-BASELINE_MAX_STEP = 1e6
 
 # train() warns when some class has fewer validation rows than this: with
 # 2 rows per class, each query's Recall@1 hinges on one same-class row.
@@ -148,6 +143,8 @@ def _validate(config: TrainConfig, dataset: Dataset):
         raise ConfigError("LRML pair weights must be non-negative and not both zero")
     if config.encoder and config.method != "ours":
         raise ConfigError("the trainable encoder is only supported with method='ours'")
+    if config.method == "lrml" and not config.orth:
+        raise ConfigError("LRML's closed form is orthonormal; it has no orth=False mode")
     if config.seed < 0:
         raise ConfigError("seed must be non-negative")
     if dataset.labeled_indices.size == 0:
@@ -155,6 +152,7 @@ def _validate(config: TrainConfig, dataset: Dataset):
 
 
 def _initial_L(d: int, l: int) -> np.ndarray:
+    """Every method's start: the first l coordinates, L^T L = I."""
     L = np.zeros((d, l))
     L[:l, :l] = np.eye(l)
     return L
@@ -307,15 +305,14 @@ def _ours_epochs(config, train_ds, schedule, batch_seed):
 
 
 def _seraph_epochs(config, train_ds, schedule, batch_seed, pair_seed):
-    """SERAPH: projected-gradient steps on a full PSD matrix M over shuffled
-    batches of the partition's labeled pairs and random unlabeled pairs; the
-    yielded L is M's rank-l factor."""
-    d, l = train_ds.dim, config.embed_dim
-    M = np.eye(d)
+    """SERAPH over M = L L^T: per batch of the partition's shuffled labeled
+    pairs and random unlabeled pairs, one `optimize_L` step on L."""
+    d = train_ds.dim
+    L = _initial_L(d, config.embed_dim)
     weights = dict(eta=config.seraph_eta, mu=config.seraph_mu, lam=config.seraph_lambda)
-    yield None, None, bl.factor_metric(M, l), None
+    yield None, None, L, None
 
-    step_carry = 1.0
+    step_carry = METRIC_MAX_STEP
     for p, part, epochs in schedule:
         rows = part.node_rows
         Z = _represent(None, config.normalize, train_ds.features[rows])
@@ -338,17 +335,17 @@ def _seraph_epochs(config, train_ds, schedule, batch_seed, pair_seed):
                     V = bl.pair_diffs(Z, up[up[:, 0] != up[:, 1]])
                 else:
                     V = np.zeros((0, d))
-                M, accepted, value = bl.projected_gradient_step(
-                    M, partial(bl.seraph_objective, U=U, y=by, V=V, **weights),
-                    partial(bl.seraph_gradient, U=U, y=by, V=V, **weights),
-                    step=step_carry)
-                # stalled steps keep the old trial size; successes may grow
-                if accepted:
-                    step_carry = min(2.0 * accepted, BASELINE_MAX_STEP)
-                epoch_loss += value
+
+                def fun_and_grad(Lm, U=U, by=by, V=V):
+                    return bl.seraph_loss_and_grad_L(Lm, U, by, V, **weights)
+
+                res = optimize_L(L, fun_and_grad, max_iter=1, step0=step_carry,
+                                 orthonormal=config.orth, max_step=METRIC_MAX_STEP)
+                L, step_carry = res.L, res.step
+                epoch_loss += res.objective
                 if not np.isfinite(epoch_loss):
                     raise TrainingDiverged("baseline objective became non-finite")
-            yield p, epoch_loss / n_batches, bl.factor_metric(M, l), None
+            yield p, epoch_loss / n_batches, L, None
 
 
 def _lrml_epochs(config, train_ds, schedule):
@@ -356,8 +353,8 @@ def _lrml_epochs(config, train_ds, schedule):
     gradient of the objective, which is linear in M, and the L of G's l
     smallest eigenvalues, the minimizer of Tr(L^T G L) = objective(L L^T).
     Every epoch of the partition yields that L."""
-    d, l = train_ds.dim, config.embed_dim
-    yield None, None, bl.factor_metric(np.eye(d), l), None
+    l = config.embed_dim
+    yield None, None, _initial_L(train_ds.dim, l), None
 
     solved = None  # the rows of the last partition solved
     for p, part, epochs in schedule:

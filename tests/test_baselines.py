@@ -1,4 +1,4 @@
-"""Entropy and Laplacian pairwise baselines on the PSD cone."""
+"""Entropy and Laplacian pairwise baselines over M = L L^T."""
 
 import math
 from types import SimpleNamespace
@@ -8,10 +8,11 @@ import pytest
 
 import ssdml
 from ssdml import gradcheck
-from ssdml.baselines import (class_pair_rows, factor_metric, lrml_gradient,
-                             lrml_objective, pair_diffs, pair_probability,
-                             project_psd, projected_gradient_step, quad_forms,
-                             seraph_gradient, seraph_objective, stiefel_minimizer)
+from ssdml.baselines import (class_pair_rows, lrml_gradient, lrml_objective,
+                             pair_diffs, pair_probability, quad_forms,
+                             seraph_gradient, seraph_loss_and_grad_L,
+                             seraph_objective, stiefel_minimizer)
+from ssdml.trainer import _initial_L
 
 
 def rows(Z, pairs):
@@ -144,6 +145,23 @@ class TestSeraphObjective:
                             rows(Zr, [[4, 5]]), **weights)
         assert np.abs(G - G.T).max() <= 1e-12
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_factor_gradient_matches_finite_differences(self, seed):
+        # the L-gradient SERAPH's optimize_L steps follow is that of
+        # seraph_objective(L L^T), at orthonormal and general L alike
+        rng = np.random.default_rng(seed)
+        Z = rng.standard_normal((10, 6))
+        U, V = rows(Z, [[0, 1], [2, 3], [4, 5]]), rows(Z, [[6, 7], [8, 9], [1, 6]])
+        y = np.array([1, -1, 1])
+        weights = dict(eta=1.0, mu=0.7, lam=0.1)
+        for L in (np.linalg.qr(rng.standard_normal((6, 3)))[0],
+                  0.5 * rng.standard_normal((6, 3))):
+            value, grad = seraph_loss_and_grad_L(L, U, y, V, **weights)
+            assert value == seraph_objective(L @ L.T, U, y, V, **weights)
+            numeric = gradcheck.finite_difference_grad(
+                lambda Lx: seraph_objective(Lx @ Lx.T, U, y, V, **weights), L)
+            assert gradcheck.relative_error(grad, numeric) <= 1e-6
+
 
 class TestLrml:
     def test_laplacian_quadratic_identity(self):
@@ -271,75 +289,6 @@ class TestStiefelMinimizer:
         assert objective(L) == pytest.approx(bottom, rel=1e-10)
         rng = np.random.default_rng(12)
         others = [np.linalg.qr(rng.standard_normal((d, l)))[0] for _ in range(200)]
-        others.append(factor_metric(np.eye(d), l))  # LRML's starting point
+        others.append(_initial_L(d, l))  # every method's starting point
         assert all(objective(L) <= objective(Lx) + 1e-12 for Lx in others)
 
-
-class TestProjectPsd:
-    def test_psd_input_unchanged(self):
-        rng = np.random.default_rng(5)
-        B = rng.standard_normal((4, 4))
-        M = B @ B.T
-        assert np.abs(project_psd(M) - M).max() <= 1e-10
-
-    def test_clamps_negative_eigenvalue(self):
-        M = np.diag([1.0, -2.0])
-        assert np.allclose(project_psd(M), np.diag([1.0, 0.0]))
-
-    def test_output_min_eigenvalue(self):
-        rng = np.random.default_rng(6)
-        for _ in range(20):
-            M = rng.standard_normal((5, 5))
-            out = project_psd(M)
-            assert np.linalg.eigvalsh(out).min() >= -1e-10
-
-
-class TestProjectedGradientTraining:
-    def test_seraph_monotone_objective(self):
-        rng = np.random.default_rng(7)
-        Z = rng.standard_normal((12, 3))
-        y = rng.integers(0, 2, size=12)
-        pairs = np.array([[i, j] for i in range(6) for j in range(i + 1, 6)])
-        y_pairs = np.where(y[pairs[:, 0]] == y[pairs[:, 1]], 1, -1)
-        unlab = np.array([[i, j] for i in range(6, 12) for j in range(i + 1, 12)])
-        U, V = pair_diffs(Z, pairs), pair_diffs(Z, unlab)
-        weights = dict(eta=1.0, mu=1.0, lam=1e-3)
-        obj = lambda M: seraph_objective(M, U, y_pairs, V, **weights)
-        grad = lambda M: seraph_gradient(M, U, y_pairs, V, **weights)
-        M = np.eye(3)
-        values = [obj(M)]
-        step = 1.0
-        for _ in range(40):
-            M, step, _ = projected_gradient_step(M, obj, grad, step or 1e-3)
-            values.append(obj(M))
-        assert all(b <= a + 1e-10 for a, b in zip(values, values[1:]))
-        assert np.linalg.eigvalsh(M).min() >= -1e-10
-
-    def test_lrml_monotone_objective(self):
-        rng = np.random.default_rng(8)
-        Z = rng.standard_normal((10, 3))
-        W = rng.random((10, 10))
-        W = (W + W.T) / 2
-        np.fill_diagonal(W, 0.0)
-        Lap = ssdml.laplacian(W)
-        weights = dict(gamma_s=1.0, gamma_d=0.3)
-        S = rows(Z, [[0, 1], [2, 3]])
-        D = rows(Z, [[4, 5], [6, 7]])
-        quad = Z.T @ Lap @ Z
-        obj = lambda M: lrml_objective(M, S, D, quad, **weights)
-        grad = lambda M: lrml_gradient(S, D, quad, **weights)
-        M = np.eye(3)
-        values = [obj(M)]
-        step = 1.0
-        for _ in range(40):
-            M, step, _ = projected_gradient_step(M, obj, grad, step or 1e-3)
-            values.append(obj(M))
-        assert all(b <= a + 1e-10 for a, b in zip(values, values[1:]))
-
-
-def test_factor_metric_reconstructs_top_eigenspace():
-    rng = np.random.default_rng(9)
-    B = rng.standard_normal((5, 2))
-    M = B @ B.T  # rank 2
-    L = factor_metric(M, 2)
-    assert np.abs(L @ L.T - M).max() <= 1e-10

@@ -319,6 +319,7 @@ class TestExitCodes:
         ["blobs", "--classes", 11, "--per-class", 2, "--sep", "1e308"],  # mean 2e308
         ["blobs", "--classes", 3, "--per-class", 20, "--noise-sigma", "1e308"],
         ["train", "--embed-dim", 3, "--data", "overflow.csv"],
+        ["train", "--method", "lrml", "--embed-dim", 3, "--no-orth"],  # always orthonormal
     ])
     def test_bad_weight_or_count_is_two(self, blob_csv, tmp_path, capsys, args):
         # each must stop on one error line, not a ValueError traceback

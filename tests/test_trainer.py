@@ -133,6 +133,12 @@ class TestConfigValidation:
             train(small_semi_dataset(),
                   TrainConfig(method="lrml", encoder=True, **FAST))
 
+    def test_lrml_has_no_orth_false_mode(self):
+        # the closed form is orthonormal by construction, so the flag would
+        # be ignored
+        with pytest.raises(ConfigError, match="orth"):
+            train(small_semi_dataset(), TrainConfig(method="lrml", orth=False, **FAST))
+
     def test_no_labeled_rows(self):
         ds = Dataset(np.random.default_rng(0).standard_normal((10, 8)),
                      np.full(10, -1), 0)
@@ -443,8 +449,9 @@ class TestLrmlClosedForm:
             assert all(np.array_equal(seen[e][0], seen[first][0]) for e in part)
             assert len({model.history[e]["loss"] for e in part}) == 1
 
-        # the start is LRML's factor of M = I, scored on the validation split
-        start_L = ssdml.baselines.factor_metric(np.eye(dataset.dim), l)
+        # the start is every method's first l coordinates, scored on the
+        # validation split
+        start_L = trainer._initial_L(dataset.dim, l)
         assert np.array_equal(seen[0][0], start_L)
         (split_seed, _, eval_seed, _), _ = train_seeds(self.CONFIG)
         _, val_ds = split_validation(dataset, self.CONFIG.val_fraction, split_seed)
@@ -457,6 +464,52 @@ class TestLrmlClosedForm:
         a, b = train(dataset, self.CONFIG), train(dataset, self.CONFIG)
         assert a.history == b.history
         assert np.array_equal(a.L, b.L)
+
+
+def heldout_r1(L, blobs, semi):
+    """Recall@1 of the unlabeled rows, scored with their true labels."""
+    rows = semi.unlabeled_indices
+    Z = enc_mod.l2_normalize_rows(blobs.features[rows])
+    return ssdml.recall_at_k(metric.embed(L, Z), blobs.labels[rows], ks=(1,))[1]
+
+
+class TestSeraphOnStiefel:
+    """SERAPH fits M = L L^T by one optimize_L step per batch."""
+
+    CONFIG = TrainConfig(method="seraph", max_epochs=10)
+
+    def test_every_yielded_L_is_orthonormal(self, monkeypatch):
+        seen = record_checkpoints(monkeypatch, "seraph")
+        train(criterion8_dataset(), self.CONFIG)
+        l = self.CONFIG.embed_dim
+        assert len(seen) == 11
+        assert not np.array_equal(seen[0][0], seen[-1][0])
+        for L, _ in seen:
+            assert np.linalg.norm(L.T @ L - np.eye(l)) <= 1e-10
+
+    def test_summation_order_moves_heldout_r1_at_most_one_point(self, monkeypatch):
+        # the same u^T M u, summed in another order: a chaotic trajectory
+        # would amplify the last-digit differences into different metrics
+        blobs = ssdml.make_blobs(10, 200, 5, 45, 6.0, 4.0, seed=0)
+        semi = ssdml.strip_labels(blobs, 10, seed=0)
+        seen = record_checkpoints(monkeypatch, "seraph")
+        train(semi, self.CONFIG)
+        gemm = [heldout_r1(L, blobs, semi) for L, _ in seen]
+        seen.clear()
+        monkeypatch.setattr(ssdml.baselines, "quad_forms", lambda M, U: np.einsum(
+            "ij,jk,ik->i", U, M, U, optimize=True))
+        train(semi, self.CONFIG)
+        reordered = [heldout_r1(L, blobs, semi) for L, _ in seen]
+        assert len(gemm) == len(reordered) == 11
+        assert max(abs(a - b) for a, b in zip(gemm, reordered)) <= 1.0
+
+
+def test_every_method_starts_from_the_same_checkpoint():
+    dataset = small_semi_dataset()
+    starts = [train(dataset, TrainConfig(method=m, **FAST)).history[0]
+              for m in trainer.METHODS]
+    assert starts[0]["epoch"] == 0 and starts[0]["loss"] is None
+    assert all(start == starts[0] for start in starts)
 
 
 class TestDeterminism:
