@@ -7,10 +7,13 @@ bit-identical.
 Prints one ``name digest`` line per run.  The digest is the first 16 hex
 digits of sha256 over the run's ``history`` as sorted-key JSON, then the
 bytes of ``L`` and, when the model has an encoder, of its ``A`` and ``b``.
-Runs on one BLAS thread, as the benchmark does, so that the digests do not
-depend on the machine's core count.  The perfbench runs train on the CSV
-files that ``perfbench/workloads.make_inputs`` writes to a temporary
-directory; ``perfbench/`` is only read (no bytecode is written there).
+Each perfbench run also prints a ``-eval`` line that hashes the exact NMI and
+Recall@K ``evaluate_checkpoint`` gives the trained model on the workload's
+test CSV (what ``ssdml eval`` prints, before rounding).  Runs on one BLAS
+thread, as the benchmark does, so that the digests do not depend on the
+machine's core count.  The perfbench runs use the CSV files that
+``perfbench/workloads.make_inputs`` writes to a temporary directory;
+``perfbench/`` is only read (no bytecode is written there).
 """
 
 import os
@@ -42,13 +45,21 @@ def digest(model) -> str:
     return h.hexdigest()[:16]
 
 
+def report_digest(report) -> str:
+    scores = {"nmi": report.nmi, "recall_at": report.recall_at}
+    return hashlib.sha256(json.dumps(scores, sort_keys=True).encode()).hexdigest()[:16]
+
+
 def perfbench_run(workload, seed):
+    """Train on the workload's train CSV and score the model on its test CSV."""
     def run():
         with tempfile.TemporaryDirectory() as tmp:
             inputs = make_inputs(WORKLOADS[workload], seed, Path(tmp))
             dataset = ssdml.load_csv(inputs.train_csv)
+            test = ssdml.load_csv(inputs.test_csv)
         config = ssdml.TrainConfig(seed=seed, **WORKLOADS[workload].config)
-        return ssdml.train(dataset, config)
+        model = ssdml.train(dataset, config)
+        return model, ssdml.evaluate_checkpoint(model, test)
     return run
 
 
@@ -57,7 +68,7 @@ def criterion8_run(**config):
     def run():
         blobs = ssdml.make_blobs(10, 200, 5, 45, 6.0, 4.0, seed=0)
         semi = ssdml.strip_labels(blobs, 10, seed=0)
-        return ssdml.train(semi, ssdml.TrainConfig(**config))
+        return ssdml.train(semi, ssdml.TrainConfig(**config)), None
     return run
 
 
@@ -77,7 +88,10 @@ RUNS = {
 
 def main():
     for name, run in RUNS.items():
-        print(name, digest(run()), flush=True)
+        model, report = run()
+        print(name, digest(model), flush=True)
+        if report is not None:
+            print(f"{name}-eval", report_digest(report), flush=True)
 
 
 if __name__ == "__main__":

@@ -16,6 +16,13 @@ metric L0 (the first l coordinates); each seed's line also gives its
 held-out R@1.  ``--rotate`` multiplies the blobs by a seeded random
 orthogonal matrix, so that L0 no longer sees the signal dimensions.
 
+Each seed also gives a label-free reference, ``heldout_r1_laplacian``: the
+held-out R@1 of the L of the l smallest eigenvectors of the kNN smoothness
+form Z^T (D - W) Z, over the l2-normalized train rows of train()'s own
+validation split.  It uses no label and is rotation-invariant, so
+``--rotate`` leaves it unchanged; a method that reads below it does worse
+than this label-free fit.
+
 Also prints the pipeline diagnostics that explain the observed behaviour at
 this noise level: kNN purity of the l2-normalized inputs, the fraction of
 mined triplets whose (positive, negative) ordering agrees/disagrees with the
@@ -31,21 +38,39 @@ import numpy as np
 
 import ssdml
 from ssdml import evaluation, metric
+from ssdml.baselines import stiefel_minimizer
 from ssdml.data import Dataset, split_validation
 from ssdml.encoder import l2_normalize_rows
+from ssdml.graph import knn_laplacian_form
 from ssdml.manifold import random_stiefel
 from ssdml.trainer import (METHODS, Model, TrainConfig, _initial_L,
                            evaluate_checkpoint, train)
 
 
+def train_split(semi, seed):
+    """(train rows, validation rows, eval seed) as train() draws them."""
+    state = np.random.SeedSequence(seed).generate_state(4)
+    train_ds, val = split_validation(semi, TrainConfig().val_fraction, int(state[0]))
+    return train_ds, val, int(state[2])
+
+
 def identity_oracle(semi, seed):
     """Raw-feature metrics on the same validation split train() will use."""
-    state = np.random.SeedSequence(seed).generate_state(4)
-    _, val = split_validation(semi, TrainConfig().val_fraction, int(state[0]))
+    _, val, eval_seed = train_split(semi, seed)
     report = evaluation.evaluate_embeddings(val.features, val.labels,
                                             min(semi.n_classes, val.n), ks=(1,),
-                                            seed=int(state[2]))
+                                            seed=eval_seed)
     return report.nmi, report.recall_at[1]
+
+
+def laplacian_reference(semi, heldout, config):
+    """Held-out R@1 of the label-free L: the l smallest eigenvectors of
+    Z^T (D - W) Z over train()'s l2-normalized train rows Z."""
+    train_ds, _, _ = train_split(semi, config.seed)
+    Z = l2_normalize_rows(train_ds.features)
+    L, _ = stiefel_minimizer(knn_laplacian_form(ssdml.build_knn(Z, config.k), Z),
+                             config.embed_dim)
+    return evaluate_checkpoint(Model(L, None, None), heldout, ks=(1,)).recall_at[1]
 
 
 def rotate(blobs, seed):
@@ -99,7 +124,7 @@ def main():
     seeds = [int(s) for s in args.seeds.split(",")]
 
     oracle_r1, oracle_nmi, best_r1, best_nmi, epoch0_r1 = [], [], [], [], []
-    held_r1, held_nmi, start_r1 = [], [], []
+    held_r1, held_nmi, start_r1, laplacian_r1 = [], [], [], []
     t0 = time.monotonic()
     for seed in seeds:
         blobs = ssdml.make_blobs(10, 200, 5, 45, 6.0, args.noise_sigma,
@@ -127,6 +152,7 @@ def main():
         held_r1.append(held.recall_at[1])
         held_nmi.append(held.nmi)
         start_r1.append(start.recall_at[1])
+        laplacian_r1.append(laplacian_reference(semi, heldout, config))
         print(json.dumps({
             "seed": seed,
             "identity_val_r1": o_r1,
@@ -138,6 +164,7 @@ def main():
             "heldout_r1": round(held.recall_at[1], 1),
             "heldout_nmi": round(held.nmi, 4),
             "heldout_r1_start": round(start.recall_at[1], 1),
+            "heldout_r1_laplacian": round(laplacian_r1[-1], 1),
         }))
 
     med = lambda v: float(np.median(v))
@@ -155,6 +182,8 @@ def main():
         "median_heldout_nmi": round(med(held_nmi), 4),
         "heldout_nmi_min_max": span(held_nmi, 4),
         "median_heldout_r1_start": round(med(start_r1), 1),
+        "median_heldout_r1_laplacian": round(med(laplacian_r1), 1),
+        "heldout_r1_laplacian_min_max": span(laplacian_r1, 1),
         "runtime_seconds": round(time.monotonic() - t0, 1),
     }))
 

@@ -35,13 +35,6 @@ def quad_forms(M: np.ndarray, U: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", U @ M, U)
 
 
-def pair_probability(M, z_i, z_j, y: int, eta: float) -> float:
-    """Logistic similarity model p = 1 / (1 + exp(y (delta^2_M - eta)))."""
-    u = np.asarray(z_i, dtype=np.float64) - np.asarray(z_j, dtype=np.float64)
-    d2 = float(u @ M @ u)
-    return float(sigmoid(-y * (d2 - eta)))
-
-
 def _entropy_terms(a: np.ndarray):
     """Entropy of the two-sided pair model and its derivative wrt a.
 

@@ -52,8 +52,8 @@ def _add_data_flags(p):
 
 
 # Help text for each TrainConfig field that `train` exposes, in --help order.
-# The flag's name, type and default come from the field; `normalize` and
-# `val_fraction` stay library-only.
+# The flag's name, type and default come from the field; `val_fraction`
+# stays library-only.
 _TRAIN_HELP = {
     "method": "graph-triplet method or a classical pairwise baseline",
     "gamma": "affinity propagation weight",
@@ -65,7 +65,8 @@ _TRAIN_HELP = {
     "partition_size": "unlabeled rows per partition (0 = all)",
     "epochs_per_partition": None,
     "max_epochs": "total training epochs across partitions",
-    "inner_l_iters": "metric optimizer steps per batch",
+    "inner_l_iters": "metric optimizer steps per batch (ours only: seraph takes "
+                     "one step per batch, lrml solves in closed form)",
     "seed": "run seed (drives every RNG stream)",
     "orth": "keep the metric factor orthonormal (Stiefel steps); lrml requires it",
     "encoder": "train the affine encoder alongside the metric",

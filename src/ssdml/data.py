@@ -11,7 +11,7 @@ import csv
 import math
 import struct
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,15 +27,12 @@ IDX_LABEL_MAGIC = 0x00000801
 class Dataset:
     """Feature matrix plus per-row optional labels.
 
-    `labels` holds class ids in [0, n_classes) or UNLABELED.  `ids` are
-    stable row identifiers that survive subsetting, so a validation split
-    can be traced back to the original rows.
+    `labels` holds class ids in [0, n_classes) or UNLABELED.
     """
 
     features: np.ndarray
     labels: np.ndarray
     n_classes: int
-    ids: np.ndarray = field(default=None)
 
     def __post_init__(self):
         features = np.ascontiguousarray(np.asarray(self.features, dtype=np.float64))
@@ -44,13 +41,6 @@ class Dataset:
             raise ValueError("features must be a 2-D matrix")
         if labels.shape != (features.shape[0],):
             raise ValueError("labels must have one entry per feature row")
-        ids = self.ids
-        if ids is None:
-            ids = np.arange(features.shape[0], dtype=np.int64)
-        else:
-            ids = np.asarray(ids, dtype=np.int64)
-            if ids.shape != (features.shape[0],):
-                raise ValueError("ids must have one entry per feature row")
         present = labels[labels != UNLABELED]
         if present.size:
             if present.min() < 0 or present.max() >= self.n_classes:
@@ -59,7 +49,6 @@ class Dataset:
                 raise ValueError("n_classes must be >= 2 when any label is present")
         object.__setattr__(self, "features", features)
         object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "ids", ids)
 
     @property
     def n(self) -> int:
@@ -83,7 +72,6 @@ class Dataset:
             features=self.features[rows],
             labels=self.labels[rows],
             n_classes=self.n_classes,
-            ids=self.ids[rows],
         )
 
 
@@ -409,7 +397,7 @@ def strip_labels(dataset: Dataset, keep_per_class: int, seed=0) -> Dataset:
         keep = min(keep_per_class, rows.size)
         chosen = np.sort(rng.choice(rows, size=keep, replace=False))
         labels[chosen] = c
-    return Dataset(dataset.features, labels, dataset.n_classes, ids=dataset.ids)
+    return Dataset(dataset.features, labels, dataset.n_classes)
 
 
 def sample_partition(dataset: Dataset, n_unlabeled: int, seed=0) -> Partition:

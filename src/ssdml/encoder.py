@@ -1,4 +1,4 @@
-"""Shallow trainable feature map: affine layer with optional l2 output norm."""
+"""Shallow trainable feature map: an affine layer with l2-normalized output."""
 
 from __future__ import annotations
 
@@ -34,11 +34,10 @@ def l2_normalize_rows(Z: np.ndarray) -> np.ndarray:
 
 @dataclass
 class Encoder:
-    """z = A x + b, optionally followed by l2 normalization."""
+    """z = (A x + b) / ||A x + b||."""
 
     A: np.ndarray
     b: np.ndarray
-    normalize: bool = False
 
     def __post_init__(self):
         self.A = np.asarray(self.A, dtype=np.float64)
@@ -55,22 +54,19 @@ class Encoder:
         return self.A.shape[0]
 
     @classmethod
-    def initial(cls, d_in: int, normalize: bool = False):
-        """Identity start: the map begins as a copy of x."""
-        return cls(A=np.eye(d_in), b=np.zeros(d_in), normalize=normalize)
+    def initial(cls, d_in: int):
+        """Identity start: the map begins as x / ||x||."""
+        return cls(A=np.eye(d_in), b=np.zeros(d_in))
 
     def copy(self) -> "Encoder":
-        return Encoder(self.A.copy(), self.b.copy(), self.normalize)
+        return Encoder(self.A.copy(), self.b.copy())
 
 
 def forward(encoder: Encoder, X: np.ndarray) -> np.ndarray:
     X = np.asarray(X, dtype=np.float64)
     if X.shape[1] != encoder.d_in:
         raise ValueError("input dimension does not match the encoder")
-    Z = X @ encoder.A.T + encoder.b
-    if encoder.normalize:
-        Z = l2_normalize_rows(Z)
-    return Z
+    return l2_normalize_rows(X @ encoder.A.T + encoder.b)
 
 
 def backward(encoder: Encoder, X: np.ndarray, upstream: np.ndarray):
@@ -83,11 +79,10 @@ def backward(encoder: Encoder, X: np.ndarray, upstream: np.ndarray):
     G = np.asarray(upstream, dtype=np.float64)
     if G.shape != (X.shape[0], encoder.d_out):
         raise ValueError("upstream gradient shape does not match")
-    if encoder.normalize:
-        P = X @ encoder.A.T + encoder.b
-        norms = _row_norms(P)
-        Zhat = P / norms
-        G = (G - Zhat * np.sum(Zhat * G, axis=1, keepdims=True)) / norms
+    P = X @ encoder.A.T + encoder.b
+    norms = _row_norms(P)
+    Zhat = P / norms
+    G = (G - Zhat * np.sum(Zhat * G, axis=1, keepdims=True)) / norms
     dA = G.T @ X
     db = G.sum(axis=0)
     return dA, db
@@ -98,4 +93,4 @@ def sgd_update(encoder: Encoder, grads, lr: float) -> Encoder:
     if lr < 0:
         raise ConfigError("learning rate must be non-negative")
     dA, db = grads
-    return Encoder(encoder.A - lr * dA, encoder.b - lr * db, encoder.normalize)
+    return Encoder(encoder.A - lr * dA, encoder.b - lr * db)

@@ -21,7 +21,6 @@ class EvalReport:
 
     nmi: float
     recall_at: dict
-    n_test: int
 
     def as_json_dict(self) -> dict:
         out = {"nmi": round(self.nmi, 4)}
@@ -305,5 +304,4 @@ def evaluate_embeddings(Z, labels, n_classes=None, ks=DEFAULT_RECALL_KS,
     return EvalReport(
         nmi=nmi(assign, y),
         recall_at=recall_at_k(Z, y, ks=ks),
-        n_test=len(y),
     )

@@ -97,11 +97,10 @@ def check_encoder_end_to_end(seed=0, trials: int = 100) -> float:
         idx = _random_triplets(rng, n, T)
         alpha = float(rng.uniform(15.0, 75.0))
         enc = enc_mod.Encoder(A=rng.standard_normal((d, d_in)),
-                              b=rng.standard_normal(d),
-                              normalize=bool(rng.integers(0, 2)))
+                              b=rng.standard_normal(d))
 
-        def total_loss(A, b, enc=enc, X=X, L=L, idx=idx, alpha=alpha):
-            e = enc_mod.Encoder(A=A, b=b, normalize=enc.normalize)
+        def total_loss(A, b, X=X, L=L, idx=idx, alpha=alpha):
+            e = enc_mod.Encoder(A=A, b=b)
             return metric.angular_loss(L, enc_mod.forward(e, X), idx, alpha)
 
         # the training step: encoder and loss run on the batch's rows only

@@ -66,7 +66,8 @@ class TrainConfig:
     """Hyperparameters for one training run (defaults follow the small-
     dataset protocol: gamma 0.99, k 10, alpha 40 deg, 100-triplet batches,
     lr 1e-4, 10 epochs per partition, 50 epochs total, 10 metric steps
-    per batch)."""
+    per batch; `inner_l_iters` acts on `ours` only: seraph takes one step
+    per batch and lrml solves for L in closed form)."""
 
     method: str = "ours"
     gamma: float = 0.99
@@ -74,7 +75,6 @@ class TrainConfig:
     alpha_deg: float = 40.0
     embed_dim: int = 16
     encoder: bool = False
-    normalize: bool = True  # l2-normalize representations before graph and loss
     orth: bool = True
     lr: float = 1e-4
     batch_triplets: int = 100
@@ -93,17 +93,12 @@ class TrainConfig:
 
 @dataclass
 class Model:
-    """Learned metric factor, optional encoder, and the run that made them.
-
-    `normalize` records whether inputs are l2-normalized before hitting L
-    (the encoder carries its own flag when present).
-    """
+    """Learned metric factor, optional encoder, and the run that made them."""
 
     L: np.ndarray
     encoder: enc_mod.Encoder | None
     config: TrainConfig | None
     history: list = field(default_factory=list)
-    normalize: bool = True
 
 
 class TrainingDiverged(NumericalError):
@@ -158,11 +153,11 @@ def _initial_L(d: int, l: int) -> np.ndarray:
     return L
 
 
-def _represent(encoder, normalize: bool, X):
-    """Loss-space representations: encoder output, or (normalized) raw rows."""
+def _represent(encoder, X):
+    """Loss-space representations: encoder output, or l2-normalized rows."""
     if encoder is not None:
         return enc_mod.forward(encoder, X)
-    return enc_mod.l2_normalize_rows(X) if normalize else X
+    return enc_mod.l2_normalize_rows(X)
 
 
 def _all_labeled_pairs(y_nodes: np.ndarray, n_labeled: int):
@@ -213,8 +208,8 @@ def train(dataset: Dataset, config: TrainConfig) -> Model:
             key = _bits(L) if encoder is None else _bits(L, encoder.A, encoder.b)
             if key != scored:
                 scored = key
-                report = evaluate_checkpoint(Model(L, encoder, None, normalize=config.normalize),
-                                             val_ds, ks=(1,), seed=eval_seed)
+                report = evaluate_checkpoint(Model(L, encoder, None), val_ds,
+                                             ks=(1,), seed=eval_seed)
             v_r1 = report.recall_at[1]
             _record(history, epoch, partition, loss, report.nmi, v_r1)
             if best is None or v_r1 > best[0]:
@@ -222,8 +217,7 @@ def train(dataset: Dataset, config: TrainConfig) -> Model:
     except TrainingDiverged as exc:
         exc.history = history
         raise
-    return Model(L=best[1], encoder=best[2], config=config, history=history,
-                 normalize=config.normalize)
+    return Model(L=best[1], encoder=best[2], config=config, history=history)
 
 
 def _bits(*arrays):
@@ -257,8 +251,7 @@ def _ours_epochs(config, train_ds, schedule, batch_seed):
     encoder."""
     d = train_ds.dim
     L = _initial_L(d, config.embed_dim)
-    encoder = enc_mod.Encoder.initial(d, normalize=config.normalize) \
-        if config.encoder else None
+    encoder = enc_mod.Encoder.initial(d) if config.encoder else None
     yield None, None, L, encoder
 
     t = metric.tan2(config.alpha_deg)
@@ -268,7 +261,7 @@ def _ours_epochs(config, train_ds, schedule, batch_seed):
         rows = part.node_rows
         X = train_ds.features[rows]
         y = train_ds.labels[rows]
-        Z = _represent(encoder, config.normalize, X)
+        Z = _represent(encoder, X)
         if _bits(rows, Z) != mined:  # the same rows and Z give the same triplets
             mined = _bits(rows, Z)
             graph = build_knn(Z, config.k)
@@ -315,7 +308,7 @@ def _seraph_epochs(config, train_ds, schedule, batch_seed, pair_seed):
     step_carry = METRIC_MAX_STEP
     for p, part, epochs in schedule:
         rows = part.node_rows
-        Z = _represent(None, config.normalize, train_ds.features[rows])
+        Z = _represent(None, train_ds.features[rows])
         n_labeled = part.labeled_idx.size
         pairs, y_pairs = _all_labeled_pairs(train_ds.labels[rows], n_labeled)
         unlab_nodes = np.arange(n_labeled, part.n)
@@ -361,7 +354,7 @@ def _lrml_epochs(config, train_ds, schedule):
         rows = part.node_rows
         if _bits(rows) != solved:  # the same rows give the same G and L
             solved = _bits(rows)
-            Z = _represent(None, config.normalize, train_ds.features[rows])
+            Z = _represent(None, train_ds.features[rows])
             n_labeled = part.labeled_idx.size
             S, D, n_sim, n_dis = bl.class_pair_rows(Z[:n_labeled],
                                                     train_ds.labels[rows[:n_labeled]])
@@ -384,7 +377,7 @@ def evaluate_checkpoint(model: Model, dataset: Dataset,
         raise ConfigError("evaluation needs at least 2 labeled rows")
     X = dataset.features[rows]
     y = dataset.labels[rows]
-    Z = _represent(model.encoder, model.normalize, X)
+    Z = _represent(model.encoder, X)
     if Z.shape[1] != model.L.shape[0]:
         raise ConfigError("dataset dimension does not match the model")
     E = metric.embed(model.L, Z)
@@ -394,14 +387,12 @@ def evaluate_checkpoint(model: Model, dataset: Dataset,
 
 def save_model(model: Model, path) -> None:
     """Text format: header, row-major matrices at 17 significant digits,
-
-    then one JSON line for the config and one per history record.
-    """
+    then one JSON line for the config and one per history record.  The
+    header's last field is always 1: inputs reach L l2-normalized."""
     has_enc = model.encoder is not None
-    norm = int(model.encoder.normalize if has_enc else model.normalize)
     d, l = model.L.shape
     with open(path, "w") as fh:
-        fh.write(f"{MODEL_MAGIC} {MODEL_VERSION} {d} {l} {int(has_enc)} {norm}\n")
+        fh.write(f"{MODEL_MAGIC} {MODEL_VERSION} {d} {l} {int(has_enc)} 1\n")
         np.savetxt(fh, model.L, fmt="%.17g")
         if has_enc:
             np.savetxt(fh, model.encoder.A, fmt="%.17g")
@@ -425,8 +416,9 @@ def load_model(path) -> Model:
         d, l, has_enc, norm = (int(v) for v in head[2:])
     except ValueError:
         raise ConfigError(f"{path}: header fields must be integers") from None
-    if min(d, l) < 1 or not {has_enc, norm} <= {0, 1}:
-        raise ConfigError(f"{path}: header needs d, l >= 1 and 0/1 flags")
+    if min(d, l) < 1 or has_enc not in (0, 1) or norm != 1:
+        raise ConfigError(f"{path}: header needs d, l >= 1, a 0/1 encoder flag "
+                          "and 1 (l2-normalized inputs)")
     pos = 1
 
     def take_matrix(rows, cols):
@@ -450,7 +442,7 @@ def load_model(path) -> Model:
     if has_enc:
         A = take_matrix(d, d)
         b = take_matrix(1, d)[0]
-        encoder = enc_mod.Encoder(A=A, b=b, normalize=bool(norm))
+        encoder = enc_mod.Encoder(A=A, b=b)
     config = None
     history = []
     for lineno, ln in enumerate(lines[pos:], start=pos + 1):
@@ -463,11 +455,14 @@ def load_model(path) -> Model:
         if not isinstance(rec, dict):
             raise ConfigError(f"{path}: line {lineno}: record is not a JSON object")
         if "config" in rec:
+            fields = rec["config"]
+            # older files record "normalize": true, the only mode left
+            if isinstance(fields, dict) and fields.pop("normalize", True) is not True:
+                raise ConfigError(f"{path}: line {lineno}: raw-feature models are not supported")
             try:
-                config = TrainConfig(**rec["config"])
+                config = TrainConfig(**fields)
             except TypeError as exc:
                 raise ConfigError(f"{path}: line {lineno}: bad config ({exc})") from None
         else:
             history.append(rec)
-    return Model(L=L, encoder=encoder, config=config, history=history,
-                 normalize=bool(norm))
+    return Model(L=L, encoder=encoder, config=config, history=history)

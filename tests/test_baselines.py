@@ -9,7 +9,7 @@ import pytest
 import ssdml
 from ssdml import gradcheck
 from ssdml.baselines import (class_pair_rows, lrml_gradient, lrml_objective,
-                             pair_diffs, pair_probability, quad_forms,
+                             pair_diffs, quad_forms,
                              seraph_gradient, seraph_loss_and_grad_L,
                              seraph_objective, stiefel_minimizer)
 from ssdml.trainer import _initial_L
@@ -18,24 +18,6 @@ from ssdml.trainer import _initial_L
 def rows(Z, pairs):
     """Pair-difference rows of Z for a (possibly empty) list of index pairs."""
     return pair_diffs(Z, np.array(pairs, dtype=np.int64).reshape(-1, 2))
-
-
-class TestPairProbability:
-    def test_half_at_threshold(self):
-        M = np.eye(2)
-        z_i, z_j = np.zeros(2), np.array([1.0, 0.0])  # dist2 = 1 = eta
-        for y in (-1, 1):
-            assert pair_probability(M, z_i, z_j, y, eta=1.0) == pytest.approx(0.5)
-
-    def test_similar_close_pair_probability_high(self):
-        M = np.eye(2)
-        p = pair_probability(M, np.zeros(2), np.zeros(2), y=1, eta=10.0)
-        assert p > 0.99
-
-    def test_dissimilar_close_pair_probability_low(self):
-        M = np.eye(2)
-        p = pair_probability(M, np.zeros(2), np.zeros(2), y=-1, eta=10.0)
-        assert p < 0.01
 
 
 def loop_sq_dists(M, Z, pairs):

@@ -356,6 +356,63 @@ class TestExitCodes:
         assert [json.loads(line)["epoch"] for line in out.splitlines()] == [0, 1]
 
 
+def older_model_text(model_path):
+    """The file as written before raw-feature mode was dropped: the same,
+    except that its config record holds "normalize": true after "encoder"."""
+    lines = model_path.read_text().splitlines(keepends=True)
+    for i, line in enumerate(lines):
+        if line.startswith('{"config"'):
+            config = {}
+            for key, value in json.loads(line)["config"].items():
+                config[key] = value
+                if key == "encoder":
+                    config["normalize"] = True
+            lines[i] = json.dumps({"config": config}) + "\n"
+    return "".join(lines)
+
+
+class TestOlderModelFiles:
+    @pytest.fixture(params=[False, True], ids=["linear", "encoder"])
+    def model_path(self, request, blob_csv, tmp_path, capsys):
+        path = tmp_path / "m.model"
+        args = ["train", "--data", blob_csv, "--k", 4, "--embed-dim", 3,
+                "--batch-triplets", 40, "--max-epochs", 2,
+                "--epochs-per-partition", 1, "--model", path]
+        if request.param:
+            args += ["--encoder", "--lr", 1e-3]
+        assert run_cli(args) == 0
+        capsys.readouterr()
+        return path
+
+    def test_normalize_true_loads_and_evaluates_the_same(self, blob_csv, model_path,
+                                                         tmp_path, capsys):
+        older = tmp_path / "older.model"
+        older.write_text(older_model_text(model_path))
+        assert '"normalize": true, "orth"' in older.read_text()
+        assert ssdml.load_model(older).config == ssdml.load_model(model_path).config
+        reports = []
+        for path in (model_path, older):
+            assert run_cli(["eval", "--data", blob_csv, "--model", path]) == 0
+            reports.append(capsys.readouterr().out)
+        assert reports[0] == reports[1] and json.loads(reports[0])["r@1"] >= 0
+
+    @pytest.mark.parametrize("raw", ["header-flag", "config"])
+    def test_raw_feature_model_is_two(self, blob_csv, model_path, tmp_path, capsys,
+                                      raw):
+        text = older_model_text(model_path)
+        if raw == "header-flag":
+            head, rest = text.split("\n", 1)
+            assert head.endswith(" 1")
+            text = head[:-1] + "0\n" + rest
+        else:
+            text = text.replace('"normalize": true', '"normalize": false')
+        bad = tmp_path / "raw.model"
+        bad.write_text(text)
+        assert run_cli(["eval", "--data", blob_csv, "--model", bad]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+
+
 def test_train_flag_defaults_equal_train_config():
     from dataclasses import fields
 
@@ -364,7 +421,7 @@ def test_train_flag_defaults_equal_train_config():
     args = build_parser().parse_args(["train", "--data", "x.csv"])
     cfg = TrainConfig()
     exposed = {f.name for f in fields(TrainConfig) if hasattr(args, f.name)}
-    # normalize and val_fraction are library-only
+    # val_fraction is library-only
     assert exposed == {
         "method", "gamma", "k", "alpha_deg", "embed_dim", "lr", "batch_triplets",
         "partition_size", "epochs_per_partition", "max_epochs", "inner_l_iters",

@@ -9,26 +9,19 @@ from ssdml.errors import ConfigError, NumericalError
 
 
 class TestForward:
-    def test_identity_no_normalize(self):
-        enc = Encoder(A=np.eye(3), b=np.zeros(3), normalize=False)
-        X = np.random.default_rng(0).standard_normal((5, 3))
-        assert np.array_equal(forward(enc, X), X)
-
     def test_normalized_rows_unit_norm(self):
         rng = np.random.default_rng(1)
-        enc = Encoder(A=rng.standard_normal((4, 3)), b=rng.standard_normal(4),
-                      normalize=True)
+        enc = Encoder(A=rng.standard_normal((4, 3)), b=rng.standard_normal(4))
         Z = forward(enc, rng.standard_normal((10, 3)) + 2.0)
         assert np.abs(np.linalg.norm(Z, axis=1) - 1.0).max() <= 1e-12
 
     def test_constant_map_collapses_to_basis_vector(self):
-        enc = Encoder(A=np.zeros((3, 2)), b=np.array([1.0, 0.0, 0.0]),
-                      normalize=True)
+        enc = Encoder(A=np.zeros((3, 2)), b=np.array([1.0, 0.0, 0.0]))
         Z = forward(enc, np.random.default_rng(2).standard_normal((4, 2)))
         assert np.allclose(Z, np.array([1.0, 0.0, 0.0]))
 
     def test_zero_output_rejected_when_normalizing(self):
-        enc = Encoder(A=np.zeros((2, 2)), b=np.zeros(2), normalize=True)
+        enc = Encoder(A=np.zeros((2, 2)), b=np.zeros(2))
         with pytest.raises(NumericalError, match="degenerate"):
             forward(enc, np.ones((3, 2)))
 
@@ -41,21 +34,10 @@ class TestForward:
 class TestBackward:
     def test_zero_upstream_zero_grads(self):
         rng = np.random.default_rng(3)
-        enc = Encoder(A=rng.standard_normal((3, 4)), b=rng.standard_normal(3),
-                      normalize=True)
+        enc = Encoder(A=rng.standard_normal((3, 4)), b=rng.standard_normal(3))
         X = rng.standard_normal((6, 4)) + 1.0
         dA, db = backward(enc, X, np.zeros((6, 3)))
         assert np.all(dA == 0.0) and np.all(db == 0.0)
-
-    def test_plain_affine_layer_outer_product(self):
-        rng = np.random.default_rng(4)
-        enc = Encoder(A=rng.standard_normal((3, 2)), b=rng.standard_normal(3),
-                      normalize=False)
-        x = rng.standard_normal((1, 2))
-        g = rng.standard_normal((1, 3))
-        dA, db = backward(enc, x, g)
-        assert np.allclose(dA, np.outer(g[0], x[0]))
-        assert np.allclose(db, g[0])
 
     def test_end_to_end_finite_differences(self):
         assert gradcheck.check_encoder_end_to_end(seed=5, trials=25) <= 1e-5
@@ -92,7 +74,7 @@ def test_l2_normalize_rows_rejects_near_zero():
 def test_row_whose_norm_overflows_is_rejected():
     # ||(1e200, 1e200)|| overflows to inf; dividing by it would give a zero row
     X = np.array([[1e200, 1e200], [1.0, 2.0]])
-    enc = Encoder(A=np.eye(2), b=np.zeros(2), normalize=True)
+    enc = Encoder(A=np.eye(2), b=np.zeros(2))
     with np.errstate(all="raise"):  # no overflow warning reaches the caller
         with pytest.raises(NumericalError, match="not finite"):
             l2_normalize_rows(X)

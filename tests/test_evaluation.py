@@ -428,7 +428,6 @@ class TestEvaluateEmbeddings:
                        rng.standard_normal((10, 2)) + 8.0])
         y = np.array([0] * 10 + [1] * 10)
         report = evaluate_embeddings(Z, y, ks=(1, 2, 4, 8), seed=0)
-        assert report.n_test == 20
         assert 0.0 <= report.nmi <= 1.0 + 1e-12
         assert list(report.as_json_dict()) == ["nmi", "r@1", "r@2", "r@4", "r@8"]
 

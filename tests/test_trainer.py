@@ -52,12 +52,12 @@ def full_rows_train_ours(dataset, config):
     train_ds, val_ds = split_validation(dataset, config.val_fraction, split_seed)
     n_p = train_ds.unlabeled_indices.size
     L = trainer._initial_L(train_ds.dim, config.embed_dim)
-    encoder = enc_mod.Encoder.initial(train_ds.dim, normalize=config.normalize)
+    encoder = enc_mod.Encoder.initial(train_ds.dim)
     t = metric.tan2(config.alpha_deg)
 
     def validate(epoch, partition, loss):
-        report = evaluate_checkpoint(Model(L, encoder, None, normalize=config.normalize),
-                                     val_ds, ks=(1,), seed=eval_seed)
+        report = evaluate_checkpoint(Model(L, encoder, None), val_ds, ks=(1,),
+                                     seed=eval_seed)
         trainer._record(history, epoch, partition, loss, report.nmi, report.recall_at[1])
         return report.recall_at[1]
 
@@ -214,22 +214,23 @@ class TestTrainOurs:
         np.testing.assert_allclose(model.encoder.b, encoder.b, rtol=1e-9, atol=1e-12)
 
     def test_frozen_encoder_equals_linear_training_on_raw(self):
-        # identity encoder, normalize off, lr 0  ==  plain linear metric
-        # learning on raw features
+        # identity encoder at lr 0  ==  plain linear metric learning on the
+        # (l2-normalized) raw features
         ds = small_semi_dataset()
-        base = dict(FAST)
-        frozen = train(ds, TrainConfig(encoder=True, normalize=False, lr=0.0,
-                                       **base))
-        linear = train(ds, TrainConfig(encoder=False, normalize=False, **base))
+        frozen = train(ds, TrainConfig(encoder=True, lr=0.0, **FAST))
+        linear = train(ds, TrainConfig(encoder=False, **FAST))
         assert frozen.history == linear.history
         assert np.array_equal(frozen.L, linear.L)
 
-    def test_divergence_aborts_with_history(self):
-        ds = small_semi_dataset()
-        bad = Dataset(ds.features.copy(), ds.labels, ds.n_classes)
-        bad.features[0, 0] = np.nan
+    def test_divergence_aborts_with_history(self, monkeypatch):
+        loss_and_grad = metric.loss_and_grad
+
+        def nan_loss(L, W, t):
+            return np.nan, loss_and_grad(L, W, t)[1]
+
+        monkeypatch.setattr(metric, "loss_and_grad", nan_loss)
         with pytest.raises(TrainingDiverged) as err:
-            train(bad, TrainConfig(normalize=False, **FAST))
+            train(small_semi_dataset(), TrainConfig(**FAST))
         history = err.value.history
         assert isinstance(history, list) and history
         assert [rec["epoch"] for rec in history] == list(range(len(history)))
@@ -256,8 +257,7 @@ class TestDriver:
         def scripted_report(model, dataset, ks, seed):
             # scored right after its epoch's yield: the latest checkpoint
             assert same_checkpoint((model.L, model.encoder), seen[-1])
-            return EvalReport(nmi=0.5, recall_at={1: scripted[len(seen) - 1]},
-                              n_test=dataset.n)
+            return EvalReport(nmi=0.5, recall_at={1: scripted[len(seen) - 1]})
 
         monkeypatch.setattr(trainer, "evaluate_checkpoint", scripted_report)
         # partitions of 100 of the 128 unlabeled rows differ, and so do the
@@ -384,6 +384,16 @@ class TestTrainBaselines:
     def test_baseline_metric_psd_factorization_shape(self):
         model = train(small_semi_dataset(), TrainConfig(method="lrml", **FAST))
         assert model.L.shape == (8, 4)
+
+    @pytest.mark.parametrize("method", trainer.METHODS)
+    def test_inner_l_iters_acts_on_ours_only(self, method):
+        # seraph takes one optimize_L step per batch and lrml solves in
+        # closed form: neither reads inner_l_iters
+        ds = small_semi_dataset()
+        one, ten = (train(ds, TrainConfig(method=method, **dict(FAST, inner_l_iters=n)))
+                    for n in (1, 10))
+        same = one.history == ten.history and np.array_equal(one.L, ten.L)
+        assert same == (method != "ours")
 
 
 def record_checkpoints(monkeypatch, method):
@@ -538,7 +548,6 @@ class TestModelIO:
         assert back.encoder is None
         assert back.config == model.config
         assert back.history == model.history
-        assert back.normalize == model.normalize
 
     def test_round_trip_with_encoder(self, tmp_path):
         model = train(small_semi_dataset(),
@@ -549,7 +558,6 @@ class TestModelIO:
         assert np.array_equal(back.L, model.L)
         assert np.array_equal(back.encoder.A, model.encoder.A)
         assert np.array_equal(back.encoder.b, model.encoder.b)
-        assert back.encoder.normalize == model.encoder.normalize
 
     def test_header_line_format(self, tmp_path):
         model = train(small_semi_dataset(), TrainConfig(**FAST))
@@ -575,17 +583,18 @@ class TestModelIO:
 
 class TestEvaluateCheckpoint:
     def test_identity_model_equals_raw_feature_metrics(self):
+        # every model sees the raw features l2-normalized
         ds = ssdml.make_blobs(3, 20, 2, 2, 8.0, 1.0, seed=4)
-        model = Model(L=np.eye(4), encoder=None, config=None, normalize=False)
+        model = Model(L=np.eye(4), encoder=None, config=None)
         report = evaluate_checkpoint(model, ds, seed=11)
-        raw = ssdml.evaluate_embeddings(ds.features, ds.labels,
-                                        n_classes=3, seed=11)
+        raw = ssdml.evaluate_embeddings(enc_mod.l2_normalize_rows(ds.features),
+                                        ds.labels, n_classes=3, seed=11)
         assert report.nmi == raw.nmi
         assert report.recall_at == raw.recall_at
 
     def test_report_keys(self):
         ds = ssdml.make_blobs(3, 20, 2, 2, 8.0, 1.0, seed=4)
-        model = Model(L=np.eye(4), encoder=None, config=None, normalize=False)
+        model = Model(L=np.eye(4), encoder=None, config=None)
         report = evaluate_checkpoint(model, ds, seed=0)
         assert list(report.as_json_dict()) == ["nmi", "r@1", "r@2", "r@4", "r@8"]
 
@@ -598,6 +607,6 @@ class TestEvaluateCheckpoint:
 
     def test_dimension_mismatch(self):
         ds = ssdml.make_blobs(3, 10, 2, 0, 8.0, 1.0, seed=6)
-        model = Model(L=np.eye(7), encoder=None, config=None, normalize=False)
+        model = Model(L=np.eye(7), encoder=None, config=None)
         with pytest.raises(ConfigError):
             evaluate_checkpoint(model, ds)
