@@ -13,7 +13,9 @@ inputs, and the summary the median gain over it: the identity baseline
 scores raw features, so its "gain" also credits what the starting metric
 already does before any training step.  Every method starts from the same
 metric L0 (the first l coordinates); each seed's line also gives its
-held-out R@1.  ``--rotate`` multiplies the blobs by a seeded random
+held-out R@1, and ``heldout_r1_final`` that of the last epoch's metric (the
+run replayed through train()'s own epoch generator, checked against its
+final loss).  ``--rotate`` multiplies the blobs by a seeded random
 orthogonal matrix, so that L0 no longer sees the signal dimensions.
 
 Each seed also gives a label-free reference, ``heldout_r1_laplacian``: the
@@ -39,34 +41,39 @@ import numpy as np
 import ssdml
 from ssdml import evaluation, metric
 from ssdml.baselines import stiefel_minimizer
-from ssdml.data import Dataset, split_validation
+from ssdml.data import Dataset
 from ssdml.encoder import l2_normalize_rows
 from ssdml.graph import knn_laplacian_form
 from ssdml.manifold import random_stiefel
-from ssdml.trainer import (METHODS, Model, TrainConfig, _initial_L,
+from ssdml.trainer import (METHODS, Model, TrainConfig, _epochs, _initial_L, _split,
                            evaluate_checkpoint, train)
 
 
-def train_split(semi, seed):
-    """(train rows, validation rows, eval seed) as train() draws them."""
-    state = np.random.SeedSequence(seed).generate_state(4)
-    train_ds, val = split_validation(semi, TrainConfig().val_fraction, int(state[0]))
-    return train_ds, val, int(state[2])
-
-
-def identity_oracle(semi, seed):
+def identity_oracle(semi, config):
     """Raw-feature metrics on the same validation split train() will use."""
-    _, val, eval_seed = train_split(semi, seed)
+    _, val, (_, eval_seed, _, _) = _split(semi, config)
     report = evaluation.evaluate_embeddings(val.features, val.labels,
                                             min(semi.n_classes, val.n), ks=(1,),
                                             seed=eval_seed)
     return report.nmi, report.recall_at[1]
 
 
+def final_epoch_model(semi, config, model):
+    """train()'s last-epoch (L, encoder), replayed through the same epoch
+    generator; raises unless its loss is the history's last."""
+    train_ds, _, seeds = _split(semi, config)
+    for _, loss, L, encoder in _epochs(config, train_ds, seeds):
+        pass
+    if float(loss) != model.history[-1]["loss"]:
+        raise RuntimeError(f"replayed final loss {float(loss)!r} differs from "
+                           f"train()'s {model.history[-1]['loss']!r}")
+    return Model(L, encoder, None)
+
+
 def laplacian_reference(semi, heldout, config):
     """Held-out R@1 of the label-free L: the l smallest eigenvectors of
     Z^T (D - W) Z over train()'s l2-normalized train rows Z."""
-    train_ds, _, _ = train_split(semi, config.seed)
+    train_ds, _, _ = _split(semi, config)
     Z = l2_normalize_rows(train_ds.features)
     L, _ = stiefel_minimizer(knn_laplacian_form(ssdml.build_knn(Z, config.k), Z),
                              config.embed_dim)
@@ -83,8 +90,7 @@ def rotate(blobs, seed):
 def pipeline_diagnostics(blobs, semi, config, rotation):
     """Graph and triplet quality; the signal and noise subspaces are the
     first 5 and the next 5 input coordinates, carried through `rotation`."""
-    part = ssdml.sample_partition(semi, semi.unlabeled_indices.size, seed=1)
-    rows = part.node_rows
+    rows = ssdml.sample_partition(semi, 0, seed=1)
     Z = l2_normalize_rows(semi.features[rows])
     y_true = blobs.labels[rows]
     graph = ssdml.build_knn(Z, config.k)
@@ -124,7 +130,7 @@ def main():
     seeds = [int(s) for s in args.seeds.split(",")]
 
     oracle_r1, oracle_nmi, best_r1, best_nmi, epoch0_r1 = [], [], [], [], []
-    held_r1, held_nmi, start_r1, laplacian_r1 = [], [], [], []
+    held_r1, held_nmi, start_r1, laplacian_r1, final_r1 = [], [], [], [], []
     t0 = time.monotonic()
     for seed in seeds:
         blobs = ssdml.make_blobs(10, 200, 5, 45, 6.0, args.noise_sigma,
@@ -137,7 +143,7 @@ def main():
         if args.diagnostics and seed == seeds[0]:
             print(json.dumps({"diagnostics":
                               pipeline_diagnostics(blobs, semi, config, rotation)}))
-        o_nmi, o_r1 = identity_oracle(semi, seed)
+        o_nmi, o_r1 = identity_oracle(semi, config)
         model = train(semi, config)
         rec = max(model.history, key=lambda h: h["val_r1"])
         heldout = blobs.subset(semi.unlabeled_indices)
@@ -153,6 +159,8 @@ def main():
         held_nmi.append(held.nmi)
         start_r1.append(start.recall_at[1])
         laplacian_r1.append(laplacian_reference(semi, heldout, config))
+        final = evaluate_checkpoint(final_epoch_model(semi, config, model), heldout, ks=(1,))
+        final_r1.append(final.recall_at[1])
         print(json.dumps({
             "seed": seed,
             "identity_val_r1": o_r1,
@@ -165,6 +173,7 @@ def main():
             "heldout_nmi": round(held.nmi, 4),
             "heldout_r1_start": round(start.recall_at[1], 1),
             "heldout_r1_laplacian": round(laplacian_r1[-1], 1),
+            "heldout_r1_final": round(final_r1[-1], 1),
         }))
 
     med = lambda v: float(np.median(v))
@@ -184,6 +193,8 @@ def main():
         "median_heldout_r1_start": round(med(start_r1), 1),
         "median_heldout_r1_laplacian": round(med(laplacian_r1), 1),
         "heldout_r1_laplacian_min_max": span(laplacian_r1, 1),
+        "median_heldout_r1_final": round(med(final_r1), 1),
+        "heldout_r1_final_min_max": span(final_r1, 1),
         "runtime_seconds": round(time.monotonic() - t0, 1),
     }))
 

@@ -7,8 +7,8 @@ Stiefel manifold.  Ships two classical pairwise baselines and a
 clustering/retrieval evaluation stack.
 """
 
-from .data import (Dataset, Partition, load_csv, make_blobs, parse_idx,
-                   sample_partition, split_validation, strip_labels, write_csv)
+from .data import (Dataset, load_csv, make_blobs, parse_idx, sample_partition,
+                   split_validation, strip_labels, write_csv)
 from .errors import (ConfigError, ConvergenceError, DataFormatError,
                      NumericalError, SsdmlError)
 from .evaluation import EvalReport, evaluate_embeddings, kmeans, nmi, recall_at_k
@@ -26,7 +26,7 @@ __version__ = "0.1.0"
 __all__ = [
     "ConfigError", "ConvergenceError", "DataFormatError", "Dataset",
     "EdgeAffinity", "EvalReport", "Model", "NeighborGraph", "NumericalError",
-    "Partition", "SsdmlError", "TrainConfig", "angular_loss", "angular_margin",
+    "SsdmlError", "TrainConfig", "angular_loss", "angular_margin",
     "batch_triplets", "build_knn", "embed", "evaluate_checkpoint",
     "evaluate_embeddings", "kmeans", "laplacian", "load_csv", "load_model",
     "mahalanobis_sq", "make_blobs", "mine_triplets", "neighbor_matrix", "nmi",

@@ -137,10 +137,7 @@ def _cmd_eval(args) -> int:
 
 def _partition_graph(args):
     dataset = _load_dataset(args)
-    n_p = dataset.unlabeled_indices.size if args.partition_size == 0 \
-        else args.partition_size
-    part = sample_partition(dataset, n_p, args.seed)
-    rows = part.node_rows
+    rows = sample_partition(dataset, args.partition_size, args.seed)
     Z = l2_normalize_rows(dataset.features[rows])
     return build_knn(Z, args.k), dataset.labels[rows]
 

@@ -75,32 +75,6 @@ class Dataset:
         )
 
 
-@dataclass(frozen=True)
-class Partition:
-    """Node set for one round of graph construction.
-
-    Nodes are ordered labeled rows first, then the sampled unlabeled rows;
-    downstream affinity seeding relies on that order.
-    """
-
-    labeled_idx: np.ndarray
-    unlabeled_idx: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "labeled_idx", np.asarray(self.labeled_idx, dtype=np.int64))
-        object.__setattr__(self, "unlabeled_idx", np.asarray(self.unlabeled_idx, dtype=np.int64))
-        if np.intersect1d(self.labeled_idx, self.unlabeled_idx).size:
-            raise ValueError("labeled and unlabeled index sets overlap")
-
-    @property
-    def node_rows(self) -> np.ndarray:
-        return np.concatenate([self.labeled_idx, self.unlabeled_idx])
-
-    @property
-    def n(self) -> int:
-        return self.labeled_idx.size + self.unlabeled_idx.size
-
-
 def _rng(seed):
     if int(seed) < 0:
         raise ConfigError(f"seed must be non-negative (got {seed})")
@@ -400,11 +374,10 @@ def strip_labels(dataset: Dataset, keep_per_class: int, seed=0) -> Dataset:
     return Dataset(dataset.features, labels, dataset.n_classes)
 
 
-def sample_partition(dataset: Dataset, n_unlabeled: int, seed=0) -> Partition:
-    """All labeled rows plus n_unlabeled rows sampled without replacement.
-
-    n_unlabeled = 0 gives the labeled-only (supervised) degenerate case.
-    """
+def sample_partition(dataset: Dataset, n_unlabeled: int, seed=0) -> np.ndarray:
+    """A partition's node rows: every labeled row, ascending, then
+    n_unlabeled unlabeled rows sampled without replacement, ascending
+    (0 = every unlabeled row).  Affinity seeding relies on that order."""
     labeled = dataset.labeled_indices
     unlabeled = dataset.unlabeled_indices
     if labeled.size == 0:
@@ -416,8 +389,8 @@ def sample_partition(dataset: Dataset, n_unlabeled: int, seed=0) -> Partition:
             f"requested {n_unlabeled} unlabeled rows, only {unlabeled.size} available"
         )
     rng = _rng(seed)
-    chosen = np.sort(rng.choice(unlabeled, size=n_unlabeled, replace=False))
-    return Partition(labeled_idx=labeled, unlabeled_idx=chosen)
+    chosen = np.sort(rng.choice(unlabeled, size=n_unlabeled or unlabeled.size, replace=False))
+    return np.concatenate([labeled, chosen])
 
 
 def split_validation(dataset: Dataset, fraction: float, seed=0):

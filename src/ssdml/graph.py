@@ -63,9 +63,10 @@ def _pair_sq_dists(A, ia, B, ib):
     """
     out = np.empty(ia.size)
     chunk = max(1, KNN_BLOCK_ENTRIES // max(A.shape[1], 1))
-    for s in range(0, ia.size, chunk):
-        diff = A[ia[s:s + chunk]] - B[ib[s:s + chunk]]
-        out[s:s + chunk] = np.einsum("ij,ij->i", diff, diff)
+    with np.errstate(invalid="ignore"):  # inf - inf: a NaN distance, ranked last
+        for s in range(0, ia.size, chunk):
+            diff = A[ia[s:s + chunk]] - B[ib[s:s + chunk]]
+            out[s:s + chunk] = np.einsum("ij,ij->i", diff, diff)
     return out
 
 

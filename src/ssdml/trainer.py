@@ -172,12 +172,7 @@ def train(dataset: Dataset, config: TrainConfig) -> Model:
     """Run the configured method and return the best-validation model: the
     first epoch (0 = the start) with the highest validation Recall@1."""
     _validate(config, dataset)
-    n_partitions = math.ceil(config.max_epochs / config.epochs_per_partition)
-    state = np.random.SeedSequence(config.seed).generate_state(4 + n_partitions)
-    split_seed, batch_seed, eval_seed, pair_seed = (int(s) for s in state[:4])
-    partition_seeds = [int(s) for s in state[4:]]
-
-    train_ds, val_ds = split_validation(dataset, config.val_fraction, split_seed)
+    train_ds, val_ds, seeds = _split(dataset, config)
     if val_ds.n < 2:
         raise ConfigError("validation split has fewer than 2 rows; add labeled data")
     val_counts = np.bincount(val_ds.labels[val_ds.labeled_indices],
@@ -189,16 +184,7 @@ def train(dataset: Dataset, config: TrainConfig) -> Model:
             "moves in coarse steps, so the kept checkpoint is a noisy pick",
             stacklevel=2,
         )
-    n_p = train_ds.unlabeled_indices.size if config.partition_size == 0 \
-        else config.partition_size
-
-    schedule = _schedule(config, train_ds, n_p, partition_seeds)
-    if config.method == "ours":
-        epochs = _ours_epochs(config, train_ds, schedule, batch_seed)
-    elif config.method == "seraph":
-        epochs = _seraph_epochs(config, train_ds, schedule, batch_seed, pair_seed)
-    else:
-        epochs = _lrml_epochs(config, train_ds, schedule)
+    epochs = _epochs(config, train_ds, seeds)
 
     history, best, scored = [], None, None
     try:
@@ -209,7 +195,7 @@ def train(dataset: Dataset, config: TrainConfig) -> Model:
             if key != scored:
                 scored = key
                 report = evaluate_checkpoint(Model(L, encoder, None), val_ds,
-                                             ks=(1,), seed=eval_seed)
+                                             ks=(1,), seed=seeds[1])
             v_r1 = report.recall_at[1]
             _record(history, epoch, partition, loss, report.nmi, v_r1)
             if best is None or v_r1 > best[0]:
@@ -218,6 +204,27 @@ def train(dataset: Dataset, config: TrainConfig) -> Model:
         exc.history = history
         raise
     return Model(L=best[1], encoder=best[2], config=config, history=history)
+
+
+def _split(dataset, config):
+    """(train_ds, val_ds, seeds) as train() draws them: the stratified
+    validation split, then the batch, eval and pair seeds and the list of
+    per-partition seeds, all from one SeedSequence(config.seed)."""
+    n_partitions = math.ceil(config.max_epochs / config.epochs_per_partition)
+    state = np.random.SeedSequence(config.seed).generate_state(4 + n_partitions).tolist()
+    train_ds, val_ds = split_validation(dataset, config.val_fraction, state[0])
+    return train_ds, val_ds, (*state[1:4], state[4:])
+
+
+def _epochs(config, train_ds, seeds):
+    """The configured method's epoch generator over `_schedule`'s partitions."""
+    batch_seed, _, pair_seed, partition_seeds = seeds
+    schedule = _schedule(config, train_ds, partition_seeds)
+    if config.method == "ours":
+        return _ours_epochs(config, train_ds, schedule, batch_seed)
+    if config.method == "seraph":
+        return _seraph_epochs(config, train_ds, schedule, batch_seed, pair_seed)
+    return _lrml_epochs(config, train_ds, schedule)
 
 
 def _bits(*arrays):
@@ -235,13 +242,13 @@ def _record(history, epoch, partition, loss, v_nmi, v_r1):
     })
 
 
-def _schedule(config, train_ds, n_p, partition_seeds):
-    """Yield (p, partition, epochs): each partition's 1-based epoch numbers,
-    epochs_per_partition of them, cut off at max_epochs."""
+def _schedule(config, train_ds, partition_seeds):
+    """Yield (p, rows, epochs): each partition's node rows and 1-based epoch
+    numbers, epochs_per_partition of them, cut off at max_epochs."""
     per = config.epochs_per_partition
     for p, part_seed in enumerate(partition_seeds):
         epochs = range(p * per + 1, min((p + 1) * per, config.max_epochs) + 1)
-        yield p, sample_partition(train_ds, n_p, part_seed), epochs
+        yield p, sample_partition(train_ds, config.partition_size, part_seed), epochs
 
 
 def _ours_epochs(config, train_ds, schedule, batch_seed):
@@ -257,8 +264,7 @@ def _ours_epochs(config, train_ds, schedule, batch_seed):
     t = metric.tan2(config.alpha_deg)
     step_carry = METRIC_MAX_STEP
     mined, triplets = None, None  # the rows and Z last mined, and their triplets
-    for p, part, epochs in schedule:
-        rows = part.node_rows
+    for p, rows, epochs in schedule:
         X = train_ds.features[rows]
         y = train_ds.labels[rows]
         Z = _represent(encoder, X)
@@ -306,12 +312,11 @@ def _seraph_epochs(config, train_ds, schedule, batch_seed, pair_seed):
     yield None, None, L, None
 
     step_carry = METRIC_MAX_STEP
-    for p, part, epochs in schedule:
-        rows = part.node_rows
+    n_labeled = train_ds.labeled_indices.size  # every partition's first rows
+    for p, rows, epochs in schedule:
         Z = _represent(None, train_ds.features[rows])
-        n_labeled = part.labeled_idx.size
         pairs, y_pairs = _all_labeled_pairs(train_ds.labels[rows], n_labeled)
-        unlab_nodes = np.arange(n_labeled, part.n)
+        unlab_nodes = np.arange(n_labeled, rows.size)
 
         for epoch in epochs:
             rng = np.random.default_rng(
@@ -349,17 +354,16 @@ def _lrml_epochs(config, train_ds, schedule):
     l = config.embed_dim
     yield None, None, _initial_L(train_ds.dim, l), None
 
+    n_labeled = train_ds.labeled_indices.size  # every partition's first rows
     solved = None  # the rows of the last partition solved
-    for p, part, epochs in schedule:
-        rows = part.node_rows
+    for p, rows, epochs in schedule:
         if _bits(rows) != solved:  # the same rows give the same G and L
             solved = _bits(rows)
             Z = _represent(None, train_ds.features[rows])
-            n_labeled = part.labeled_idx.size
             S, D, n_sim, n_dis = bl.class_pair_rows(Z[:n_labeled],
                                                     train_ds.labels[rows[:n_labeled]])
             quad = knn_laplacian_form(build_knn(Z, config.k), Z) \
-                * (2.0 * LRML_LAPLACIAN_WEIGHT / (part.n * config.k))
+                * (2.0 * LRML_LAPLACIAN_WEIGHT / (rows.size * config.k))
             G = bl.lrml_gradient(S, D, quad, gamma_s=config.lrml_gamma_s / max(n_sim, 1),
                                  gamma_d=config.lrml_gamma_d / max(n_dis, 1))
             if not np.isfinite(G).all():

@@ -21,8 +21,7 @@ def run_cli(args):
 def partition_graph(csv_path, k):
     """The graph `propagate` and `mine` build at their default partition."""
     dataset = ssdml.load_csv(csv_path)
-    part = ssdml.sample_partition(dataset, dataset.unlabeled_indices.size, 0)
-    rows = part.node_rows
+    rows = ssdml.sample_partition(dataset, 0, 0)
     return build_knn(l2_normalize_rows(dataset.features[rows]), k), dataset.labels[rows]
 
 
@@ -152,6 +151,16 @@ class TestPropagateMine:
         expected = mine_triplets(propagation.propagate(graph, labels, 0.99), graph)
         rows = [[int(v) for v in ln.split(",")] for ln in lines[1:]]
         assert np.array_equal(rows, expected)
+
+    @pytest.mark.parametrize("command", ["propagate", "mine"])
+    def test_size_zero_is_every_unlabeled_row(self, blob_csv, tmp_path, command):
+        outputs = []
+        for size in (0, ssdml.load_csv(blob_csv).unlabeled_indices.size):
+            out = tmp_path / f"{size}.csv"
+            assert run_cli([command, "--data", blob_csv, "--k", 4,
+                            "--partition-size", size, "--seed", 3, "--out", out]) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
 
 
 class TestGradcheck:

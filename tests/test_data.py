@@ -384,18 +384,22 @@ class TestMakeBlobs:
 class TestSamplePartition:
     def test_all_labeled_plus_sample(self):
         ds = strip_labels(ssdml.make_blobs(2, 60, 2, 0, 8.0, seed=0), 10, seed=0)
-        part = ssdml.sample_partition(ds, 30, seed=4)
-        assert part.labeled_idx.size == 20
-        assert part.unlabeled_idx.size == 30
-        assert part.n == 50
-        assert np.intersect1d(part.labeled_idx, part.unlabeled_idx).size == 0
+        rows = ssdml.sample_partition(ds, 30, seed=4)
+        assert rows.dtype == np.int64 and rows.size == 50
+        # every labeled row, ascending, then 30 distinct unlabeled rows, ascending
+        assert np.array_equal(rows[:20], ds.labeled_indices)
+        assert np.all(np.diff(rows[20:]) > 0)
+        assert np.all(ds.labels[rows[20:]] == UNLABELED)
 
-    def test_whole_and_empty_unlabeled(self):
-        ds = strip_labels(ssdml.make_blobs(2, 10, 2, 0, 8.0, seed=0), 4, seed=0)
-        whole = ssdml.sample_partition(ds, ds.unlabeled_indices.size, seed=0)
-        assert whole.n == ds.n
-        labeled_only = ssdml.sample_partition(ds, 0, seed=0)
-        assert labeled_only.n == ds.labeled_indices.size
+    def test_zero_means_every_unlabeled_row(self):
+        ds = strip_labels(ssdml.make_blobs(3, 20, 2, 0, 8.0, seed=0), 4, seed=0)
+        whole = np.concatenate([ds.labeled_indices, ds.unlabeled_indices])
+        for seed in (0, 1, 7, 123):
+            rows = ssdml.sample_partition(ds, 0, seed=seed)
+            assert rows.dtype == np.int64
+            assert np.array_equal(rows, whole)
+            assert np.array_equal(rows, ssdml.sample_partition(
+                ds, ds.unlabeled_indices.size, seed=seed))
 
     def test_no_labeled_rows_rejected(self):
         ds = Dataset(np.zeros((4, 2)), np.full(4, UNLABELED), 0)
@@ -428,7 +432,7 @@ class TestSamplePartition:
         n_u, n_p, trials = unlabeled.size, 5, 10_000
         counts = {int(i): 0 for i in unlabeled}
         for s in range(trials):
-            for i in ssdml.sample_partition(ds, n_p, seed=s).unlabeled_idx:
+            for i in ssdml.sample_partition(ds, n_p, seed=s)[ds.labeled_indices.size:]:
                 counts[int(i)] += 1
         p = n_p / n_u
         sigma = np.sqrt(p * (1 - p) / trials)

@@ -35,7 +35,8 @@ def row_loop_knn(Z, k):
     Z = np.asarray(Z, dtype=np.float64)
     out = np.empty((len(Z), k), dtype=np.int64)
     for i in range(len(Z)):
-        diff = Z - Z[i]
+        with np.errstate(invalid="ignore"):  # inf - inf: a NaN distance
+            diff = Z - Z[i]
         d2 = np.einsum("ij,ij->i", diff, diff)
         d2[i] = np.inf
         out[i] = np.argsort(d2, kind="stable")[:k]

@@ -1,6 +1,5 @@
 """Orchestration: alternation, model selection, serialization, determinism."""
 
-import math
 import warnings
 
 import numpy as np
@@ -9,7 +8,7 @@ import pytest
 import ssdml
 from ssdml import encoder as enc_mod
 from ssdml import metric, trainer
-from ssdml.data import Dataset, sample_partition, split_validation
+from ssdml.data import Dataset, sample_partition
 from ssdml.errors import ConfigError
 from ssdml.evaluation import EvalReport
 from ssdml.trainer import (Model, TrainConfig, TrainingDiverged,
@@ -33,14 +32,6 @@ FAST = dict(k=4, embed_dim=4, batch_triplets=50, max_epochs=4,
             epochs_per_partition=2, inner_l_iters=5)
 
 
-def train_seeds(config):
-    """The seed state train() draws from: (split, batch, eval, pair) seeds,
-    then one seed per partition."""
-    n_partitions = math.ceil(config.max_epochs / config.epochs_per_partition)
-    state = np.random.SeedSequence(config.seed).generate_state(4 + n_partitions)
-    return [int(s) for s in state[:4]], [int(s) for s in state[4:]]
-
-
 def full_rows_train_ours(dataset, config):
     """Oracle for train(method="ours", encoder=True): the same alternation,
     but the loss, the embedding gradient and the encoder run on every row
@@ -48,9 +39,8 @@ def full_rows_train_ours(dataset, config):
 
     Returns (history, L, encoder) of the best-validation checkpoint.
     """
-    (split_seed, batch_seed, eval_seed, _), partition_seeds = train_seeds(config)
-    train_ds, val_ds = split_validation(dataset, config.val_fraction, split_seed)
-    n_p = train_ds.unlabeled_indices.size
+    train_ds, val_ds, (batch_seed, eval_seed, _, partition_seeds) = \
+        trainer._split(dataset, config)
     L = trainer._initial_L(train_ds.dim, config.embed_dim)
     encoder = enc_mod.Encoder.initial(train_ds.dim)
     t = metric.tan2(config.alpha_deg)
@@ -65,7 +55,7 @@ def full_rows_train_ours(dataset, config):
     best = (validate(0, None, None), L.copy(), encoder.copy())
     epoch, step = 0, trainer.METRIC_MAX_STEP
     for p, part_seed in enumerate(partition_seeds):
-        rows = sample_partition(train_ds, n_p, part_seed).node_rows
+        rows = sample_partition(train_ds, config.partition_size, part_seed)
         X = train_ds.features[rows]
         Z = enc_mod.forward(encoder, X)
         graph = ssdml.build_knn(Z, config.k)
@@ -296,8 +286,7 @@ class TestDriver:
         assert distinct == (2 if run["method"] == "lrml" else 1)
         assert calls["evaluate_checkpoint"] == distinct
         assert len(seen) == len(model.history) == 6
-        (split_seed, _, eval_seed, _), _ = train_seeds(config)
-        _, val_ds = split_validation(dataset, config.val_fraction, split_seed)
+        _, val_ds, (_, eval_seed, _, _) = trainer._split(dataset, config)
         for (L, enc), rec in zip(seen, model.history):
             fresh = evaluate_checkpoint(Model(L, enc, None), val_ds, ks=(1,), seed=eval_seed)
             assert (rec["val_r1"], rec["val_nmi"]) == (fresh.recall_at[1], fresh.nmi)
@@ -309,8 +298,7 @@ class TestDriver:
         dataset = small_semi_dataset()
         config = TrainConfig(**run, **DRIVER)
         model = train(dataset, config)
-        (split_seed, _, eval_seed, _), _ = train_seeds(config)
-        _, val_ds = split_validation(dataset, config.val_fraction, split_seed)
+        _, val_ds, (_, eval_seed, _, _) = trainer._split(dataset, config)
         report = evaluate_checkpoint(model, val_ds, ks=(1,), seed=eval_seed)
         kept = max(model.history, key=lambda rec: rec["val_r1"])
         assert (kept["val_r1"], kept["val_nmi"]) == (report.recall_at[1], report.nmi)
@@ -463,8 +451,7 @@ class TestLrmlClosedForm:
         # validation split
         start_L = trainer._initial_L(dataset.dim, l)
         assert np.array_equal(seen[0][0], start_L)
-        (split_seed, _, eval_seed, _), _ = train_seeds(self.CONFIG)
-        _, val_ds = split_validation(dataset, self.CONFIG.val_fraction, split_seed)
+        _, val_ds, (_, eval_seed, _, _) = trainer._split(dataset, self.CONFIG)
         start = evaluate_checkpoint(Model(start_L, None, None), val_ds, ks=(1,), seed=eval_seed)
         assert model.history[0] == {"epoch": 0, "partition": None, "loss": None,
                                     "val_nmi": start.nmi, "val_r1": start.recall_at[1]}
