@@ -83,6 +83,12 @@ RUNS = {
     "criterion8-no-orth-5": criterion8_run(orth=False, max_epochs=5),
     "criterion8-seraph-20": criterion8_run(method="seraph", max_epochs=20),
     "criterion8-lrml-50": criterion8_run(method="lrml", max_epochs=50),
+    # partition_size 300 samples two distinct partitions
+    "criterion8-seraph-p300-20": criterion8_run(method="seraph", partition_size=300,
+                                                max_epochs=20),
+    "criterion8-lrml-p300-20": criterion8_run(method="lrml", partition_size=300,
+                                              max_epochs=20),
+    "criterion8-ours-p300-20": criterion8_run(partition_size=300, max_epochs=20),
 }
 
 

@@ -2,36 +2,20 @@
 """Orthogonality ablation on the synthetic benchmark.
 
 Runs the default configuration twice per seed, with the Stiefel constraint
-on and off, and emits the two validation trajectories side by side as JSON
-lines.  Each line also scores the selected checkpoint on the held-out rows
-(the unlabeled rows with their true labels); a last line per configuration
-gives the held-out figures' min-max across seeds.  No ordering between the
-two is asserted; the output is for inspection.
+on and off, and prints one JSON line per run: the synthetic benchmark's
+per-seed figures (``score_seed``), the kept epoch's named ``best_val_*``,
+plus the last epoch's validation R@1.  A last line per configuration gives
+the held-out figures' min-max across seeds.  No ordering between the two is
+asserted; the output is for inspection.
 """
 
 import argparse
 import json
 
-import ssdml
-from ssdml.trainer import TrainConfig, evaluate_checkpoint, train
+from run_synthetic_benchmark import rounded, score_seed, seed_data
+from ssdml.trainer import TrainConfig
 
-
-def run_once(seed, orth, noise_sigma, labeled_per_class):
-    blobs = ssdml.make_blobs(10, 200, 5, 45, 6.0, noise_sigma, seed=seed)
-    semi = ssdml.strip_labels(blobs, labeled_per_class, seed=seed)
-    model = train(semi, TrainConfig(seed=seed, orth=orth))
-    best = max(model.history, key=lambda h: h["val_r1"])
-    held = evaluate_checkpoint(model, blobs.subset(semi.unlabeled_indices), ks=(1,))
-    return {
-        "config": "w/ orth" if orth else "w/o orth",
-        "seed": seed,
-        "best_val_r1": best["val_r1"],
-        "best_val_nmi": round(best["val_nmi"], 4),
-        "best_epoch": best["epoch"],
-        "heldout_r1": round(held.recall_at[1], 1),
-        "heldout_nmi": round(held.nmi, 4),
-        "final_val_r1": model.history[-1]["val_r1"],
-    }
+RENAMED = {"trained_val_r1": "best_val_r1", "trained_val_nmi": "best_val_nmi"}
 
 
 def main():
@@ -43,8 +27,12 @@ def main():
 
     rows = []
     for seed in (int(s) for s in args.seeds.split(",")):
+        blobs, semi, _ = seed_data(seed, args.noise_sigma, args.labeled_per_class)
         for orth in (True, False):
-            rows.append(run_once(seed, orth, args.noise_sigma, args.labeled_per_class))
+            figures, model = score_seed(blobs, semi, TrainConfig(seed=seed, orth=orth))
+            rows.append({"config": "w/ orth" if orth else "w/o orth",
+                         **{RENAMED.get(k, k): v for k, v in rounded(figures).items()},
+                         "final_val_r1": model.history[-1]["val_r1"]})
             print(json.dumps(rows[-1]))
     for config in ("w/ orth", "w/o orth"):
         mine = [r for r in rows if r["config"] == config]

@@ -13,10 +13,9 @@ inputs, and the summary the median gain over it: the identity baseline
 scores raw features, so its "gain" also credits what the starting metric
 already does before any training step.  Every method starts from the same
 metric L0 (the first l coordinates); each seed's line also gives its
-held-out R@1, and ``heldout_r1_final`` that of the last epoch's metric (the
-run replayed through train()'s own epoch generator, checked against its
-final loss).  ``--rotate`` multiplies the blobs by a seeded random
-orthogonal matrix, so that L0 no longer sees the signal dimensions.
+held-out R@1, and ``heldout_r1_final`` that of the last epoch's metric,
+from the same training run.  ``--rotate`` multiplies the blobs by a seeded
+random orthogonal matrix, so that L0 no longer sees the signal dimensions.
 
 Each seed also gives a label-free reference, ``heldout_r1_laplacian``: the
 held-out R@1 of the L of the l smallest eigenvectors of the kNN smoothness
@@ -45,39 +44,61 @@ from ssdml.data import Dataset
 from ssdml.encoder import l2_normalize_rows
 from ssdml.graph import knn_laplacian_form
 from ssdml.manifold import random_stiefel
-from ssdml.trainer import (METHODS, Model, TrainConfig, _epochs, _initial_L, _split,
-                           evaluate_checkpoint, train)
+from ssdml.trainer import METHODS, Model, TrainConfig, _initial_L, _run, _split, evaluate_checkpoint
 
 
-def identity_oracle(semi, config):
-    """Raw-feature metrics on the same validation split train() will use."""
-    _, val, (_, eval_seed, _, _) = _split(semi, config)
-    report = evaluation.evaluate_embeddings(val.features, val.labels,
-                                            min(semi.n_classes, val.n), ks=(1,),
-                                            seed=eval_seed)
-    return report.nmi, report.recall_at[1]
-
-
-def final_epoch_model(semi, config, model):
-    """train()'s last-epoch (L, encoder), replayed through the same epoch
-    generator; raises unless its loss is the history's last."""
-    train_ds, _, seeds = _split(semi, config)
-    for _, loss, L, encoder in _epochs(config, train_ds, seeds):
-        pass
-    if float(loss) != model.history[-1]["loss"]:
-        raise RuntimeError(f"replayed final loss {float(loss)!r} differs from "
-                           f"train()'s {model.history[-1]['loss']!r}")
-    return Model(L, encoder, None)
-
-
-def laplacian_reference(semi, heldout, config):
-    """Held-out R@1 of the label-free L: the l smallest eigenvectors of
-    Z^T (D - W) Z over train()'s l2-normalized train rows Z."""
-    train_ds, _, _ = _split(semi, config)
+def score_seed(blobs, semi, config):
+    """(figures, model) of one training run: the seed's figures, unrounded,
+    and the model train() returns.  The identity baseline scores raw
+    features on train()'s validation split; the label-free reference is the
+    L of the l smallest eigenvectors of Z^T (D - W) Z over train()'s
+    l2-normalized train rows Z."""
+    train_ds, val, (_, eval_seed, _, _) = _split(semi, config)
+    identity = evaluation.evaluate_embeddings(val.features, val.labels,
+                                              min(semi.n_classes, val.n), ks=(1,),
+                                              seed=eval_seed)
     Z = l2_normalize_rows(train_ds.features)
-    L, _ = stiefel_minimizer(knn_laplacian_form(ssdml.build_knn(Z, config.k), Z),
-                             config.embed_dim)
-    return evaluate_checkpoint(Model(L, None, None), heldout, ks=(1,)).recall_at[1]
+    laplacian_L, _ = stiefel_minimizer(knn_laplacian_form(ssdml.build_knn(Z, config.k), Z),
+                                       config.embed_dim)
+    model, (L, encoder) = _run(semi, config)
+    rec = max(model.history, key=lambda h: h["val_r1"])
+    heldout = blobs.subset(semi.unlabeled_indices)
+
+    def held(L, encoder=None):
+        return evaluate_checkpoint(Model(L, encoder, None), heldout, ks=(1,))
+
+    kept = held(model.L, model.encoder)
+    return {
+        "seed": config.seed,
+        "identity_val_r1": identity.recall_at[1],
+        "identity_val_nmi": identity.nmi,
+        "trained_val_r1": rec["val_r1"],
+        "trained_val_nmi": rec["val_nmi"],
+        "epoch0_val_r1": model.history[0]["val_r1"],
+        "best_epoch": rec["epoch"],
+        "heldout_r1": kept.recall_at[1],
+        "heldout_nmi": kept.nmi,
+        "heldout_r1_start": held(_initial_L(semi.dim, config.embed_dim)).recall_at[1],
+        "heldout_r1_laplacian": held(laplacian_L).recall_at[1],
+        "heldout_r1_final": held(L, encoder).recall_at[1],
+    }, model
+
+
+def rounded(figures):
+    """score_seed's figures as printed: NMI to 4 digits, held-out R@1 to 1."""
+    return {k: round(v, 4) if k.endswith("nmi") else round(v, 1) if k.startswith("heldout_r1")
+            else v for k, v in figures.items()}
+
+
+def seed_data(seed, noise_sigma, labeled_per_class, rotated=False):
+    """(blobs, semi, rotation) of one seed: the 10-class blobs, times a
+    random orthogonal matrix when `rotated` (else the identity), and the
+    same rows with `labeled_per_class` labels kept per class."""
+    blobs = ssdml.make_blobs(10, 200, 5, 45, 6.0, noise_sigma, seed=seed)
+    rotation = np.eye(blobs.dim)
+    if rotated:
+        blobs, rotation = rotate(blobs, seed)
+    return blobs, ssdml.strip_labels(blobs, labeled_per_class, seed=seed), rotation
 
 
 def rotate(blobs, seed):
@@ -129,72 +150,41 @@ def main():
     args = ap.parse_args()
     seeds = [int(s) for s in args.seeds.split(",")]
 
-    oracle_r1, oracle_nmi, best_r1, best_nmi, epoch0_r1 = [], [], [], [], []
-    held_r1, held_nmi, start_r1, laplacian_r1, final_r1 = [], [], [], [], []
+    rows = []
     t0 = time.monotonic()
     for seed in seeds:
-        blobs = ssdml.make_blobs(10, 200, 5, 45, 6.0, args.noise_sigma,
-                                 seed=seed)
-        rotation = np.eye(blobs.dim)
-        if args.rotate:
-            blobs, rotation = rotate(blobs, seed)
-        semi = ssdml.strip_labels(blobs, args.labeled_per_class, seed=seed)
+        blobs, semi, rotation = seed_data(seed, args.noise_sigma, args.labeled_per_class,
+                                          args.rotate)
         config = TrainConfig(seed=seed, method=args.method)
         if args.diagnostics and seed == seeds[0]:
             print(json.dumps({"diagnostics":
                               pipeline_diagnostics(blobs, semi, config, rotation)}))
-        o_nmi, o_r1 = identity_oracle(semi, config)
-        model = train(semi, config)
-        rec = max(model.history, key=lambda h: h["val_r1"])
-        heldout = blobs.subset(semi.unlabeled_indices)
-        held = evaluate_checkpoint(model, heldout, ks=(1,))
-        start = evaluate_checkpoint(Model(_initial_L(semi.dim, config.embed_dim), None, None),
-                                    heldout, ks=(1,))
-        oracle_r1.append(o_r1)
-        oracle_nmi.append(o_nmi)
-        best_r1.append(rec["val_r1"])
-        best_nmi.append(rec["val_nmi"])
-        epoch0_r1.append(model.history[0]["val_r1"])
-        held_r1.append(held.recall_at[1])
-        held_nmi.append(held.nmi)
-        start_r1.append(start.recall_at[1])
-        laplacian_r1.append(laplacian_reference(semi, heldout, config))
-        final = evaluate_checkpoint(final_epoch_model(semi, config, model), heldout, ks=(1,))
-        final_r1.append(final.recall_at[1])
-        print(json.dumps({
-            "seed": seed,
-            "identity_val_r1": o_r1,
-            "identity_val_nmi": round(o_nmi, 4),
-            "trained_val_r1": rec["val_r1"],
-            "trained_val_nmi": round(rec["val_nmi"], 4),
-            "epoch0_val_r1": model.history[0]["val_r1"],
-            "best_epoch": rec["epoch"],
-            "heldout_r1": round(held.recall_at[1], 1),
-            "heldout_nmi": round(held.nmi, 4),
-            "heldout_r1_start": round(start.recall_at[1], 1),
-            "heldout_r1_laplacian": round(laplacian_r1[-1], 1),
-            "heldout_r1_final": round(final_r1[-1], 1),
-        }))
+        rows.append(score_seed(blobs, semi, config)[0])
+        print(json.dumps(rounded(rows[-1])))
 
-    med = lambda v: float(np.median(v))
-    span = lambda v, digits: [round(float(min(v)), digits), round(float(max(v)), digits)]
+    def med(key):
+        return float(np.median([r[key] for r in rows]))
+
+    def span(key, digits):
+        return [round(float(f(r[key] for r in rows)), digits) for f in (min, max)]
+
     print(json.dumps({
-        "median_identity_r1": med(oracle_r1),
-        "median_trained_r1": med(best_r1),
-        "median_r1_gain": med(best_r1) - med(oracle_r1),
-        "median_epoch0_r1": med(epoch0_r1),
-        "median_gain_over_epoch0": med(best_r1) - med(epoch0_r1),
-        "median_identity_nmi": round(med(oracle_nmi), 4),
-        "median_trained_nmi": round(med(best_nmi), 4),
-        "median_heldout_r1": round(med(held_r1), 1),
-        "heldout_r1_min_max": span(held_r1, 1),
-        "median_heldout_nmi": round(med(held_nmi), 4),
-        "heldout_nmi_min_max": span(held_nmi, 4),
-        "median_heldout_r1_start": round(med(start_r1), 1),
-        "median_heldout_r1_laplacian": round(med(laplacian_r1), 1),
-        "heldout_r1_laplacian_min_max": span(laplacian_r1, 1),
-        "median_heldout_r1_final": round(med(final_r1), 1),
-        "heldout_r1_final_min_max": span(final_r1, 1),
+        "median_identity_r1": med("identity_val_r1"),
+        "median_trained_r1": med("trained_val_r1"),
+        "median_r1_gain": med("trained_val_r1") - med("identity_val_r1"),
+        "median_epoch0_r1": med("epoch0_val_r1"),
+        "median_gain_over_epoch0": med("trained_val_r1") - med("epoch0_val_r1"),
+        "median_identity_nmi": round(med("identity_val_nmi"), 4),
+        "median_trained_nmi": round(med("trained_val_nmi"), 4),
+        "median_heldout_r1": round(med("heldout_r1"), 1),
+        "heldout_r1_min_max": span("heldout_r1", 1),
+        "median_heldout_nmi": round(med("heldout_nmi"), 4),
+        "heldout_nmi_min_max": span("heldout_nmi", 4),
+        "median_heldout_r1_start": round(med("heldout_r1_start"), 1),
+        "median_heldout_r1_laplacian": round(med("heldout_r1_laplacian"), 1),
+        "heldout_r1_laplacian_min_max": span("heldout_r1_laplacian", 1),
+        "median_heldout_r1_final": round(med("heldout_r1_final"), 1),
+        "heldout_r1_final_min_max": span("heldout_r1_final", 1),
         "runtime_seconds": round(time.monotonic() - t0, 1),
     }))
 

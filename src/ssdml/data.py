@@ -262,11 +262,18 @@ def write_csv(dataset: Dataset, path_or_file) -> None:
             fh.close()
 
 
-def _read_be_u32(fh, path, what):
-    raw = fh.read(4)
-    if len(raw) != 4:
-        raise DataFormatError(f"{path}: truncated {what}")
-    return struct.unpack(">I", raw)[0]
+def _read_idx(path, magic, what, n_dims):
+    """An IDX file's `n_dims` big-endian u32 sizes, after its magic number,
+    and its payload."""
+    with open(path, "rb") as fh:
+        head, payload = fh.read(4 * (1 + n_dims)), fh.read()
+    if len(head) >= 4 and (got := int.from_bytes(head[:4], "big")) != magic:
+        raise DataFormatError(
+            f"{path}: wrong magic for {what} (got 0x{got:08x}, want 0x{magic:08x})"
+        )
+    if len(head) != 4 * (1 + n_dims):
+        raise DataFormatError(f"{path}: truncated header")
+    return struct.unpack(f">{n_dims}I", head[4:]), payload
 
 
 def parse_idx(images_path, labels_path) -> Dataset:
@@ -274,42 +281,22 @@ def parse_idx(images_path, labels_path) -> Dataset:
 
     Pixels are flattened row-major and scaled to [0, 1] by dividing by 255.
     """
-    with open(images_path, "rb") as fh:
-        magic = _read_be_u32(fh, images_path, "header")
-        if magic != IDX_IMAGE_MAGIC:
-            raise DataFormatError(
-                f"{images_path}: wrong magic for images "
-                f"(got 0x{magic:08x}, want 0x{IDX_IMAGE_MAGIC:08x})"
-            )
-        n = _read_be_u32(fh, images_path, "header")
-        rows = _read_be_u32(fh, images_path, "header")
-        cols = _read_be_u32(fh, images_path, "header")
-        payload = fh.read()
-        if len(payload) != n * rows * cols:
-            raise DataFormatError(
-                f"{images_path}: truncated payload "
-                f"(got {len(payload)} bytes, want {n * rows * cols})"
-            )
-        pixels = np.frombuffer(payload, dtype=np.uint8).reshape(n, rows * cols)
+    (n, rows, cols), pixels = _read_idx(images_path, IDX_IMAGE_MAGIC, "images", 3)
+    if len(pixels) != n * rows * cols:
+        raise DataFormatError(
+            f"{images_path}: truncated payload "
+            f"(got {len(pixels)} bytes, want {n * rows * cols})"
+        )
+    (n_labels,), labels = _read_idx(labels_path, IDX_LABEL_MAGIC, "labels", 1)
+    if n_labels != n:
+        raise DataFormatError(
+            f"label count {n_labels} does not match image count {n}"
+        )
+    if len(labels) != n_labels:
+        raise DataFormatError(f"{labels_path}: truncated payload")
 
-    with open(labels_path, "rb") as fh:
-        magic = _read_be_u32(fh, labels_path, "header")
-        if magic != IDX_LABEL_MAGIC:
-            raise DataFormatError(
-                f"{labels_path}: wrong magic for labels "
-                f"(got 0x{magic:08x}, want 0x{IDX_LABEL_MAGIC:08x})"
-            )
-        n_labels = _read_be_u32(fh, labels_path, "header")
-        if n_labels != n:
-            raise DataFormatError(
-                f"label count {n_labels} does not match image count {n}"
-            )
-        payload = fh.read()
-        if len(payload) != n_labels:
-            raise DataFormatError(f"{labels_path}: truncated payload")
-        labels = np.frombuffer(payload, dtype=np.uint8).astype(np.int64)
-
-    features = pixels.astype(np.float64) / 255.0
+    features = np.frombuffer(pixels, dtype=np.uint8).reshape(n, rows * cols) / 255.0
+    labels = np.frombuffer(labels, dtype=np.uint8).astype(np.int64)
     n_classes = max(int(labels.max()) + 1, 2) if labels.size else 0
     return Dataset(features, labels, n_classes)
 

@@ -1,11 +1,13 @@
 """Training orchestration: one driver, one epoch generator per method.
 
-`train()` is the only loop that validates, records the history, keeps the
-checkpoint with the best validation Recall@1 and attaches the history to a
-`TrainingDiverged`.  It scores a checkpoint only when L or the encoder
+`train()`'s one run, `_run`, is the only loop that validates, records the
+history, keeps the checkpoint with the best validation Recall@1 and
+attaches the history to a `TrainingDiverged`; it also hands back the last
+epoch's checkpoint.  It scores a checkpoint only when L or the encoder
 differs bit for bit from the previous epoch's; a repeat records the
-previous report again.  Each method is a generator that yields one
-`(partition, loss, L, encoder)` per epoch, the starting point included,
+previous report again.  `_epochs` yields every method's start, the first l
+coordinates (`_initial_L`) and the identity encoder when it is on, then
+one `(partition, loss, L, encoder)` per epoch from the method's generator,
 over the partitions and epochs that `_schedule` hands out.  The paper's
 method samples a partition of the unlabeled data, builds a kNN graph over
 its representations Z (the l2-normalized inputs, or the encoder's output)
@@ -13,11 +15,11 @@ before the metric L is applied, propagates seed affinities, mines triplets,
 and then alternates per batch between metric steps and an SGD step on the
 encoder.  SERAPH takes one `optimize_L` step per batch of the partition's
 labeled and unlabeled pairs instead; LRML solves for an orthonormal L in
-closed form once per partition.  Every method starts from the same L, the
-first l coordinates (`_initial_L`), and fits M = L L^T through L alone.  A
-partition whose rows (and, for the paper's method, Z) equal the previous
-partition's reuses its triplets or LRML's L: with `partition_size = 0`
-every partition holds the same rows.
+closed form once per partition.  Every method fits M = L L^T through L
+alone.  Every partition starts with the labeled rows, so work that reads
+only them is done once per run.  A partition whose rows (and, for the
+paper's method, Z) equal the previous partition's reuses its triplets or
+LRML's L: with `partition_size = 0` every partition holds the same rows.
 """
 
 from __future__ import annotations
@@ -160,17 +162,23 @@ def _represent(encoder, X):
     return enc_mod.l2_normalize_rows(X)
 
 
-def _all_labeled_pairs(y_nodes: np.ndarray, n_labeled: int):
+def _all_labeled_pairs(y_labeled: np.ndarray):
     """All labeled-node pairs (i < j) with +1/-1 same/different-class tags."""
-    i, j = np.triu_indices(n_labeled, k=1)
+    i, j = np.triu_indices(y_labeled.size, k=1)
     pairs = np.stack([i, j], axis=1)
-    y = np.where(y_nodes[i] == y_nodes[j], 1, -1)
+    y = np.where(y_labeled[i] == y_labeled[j], 1, -1)
     return pairs, y
 
 
 def train(dataset: Dataset, config: TrainConfig) -> Model:
     """Run the configured method and return the best-validation model: the
     first epoch (0 = the start) with the highest validation Recall@1."""
+    return _run(dataset, config)[0]
+
+
+def _run(dataset, config):
+    """train()'s one run: (the best-validation model, the last epoch's
+    (L, encoder))."""
     _validate(config, dataset)
     train_ds, val_ds, seeds = _split(dataset, config)
     if val_ds.n < 2:
@@ -182,7 +190,7 @@ def train(dataset: Dataset, config: TrainConfig) -> Model:
             f"validation split has fewer than {VAL_MIN_PER_CLASS} rows in class(es) "
             f"{np.flatnonzero(val_counts < VAL_MIN_PER_CLASS).tolist()}; its Recall@1 "
             "moves in coarse steps, so the kept checkpoint is a noisy pick",
-            stacklevel=2,
+            stacklevel=3,
         )
     epochs = _epochs(config, train_ds, seeds)
 
@@ -203,7 +211,7 @@ def train(dataset: Dataset, config: TrainConfig) -> Model:
     except TrainingDiverged as exc:
         exc.history = history
         raise
-    return Model(L=best[1], encoder=best[2], config=config, history=history)
+    return Model(L=best[1], encoder=best[2], config=config, history=history), (L, encoder)
 
 
 def _split(dataset, config):
@@ -217,14 +225,20 @@ def _split(dataset, config):
 
 
 def _epochs(config, train_ds, seeds):
-    """The configured method's epoch generator over `_schedule`'s partitions."""
+    """Every method's start, then the configured method's epochs over
+    `_schedule`'s partitions."""
     batch_seed, _, pair_seed, partition_seeds = seeds
+    L = _initial_L(train_ds.dim, config.embed_dim)
+    encoder = enc_mod.Encoder.initial(train_ds.dim) if config.encoder else None
+    yield None, None, L, encoder
+
     schedule = _schedule(config, train_ds, partition_seeds)
     if config.method == "ours":
-        return _ours_epochs(config, train_ds, schedule, batch_seed)
-    if config.method == "seraph":
-        return _seraph_epochs(config, train_ds, schedule, batch_seed, pair_seed)
-    return _lrml_epochs(config, train_ds, schedule)
+        yield from _ours_epochs(config, train_ds, schedule, batch_seed, L, encoder)
+    elif config.method == "seraph":
+        yield from _seraph_epochs(config, train_ds, schedule, batch_seed, pair_seed, L)
+    else:
+        yield from _lrml_epochs(config, train_ds, schedule)
 
 
 def _bits(*arrays):
@@ -251,16 +265,11 @@ def _schedule(config, train_ds, partition_seeds):
         yield p, sample_partition(train_ds, config.partition_size, part_seed), epochs
 
 
-def _ours_epochs(config, train_ds, schedule, batch_seed):
-    """The paper's method: per partition, a kNN graph over the partition's
-    representations Z, propagated affinities and mined triplets; per batch,
-    Stiefel steps on L and (with the encoder on) one SGD step on the
-    encoder."""
-    d = train_ds.dim
-    L = _initial_L(d, config.embed_dim)
-    encoder = enc_mod.Encoder.initial(d) if config.encoder else None
-    yield None, None, L, encoder
-
+def _ours_epochs(config, train_ds, schedule, batch_seed, L, encoder):
+    """The paper's method from (L, encoder): per partition, a kNN graph over
+    the partition's representations Z, propagated affinities and mined
+    triplets; per batch, Stiefel steps on L and (with the encoder on) one
+    SGD step on the encoder."""
     t = metric.tan2(config.alpha_deg)
     step_carry = METRIC_MAX_STEP
     mined, triplets = None, None  # the rows and Z last mined, and their triplets
@@ -303,20 +312,16 @@ def _ours_epochs(config, train_ds, schedule, batch_seed):
             yield p, epoch_loss / len(triplets), L, encoder
 
 
-def _seraph_epochs(config, train_ds, schedule, batch_seed, pair_seed):
-    """SERAPH over M = L L^T: per batch of the partition's shuffled labeled
-    pairs and random unlabeled pairs, one `optimize_L` step on L."""
-    d = train_ds.dim
-    L = _initial_L(d, config.embed_dim)
+def _seraph_epochs(config, train_ds, schedule, batch_seed, pair_seed, L):
+    """SERAPH over M = L L^T from L: per batch of the shuffled labeled pairs
+    and random unlabeled pairs of the partition, one `optimize_L` step on L."""
     weights = dict(eta=config.seraph_eta, mu=config.seraph_mu, lam=config.seraph_lambda)
-    yield None, None, L, None
-
     step_carry = METRIC_MAX_STEP
-    n_labeled = train_ds.labeled_indices.size  # every partition's first rows
+    labeled = train_ds.labeled_indices  # every partition's first rows
+    pairs, y_pairs = _all_labeled_pairs(train_ds.labels[labeled])
     for p, rows, epochs in schedule:
         Z = _represent(None, train_ds.features[rows])
-        pairs, y_pairs = _all_labeled_pairs(train_ds.labels[rows], n_labeled)
-        unlab_nodes = np.arange(n_labeled, rows.size)
+        unlab_nodes = np.arange(labeled.size, rows.size)
 
         for epoch in epochs:
             rng = np.random.default_rng(
@@ -332,7 +337,7 @@ def _seraph_epochs(config, train_ds, schedule, batch_seed, pair_seed):
                                    rng.choice(unlab_nodes, size=len(sel))], axis=1)
                     V = bl.pair_diffs(Z, up[up[:, 0] != up[:, 1]])
                 else:
-                    V = np.zeros((0, d))
+                    V = np.zeros((0, train_ds.dim))
 
                 def fun_and_grad(Lm, U=U, by=by, V=V):
                     return bl.seraph_loss_and_grad_L(Lm, U, by, V, **weights)
@@ -351,24 +356,21 @@ def _lrml_epochs(config, train_ds, schedule):
     gradient of the objective, which is linear in M, and the L of G's l
     smallest eigenvalues, the minimizer of Tr(L^T G L) = objective(L L^T).
     Every epoch of the partition yields that L."""
-    l = config.embed_dim
-    yield None, None, _initial_L(train_ds.dim, l), None
-
-    n_labeled = train_ds.labeled_indices.size  # every partition's first rows
+    labeled = train_ds.labeled_indices  # every partition's first rows
+    S, D, n_sim, n_dis = bl.class_pair_rows(_represent(None, train_ds.features[labeled]),
+                                            train_ds.labels[labeled])
     solved = None  # the rows of the last partition solved
     for p, rows, epochs in schedule:
         if _bits(rows) != solved:  # the same rows give the same G and L
             solved = _bits(rows)
             Z = _represent(None, train_ds.features[rows])
-            S, D, n_sim, n_dis = bl.class_pair_rows(Z[:n_labeled],
-                                                    train_ds.labels[rows[:n_labeled]])
             quad = knn_laplacian_form(build_knn(Z, config.k), Z) \
                 * (2.0 * LRML_LAPLACIAN_WEIGHT / (rows.size * config.k))
             G = bl.lrml_gradient(S, D, quad, gamma_s=config.lrml_gamma_s / max(n_sim, 1),
                                  gamma_d=config.lrml_gamma_d / max(n_dis, 1))
             if not np.isfinite(G).all():
                 raise TrainingDiverged("LRML objective became non-finite")
-            L, loss = bl.stiefel_minimizer(G, l)
+            L, loss = bl.stiefel_minimizer(G, config.embed_dim)
         for _ in epochs:
             yield p, loss, L, None
 

@@ -1,0 +1,82 @@
+"""The experiment scripts: one training run per seed, scored by one function."""
+
+import importlib.util
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import ssdml
+from ssdml import trainer
+from ssdml.trainer import Model, TrainConfig, evaluate_checkpoint
+
+ROOT = Path(__file__).resolve().parent.parent
+SCRIPTS = ROOT / "scripts"
+
+_spec = importlib.util.spec_from_file_location("run_synthetic_benchmark",
+                                               SCRIPTS / "run_synthetic_benchmark.py")
+benchmark = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(benchmark)
+
+# every per-seed key the scoreboard prints
+PER_SEED_KEYS = {
+    "seed", "identity_val_r1", "identity_val_nmi", "trained_val_r1", "trained_val_nmi",
+    "epoch0_val_r1", "best_epoch", "heldout_r1", "heldout_nmi", "heldout_r1_start",
+    "heldout_r1_laplacian", "heldout_r1_final",
+}
+
+FAST = dict(k=4, embed_dim=4, batch_triplets=50, max_epochs=4,
+            epochs_per_partition=2, inner_l_iters=5)
+
+
+def small_blobs():
+    """(blobs, semi): 4 classes of 40 rows, 20 labels kept per class (3
+    validation rows per class, so train() does not warn)."""
+    blobs = ssdml.make_blobs(4, 40, 3, 5, 6.0, 1.5, seed=1)
+    return blobs, ssdml.strip_labels(blobs, 20, seed=1)
+
+
+@pytest.mark.parametrize("run", [dict(method="ours"), dict(method="ours", encoder=True),
+                                 dict(method="seraph"), dict(method="lrml")],
+                         ids=["ours", "ours-encoder", "seraph", "lrml"])
+def test_score_seed_reads_one_run(monkeypatch, run):
+    blobs, semi = small_blobs()
+    config = TrainConfig(seed=3, **run, **FAST)
+    runs = []
+    epochs = trainer._epochs
+
+    def counted(*args, **kwargs):
+        runs.append(args)
+        return epochs(*args, **kwargs)
+
+    monkeypatch.setattr(trainer, "_epochs", counted)
+    figures, model = benchmark.score_seed(blobs, semi, config)
+    assert len(runs) == 1
+    assert set(figures) == PER_SEED_KEYS
+    assert figures["seed"] == 3
+
+    monkeypatch.setattr(trainer, "_epochs", epochs)
+    best, (L, encoder) = trainer._run(semi, config)
+    assert model.history == best.history
+    heldout = blobs.subset(semi.unlabeled_indices)
+    final = evaluate_checkpoint(Model(L, encoder, None), heldout, ks=(1,))
+    assert figures["heldout_r1_final"] == final.recall_at[1]
+    assert figures["heldout_r1"] == evaluate_checkpoint(best, heldout, ks=(1,)).recall_at[1]
+
+
+def test_rounded_keeps_validation_r1_and_rounds_nmi_and_heldout_r1():
+    figures = {"trained_val_r1": 12.345, "heldout_nmi": 0.123456, "heldout_r1_final": 12.345}
+    assert benchmark.rounded(figures) == {"trained_val_r1": 12.345, "heldout_nmi": 0.1235,
+                                          "heldout_r1_final": 12.3}
+
+
+@pytest.mark.parametrize("script", ["run_orth_ablation.py", "run_synthetic_benchmark.py"])
+def test_script_help_exits_zero(script):
+    path = os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])
+    done = subprocess.run([sys.executable, str(SCRIPTS / script), "--help"],
+                          env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("usage:")

@@ -242,7 +242,7 @@ class TestDriver:
     @pytest.mark.parametrize("run", DRIVER_RUNS.values(), ids=list(DRIVER_RUNS))
     def test_keeps_first_best_checkpoint(self, run, monkeypatch):
         scripted = [10.0, 30.0, 20.0, 30.0, 5.0, 0.0]  # by epoch
-        seen = record_checkpoints(monkeypatch, run["method"])
+        seen = record_checkpoints(monkeypatch)
 
         def scripted_report(model, dataset, ks, seed):
             # scored right after its epoch's yield: the latest checkpoint
@@ -275,7 +275,7 @@ class TestDriver:
     @pytest.mark.parametrize("run", [dict(method="lrml"), dict(method="ours", inner_l_iters=0)],
                              ids=["lrml", "ours-frozen"])
     def test_unchanged_checkpoint_is_scored_once(self, run, monkeypatch):
-        seen = record_checkpoints(monkeypatch, run["method"])
+        seen = record_checkpoints(monkeypatch)
         calls = count_calls(monkeypatch, ["evaluate_checkpoint"])
         dataset = small_semi_dataset()
         config = TrainConfig(**{**DRIVER, **run})
@@ -304,6 +304,23 @@ class TestDriver:
         assert (kept["val_r1"], kept["val_nmi"]) == (report.recall_at[1], report.nmi)
 
 
+class TestRunCheckpoints:
+    """_run() makes train()'s one run and hands back its last checkpoint
+    too."""
+
+    @pytest.mark.parametrize("run", [dict(method="ours", encoder=True, lr=1e-3),
+                                     dict(method="seraph"), dict(method="lrml")],
+                             ids=["ours-encoder", "seraph", "lrml"])
+    def test_last_checkpoint_is_the_epoch_generators_last(self, run):
+        dataset, config = small_semi_dataset(), TrainConfig(**run, **FAST)
+        model, last = trainer._run(dataset, config)
+        train_ds, _, seeds = trainer._split(dataset, config)
+        *_, (_, loss, L, encoder) = trainer._epochs(config, train_ds, seeds)
+        assert same_checkpoint(last, (L, encoder))
+        assert model.history[-1]["loss"] == float(loss)
+        assert model.history == train(dataset, config).history
+
+
 class TestPartitionReuse:
     """A partition whose rows (and, for `ours`, representations Z) equal the
     previous partition's reuses its graph, affinities and triplets, or its
@@ -325,6 +342,18 @@ class TestPartitionReuse:
         assert sorted({rec["partition"] for rec in model.history[1:]}) == [0, 1, 2]
         assert calls == {"build_knn": distinct,
                          "propagate": distinct if run["method"] == "ours" else 0}
+
+    @pytest.mark.parametrize("method, module, name", [
+        ("seraph", trainer, "_all_labeled_pairs"),
+        ("lrml", ssdml.baselines, "class_pair_rows"),
+    ], ids=["seraph", "lrml"])
+    def test_label_only_work_runs_once(self, monkeypatch, method, module, name):
+        # every partition starts with the same labeled rows
+        calls = count_calls(monkeypatch, [name], module)
+        config = TrainConfig(method=method, **FAST, partition_size=100)
+        model = train(small_semi_dataset(), config)
+        assert sorted({rec["partition"] for rec in model.history[1:]}) == [0, 1]
+        assert calls == {name: 1}
 
     @pytest.mark.parametrize("run", [dict(method="ours"), dict(method="lrml"),
                                      dict(method="ours", encoder=True, lr=1e-3)],
@@ -351,6 +380,7 @@ class TestValidationSizeWarning:
             train(ssdml.strip_labels(blobs, 10, seed=1), TrainConfig(**FAST))
         assert [str(w.message).split(";")[0] for w in caught] == [
             "validation split has fewer than 3 rows in class(es) [0, 1, 2, 3]"]
+        assert caught[0].filename == __file__  # train()'s caller
 
     def test_three_rows_per_class_are_quiet(self):
         blobs = ssdml.make_blobs(4, 40, 3, 5, 6.0, 1.5, seed=1)
@@ -384,11 +414,10 @@ class TestTrainBaselines:
         assert same == (method != "ours")
 
 
-def record_checkpoints(monkeypatch, method):
-    """Make train() record the (L, encoder) its method's epoch generator
-    yields, as copies, one per epoch; returns the list they go to."""
-    name = f"_{method}_epochs"
-    epochs = getattr(trainer, name)
+def record_checkpoints(monkeypatch):
+    """Make train() record the (L, encoder) its epoch generator yields, as
+    copies, one per epoch; returns the list they go to."""
+    epochs = trainer._epochs
     seen = []
 
     def recording(*args, **kwargs):
@@ -396,19 +425,19 @@ def record_checkpoints(monkeypatch, method):
             seen.append((L.copy(), None if encoder is None else encoder.copy()))
             yield partition, loss, L, encoder
 
-    monkeypatch.setattr(trainer, name, recording)
+    monkeypatch.setattr(trainer, "_epochs", recording)
     return seen
 
 
-def count_calls(monkeypatch, names):
-    """Count train()'s calls to these trainer-module functions; returns the
+def count_calls(monkeypatch, names, module=trainer):
+    """Count train()'s calls to these functions of `module`; returns the
     name -> count dict the counts go to."""
     calls = dict.fromkeys(names, 0)
     for name in names:
-        def counted(*args, _fn=getattr(trainer, name), _name=name, **kwargs):
+        def counted(*args, _fn=getattr(module, name), _name=name, **kwargs):
             calls[_name] += 1
             return _fn(*args, **kwargs)
-        monkeypatch.setattr(trainer, name, counted)
+        monkeypatch.setattr(module, name, counted)
     return calls
 
 
@@ -433,7 +462,7 @@ class TestLrmlClosedForm:
 
     def test_every_epoch_of_a_partition_yields_one_orthonormal_rank_l_metric(
             self, monkeypatch):
-        seen = record_checkpoints(monkeypatch, "lrml")
+        seen = record_checkpoints(monkeypatch)
         dataset = criterion8_dataset()
         model = train(dataset, self.CONFIG)
         l = self.CONFIG.embed_dim
@@ -476,7 +505,7 @@ class TestSeraphOnStiefel:
     CONFIG = TrainConfig(method="seraph", max_epochs=10)
 
     def test_every_yielded_L_is_orthonormal(self, monkeypatch):
-        seen = record_checkpoints(monkeypatch, "seraph")
+        seen = record_checkpoints(monkeypatch)
         train(criterion8_dataset(), self.CONFIG)
         l = self.CONFIG.embed_dim
         assert len(seen) == 11
@@ -489,7 +518,7 @@ class TestSeraphOnStiefel:
         # would amplify the last-digit differences into different metrics
         blobs = ssdml.make_blobs(10, 200, 5, 45, 6.0, 4.0, seed=0)
         semi = ssdml.strip_labels(blobs, 10, seed=0)
-        seen = record_checkpoints(monkeypatch, "seraph")
+        seen = record_checkpoints(monkeypatch)
         train(semi, self.CONFIG)
         gemm = [heldout_r1(L, blobs, semi) for L, _ in seen]
         seen.clear()
