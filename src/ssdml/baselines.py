@@ -4,11 +4,12 @@ Two objectives are provided: an entropy-regularized pairwise likelihood
 (labeled pairs fit a logistic similarity model, unlabeled pairs pay their
 predictive entropy, a trace term keeps the metric sparse in projections)
 and a min-max pairwise objective with a graph Laplacian smoothness term.
-Both are written as functions of M.  The first is minimized over the factor
-L, like the paper's metric: `seraph_loss_and_grad_L` gives its value and
-gradient wrt L for `manifold.optimize_L`.  The second is linear in M, so
-over L^T L = I it is minimized in closed form by the bottom eigenvectors of
-its gradient (`stiefel_minimizer`).
+Both are written as functions of the factor L, like the paper's metric,
+and never form M: a pair's delta^2_M is the squared norm of its difference
+row times L.  The first is minimized over L by `manifold.optimize_L`, which
+`seraph_loss_and_grad` feeds its value and gradient in one pass.  The
+second is linear in M, so over L^T L = I it is minimized in closed form by
+the bottom eigenvectors of its gradient wrt M (`stiefel_minimizer`).
 """
 
 from __future__ import annotations
@@ -24,15 +25,6 @@ PLOGP_FLOOR = 1e-300
 def pair_diffs(Z: np.ndarray, pairs: np.ndarray) -> np.ndarray:
     """Pair-difference rows u = z_i - z_j, one per (i, j) row of `pairs`."""
     return Z[pairs[:, 0]] - Z[pairs[:, 1]]
-
-
-def quad_forms(M: np.ndarray, U: np.ndarray) -> np.ndarray:
-    """u^T M u for each row u of U: delta^2_M of the pair it came from.
-
-    One GEMM, U M, and a row-wise dot product; a three-operand einsum would
-    run them as an unblocked loop.
-    """
-    return np.einsum("ij,ij->i", U @ M, U)
 
 
 def _entropy_terms(a: np.ndarray):
@@ -52,61 +44,44 @@ def _entropy_terms(a: np.ndarray):
     return H, dH_da
 
 
-def seraph_objective(M, U, y, V, *, eta, mu, lam) -> float:
-    """Labeled-pair negative log-likelihood + mu * unlabeled entropy
-    + lam * trace(M).
+def seraph_loss_and_grad(L, U, y, V, *, eta, mu, lam):
+    """Value and gradient wrt L of the labeled-pair negative log-likelihood
+    + mu * unlabeled entropy + lam * ||L||_F^2 (the trace of M = L L^T).
 
     U holds the labeled pair rows with +1/-1 same/different tags y, and V
-    the unlabeled pair rows (see `pair_diffs`).
+    the unlabeled pair rows (see `pair_diffs`).  A pair's delta^2_M is the
+    squared norm of its row of U L or V L, so the gradient is
+    2 lam L + 2 U^T (c * U L) + 2 mu V^T (dH * V L) with c and dH the
+    derivatives of each pair's term wrt its delta^2.
     """
-    obj = lam * float(np.trace(M))
-    if len(U):
-        a = quad_forms(M, U) - eta
-        # -log p(y) for the logistic model is softplus(y * a)
-        obj += float(softplus(y * a).sum())
-    if len(V):
-        H, _ = _entropy_terms(quad_forms(M, V) - eta)
-        obj += mu * float(H.sum())
-    return obj
+    UL, VL = U @ L, V @ L
+    a = np.einsum("ij,ij->i", UL, UL) - eta
+    H, dH = _entropy_terms(np.einsum("ij,ij->i", VL, VL) - eta)
+    # -log p(y) for the logistic model is softplus(y * a)
+    obj = lam * float(np.sum(L * L)) + float(softplus(y * a).sum()) + mu * float(H.sum())
+    c = y * sigmoid(y * a)  # d softplus(y a)/da
+    grad = 2.0 * (lam * L + U.T @ (c[:, None] * UL) + mu * (V.T @ (dH[:, None] * VL)))
+    return obj, grad
 
 
-def seraph_gradient(M, U, y, V, *, eta, mu, lam) -> np.ndarray:
-    """Analytic gradient of seraph_objective wrt M (symmetric output)."""
-    grad = lam * np.eye(M.shape[0])
-    if len(U):
-        a = quad_forms(M, U) - eta
-        coeff = y * sigmoid(y * a)  # d softplus(y a)/da
-        grad += U.T @ (coeff[:, None] * U)
-    if len(V):
-        _, dH = _entropy_terms(quad_forms(M, V) - eta)
-        grad += mu * (V.T @ (dH[:, None] * V))
-    return (grad + grad.T) / 2.0
-
-
-def seraph_loss_and_grad_L(L, U, y, V, **weights):
-    """(J(L L^T), 2 G(L L^T) L): seraph_objective J at M = L L^T and its
-    gradient wrt L, from the symmetric gradient G wrt M."""
-    M = L @ L.T
-    return (seraph_objective(M, U, y, V, **weights),
-            2.0 * (seraph_gradient(M, U, y, V, **weights) @ L))
-
-
-def lrml_objective(M, S, D, quad, *, gamma_s, gamma_d) -> float:
-    """gamma_s * sum_sim delta^2 - gamma_d * sum_dis delta^2 + Tr(M quad).
+def lrml_objective(L, S, D, quad, *, gamma_s, gamma_d) -> float:
+    """gamma_s * sum_sim delta^2 - gamma_d * sum_dis delta^2 + Tr(L^T quad L)
+    at M = L L^T: Tr(L^T G L) with G = lrml_gradient(...).
 
     S and D hold the similar and dissimilar pair rows (see `pair_diffs`).
     `quad` is the Laplacian smoothness matrix Z^T Lap Z (X Lap X^T with
     examples as columns), or None for no Laplacian term.
     """
-    obj = gamma_s * float(quad_forms(M, S).sum())
-    obj -= gamma_d * float(quad_forms(M, D).sum())
+    obj = gamma_s * float(np.sum((S @ L) ** 2)) - gamma_d * float(np.sum((D @ L) ** 2))
     if quad is not None:
-        obj += float(np.sum(M * quad))  # Tr(M quad) for symmetric quad
+        obj += float(np.sum(L * (quad @ L)))
     return obj
 
 
 def lrml_gradient(S, D, quad, *, gamma_s, gamma_d) -> np.ndarray:
-    """Gradient of lrml_objective; independent of M (the objective is linear)."""
+    """The symmetric G with lrml_objective(L) = Tr(L^T G L): its gradient
+    wrt M = L L^T, independent of M (the objective is linear in M).  The
+    gradient wrt L is 2 G L."""
     grad = gamma_s * (S.T @ S) - gamma_d * (D.T @ D)
     if quad is not None:
         grad = grad + quad

@@ -120,15 +120,15 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    dataset = _load_dataset(args)
-    model = load_model(args.model)
     try:
         ks = tuple(int(v) for v in args.recall_ks.split(","))
-        if not ks:
-            raise ValueError("empty")
     except ValueError:
         raise _UsageError(f"--recall-ks must be comma-separated integers, "
                           f"got {args.recall_ks!r}") from None
+    if min(ks) < 1:  # a K >= n depends on the data, so it stays a data error
+        raise _UsageError(f"--recall-ks must be >= 1, got {args.recall_ks!r}")
+    dataset = _load_dataset(args)
+    model = load_model(args.model)
     report = evaluate_checkpoint(model, dataset, ks=ks, seed=args.seed)
     with _out_stream(args.out) as out:
         out.write(json.dumps(report.as_json_dict()) + "\n")

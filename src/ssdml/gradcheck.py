@@ -120,38 +120,40 @@ def check_encoder_end_to_end(seed=0, trials: int = 100) -> float:
 
 def _random_pair_instance(rng, max_d: int = 6):
     d = int(rng.integers(2, max_d + 1))
+    l = int(rng.integers(1, d + 1))
     n = int(rng.integers(4, 9))
     Z = rng.standard_normal((n, d))
-    A = rng.standard_normal((d, d))
-    M = A @ A.T / d  # PSD start
+    L = rng.standard_normal((d, l)) / np.sqrt(d)
     n_lab = int(rng.integers(1, 5))
     n_unlab = int(rng.integers(1, 5))
     lp = rng.integers(0, n, size=(n_lab, 2))
     up = rng.integers(0, n, size=(n_unlab, 2))
     y = rng.choice([-1, 1], size=n_lab)
-    return Z, M, lp, y, up
+    return Z, L, lp, y, up
 
 
 def check_seraph_grad(seed=0, trials: int = 100) -> float:
+    """The L-gradient SERAPH's optimize_L steps follow."""
     rng = np.random.default_rng(seed)
     weights = dict(eta=1.0, mu=0.7, lam=1e-3)
     worst = 0.0
     for _ in range(trials):
-        Z, M, lp, y, up = _random_pair_instance(rng)
+        Z, L, lp, y, up = _random_pair_instance(rng)
         U, V = bl.pair_diffs(Z, lp), bl.pair_diffs(Z, up)
-        analytic = bl.seraph_gradient(M, U, y, V, **weights)
+        _, analytic = bl.seraph_loss_and_grad(L, U, y, V, **weights)
         numeric = finite_difference_grad(
-            lambda Mx: bl.seraph_objective(Mx, U, y, V, **weights), M)
+            lambda Lx: bl.seraph_loss_and_grad(Lx, U, y, V, **weights)[0], L)
         worst = max(worst, relative_error(analytic, numeric))
     return worst
 
 
 def check_lrml_grad(seed=0, trials: int = 100) -> float:
+    """2 G L, G the matrix LRML's closed form decomposes."""
     rng = np.random.default_rng(seed)
     weights = dict(gamma_s=1.0, gamma_d=0.5)
     worst = 0.0
     for _ in range(trials):
-        Z, M, lp, y, _ = _random_pair_instance(rng)
+        Z, L, lp, y, _ = _random_pair_instance(rng)
         # random symmetric affinity -> valid Laplacian
         n = Z.shape[0]
         W = rng.random((n, n))
@@ -161,9 +163,9 @@ def check_lrml_grad(seed=0, trials: int = 100) -> float:
         quad = Z.T @ Lap @ Z
         U = bl.pair_diffs(Z, lp)
         S, D = U[y > 0], U[y < 0]
-        analytic = bl.lrml_gradient(S, D, quad, **weights)
+        analytic = 2.0 * (bl.lrml_gradient(S, D, quad, **weights) @ L)
         numeric = finite_difference_grad(
-            lambda Mx: bl.lrml_objective(Mx, S, D, quad, **weights), M)
+            lambda Lx: bl.lrml_objective(Lx, S, D, quad, **weights), L)
         worst = max(worst, relative_error(analytic, numeric))
     return worst
 
@@ -172,8 +174,8 @@ SUITES = {
     "angular_loss_grad_L": check_angular_grad_L,
     "angular_loss_grad_embeddings": check_angular_grad_embeddings,
     "encoder_end_to_end": check_encoder_end_to_end,
-    "seraph_grad_M": check_seraph_grad,
-    "lrml_grad_M": check_lrml_grad,
+    "seraph_grad_L": check_seraph_grad,
+    "lrml_grad_L": check_lrml_grad,
 }
 
 

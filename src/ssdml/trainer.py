@@ -313,8 +313,8 @@ def _ours_epochs(config, train_ds, schedule, batch_seed, L, encoder):
 
 
 def _seraph_epochs(config, train_ds, schedule, batch_seed, pair_seed, L):
-    """SERAPH over M = L L^T from L: per batch of the shuffled labeled pairs
-    and random unlabeled pairs of the partition, one `optimize_L` step on L."""
+    """SERAPH from L: per batch of the shuffled labeled pairs and random
+    unlabeled pairs of the partition, one `optimize_L` step on L."""
     weights = dict(eta=config.seraph_eta, mu=config.seraph_mu, lam=config.seraph_lambda)
     step_carry = METRIC_MAX_STEP
     labeled = train_ds.labeled_indices  # every partition's first rows
@@ -340,7 +340,7 @@ def _seraph_epochs(config, train_ds, schedule, batch_seed, pair_seed, L):
                     V = np.zeros((0, train_ds.dim))
 
                 def fun_and_grad(Lm, U=U, by=by, V=V):
-                    return bl.seraph_loss_and_grad_L(Lm, U, by, V, **weights)
+                    return bl.seraph_loss_and_grad(Lm, U, by, V, **weights)
 
                 res = optimize_L(L, fun_and_grad, max_iter=1, step0=step_carry,
                                  orthonormal=config.orth, max_step=METRIC_MAX_STEP)

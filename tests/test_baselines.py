@@ -1,4 +1,4 @@
-"""Entropy and Laplacian pairwise baselines over M = L L^T."""
+"""Entropy and Laplacian pairwise baselines over M = L L^T, written in L."""
 
 import math
 from types import SimpleNamespace
@@ -9,9 +9,8 @@ import pytest
 import ssdml
 from ssdml import gradcheck
 from ssdml.baselines import (class_pair_rows, lrml_gradient, lrml_objective,
-                             pair_diffs, quad_forms,
-                             seraph_gradient, seraph_loss_and_grad_L,
-                             seraph_objective, stiefel_minimizer)
+                             pair_diffs, seraph_loss_and_grad, stiefel_minimizer)
+from ssdml.manifold import random_stiefel
 from ssdml.trainer import _initial_L
 
 
@@ -26,7 +25,7 @@ def loop_sq_dists(M, Z, pairs):
 
 
 def loop_seraph(M, Z, labeled_pairs, labeled_y, unlabeled_pairs, cfg):
-    """Reference objective and gradient from per-pair loops."""
+    """Reference objective and gradient wrt M from per-pair loops."""
     d = M.shape[0]
     obj, grad = cfg.lam * float(np.trace(M)), cfg.lam * np.eye(d)
     for (i, j), y, d2 in zip(labeled_pairs, labeled_y,
@@ -43,63 +42,72 @@ def loop_seraph(M, Z, labeled_pairs, labeled_y, unlabeled_pairs, cfg):
     return obj, (grad + grad.T) / 2.0
 
 
+def seraph_value(L, U, y, V, **weights):
+    return seraph_loss_and_grad(L, U, y, V, **weights)[0]
+
+
 class TestPairDistances:
-    """The GEMM pair distances against an explicit u^T M u loop."""
+    """Squared norms of the rows of U L, the pair distances the SERAPH
+    kernel takes, and the kernel itself, against explicit per-pair loops at
+    M = L L^T."""
 
     @staticmethod
     def problem(seed, n_labeled, n_unlabeled):
         rng = np.random.default_rng(seed)
         n, d = 12, 5
         Z = 0.4 * rng.standard_normal((n, d))
-        B = rng.standard_normal((d, d - 1))  # a general PSD M, rank d - 1
-        M = B @ B.T
+        L = rng.standard_normal((d, d - 1))  # a general M = L L^T, rank d - 1
 
         def pairs(m):
             return rng.integers(0, n, size=(m, 2)).astype(np.int64)
 
         labeled = pairs(n_labeled)
-        return M, Z, labeled, rng.choice([-1, 1], size=n_labeled), pairs(n_unlabeled)
+        return L, Z, labeled, rng.choice([-1, 1], size=n_labeled), pairs(n_unlabeled)
 
     @pytest.mark.parametrize("counts", [(0, 0), (0, 7), (9, 0), (9, 7), (40, 30)])
     def test_pairwise_sq_dists(self, counts):
-        M, Z, labeled, _, unlabeled = self.problem(sum(counts), *counts)
+        L, Z, labeled, _, unlabeled = self.problem(sum(counts), *counts)
         for pairs in (labeled, unlabeled):
-            got = quad_forms(M, pair_diffs(Z, pairs))
-            ref = loop_sq_dists(M, Z, pairs)
+            UL = pair_diffs(Z, pairs) @ L
+            got = np.einsum("ij,ij->i", UL, UL)
+            ref = loop_sq_dists(L @ L.T, Z, pairs)
             assert got.shape == ref.shape == (len(pairs),)
             assert np.abs(got - ref).max(initial=0.0) <= 1e-12 * ref.max(initial=0.0)
 
     @pytest.mark.parametrize("counts", [(0, 0), (0, 7), (9, 0), (9, 7), (40, 30)])
     def test_seraph_objective_and_gradient(self, counts):
-        M, Z, labeled, y, unlabeled = self.problem(sum(counts), *counts)
+        # the kernel's value is the loop's objective at M = L L^T, and its
+        # gradient the chain rule's 2 G L from the loop's gradient G wrt M
+        L, Z, labeled, y, unlabeled = self.problem(sum(counts), *counts)
         cfg = SimpleNamespace(eta=1.0, mu=0.7, lam=0.1)
-        obj_ref, grad_ref = loop_seraph(M, Z, labeled, y, unlabeled, cfg)
+        obj_ref, grad_M = loop_seraph(L @ L.T, Z, labeled, y, unlabeled, cfg)
         U, V = pair_diffs(Z, labeled), pair_diffs(Z, unlabeled)
-        obj = seraph_objective(M, U, y, V, **vars(cfg))
-        grad = seraph_gradient(M, U, y, V, **vars(cfg))
+        obj, grad = seraph_loss_and_grad(L, U, y, V, **vars(cfg))
+        grad_ref = 2.0 * grad_M @ L
         assert obj == pytest.approx(obj_ref, rel=1e-12)
+        assert grad.shape == L.shape
         assert np.abs(grad - grad_ref).max() <= 1e-12 * np.abs(grad_ref).max()
 
 
 class TestSeraphObjective:
     def test_single_pair_at_threshold_gives_log_two(self):
         Z = np.array([[0.0, 0.0], [1.0, 0.0]])
-        obj = seraph_objective(np.eye(2), rows(Z, [[0, 1]]), np.array([1]),
-                               rows(Z, []), eta=1.0, mu=1.0, lam=0.0)
+        obj = seraph_value(np.eye(2), rows(Z, [[0, 1]]), np.array([1]),
+                           rows(Z, []), eta=1.0, mu=1.0, lam=0.0)
         assert obj == pytest.approx(math.log(2.0), abs=1e-12)
 
     def test_unlabeled_pair_at_threshold_contributes_mu_log_two(self):
         # the bracketed entropy term of the objective is maximal (log 2)
         # exactly at p = 1/2
         Z = np.array([[0.0, 0.0], [1.0, 0.0]])
-        obj = seraph_objective(np.eye(2), rows(Z, []), np.array([]),
-                               rows(Z, [[0, 1]]), eta=1.0, mu=0.7, lam=0.0)
+        obj = seraph_value(np.eye(2), rows(Z, []), np.array([]),
+                           rows(Z, [[0, 1]]), eta=1.0, mu=0.7, lam=0.0)
         assert obj == pytest.approx(0.7 * math.log(2.0), abs=1e-12)
 
     def test_trace_term(self):
         Z = np.zeros((2, 3))
-        obj = seraph_objective(np.eye(3), rows(Z, []), np.array([]), rows(Z, []),
-                               eta=1.0, mu=1.0, lam=0.25)
+        obj = seraph_value(np.eye(3), rows(Z, []), np.array([]), rows(Z, []),
+                           eta=1.0, mu=1.0, lam=0.25)
         assert obj == pytest.approx(0.25 * 3.0)
 
     def test_entropy_term_maximized_at_threshold_distance(self):
@@ -108,40 +116,49 @@ class TestSeraphObjective:
         vals = []
         for d in np.linspace(0.0, 3.0, 31):
             Z = np.array([[0.0, 0.0], [math.sqrt(d), 0.0]]) if d > 0 else np.zeros((2, 2))
-            vals.append(seraph_objective(np.eye(2), rows(Z, []), np.array([]),
-                                         rows(Z, [[0, 1]]), eta=1.0, mu=1.0, lam=0.0))
+            vals.append(seraph_value(np.eye(2), rows(Z, []), np.array([]),
+                                     rows(Z, [[0, 1]]), eta=1.0, mu=1.0, lam=0.0))
         assert np.argmax(vals) == 10  # dist2 = 1.0 = eta
 
     def test_gradient_matches_finite_differences(self):
         assert gradcheck.check_seraph_grad(seed=2, trials=25) <= 1e-5
 
     def test_gradient_symmetric_and_trace_only_when_no_pairs(self):
+        # a function of L L^T has the gradient 2 G L with G symmetric, so
+        # L^T times it is symmetric; with no pairs only the trace term is left
         weights = dict(eta=1.0, mu=1.0, lam=0.5)
-        Z = np.zeros((2, 4))
-        G = seraph_gradient(np.eye(4), rows(Z, []), np.array([]), rows(Z, []),
-                            **weights)
-        assert np.allclose(G, 0.5 * np.eye(4))
         rng = np.random.default_rng(0)
-        Zr = rng.standard_normal((6, 3))
-        G = seraph_gradient(np.eye(3), rows(Zr, [[0, 1], [2, 3]]), np.array([1, -1]),
-                            rows(Zr, [[4, 5]]), **weights)
-        assert np.abs(G - G.T).max() <= 1e-12
+        L = rng.standard_normal((4, 2))
+        Z = np.zeros((2, 4))
+        obj, grad = seraph_loss_and_grad(L, rows(Z, []), np.array([]), rows(Z, []),
+                                         **weights)
+        assert obj == pytest.approx(0.5 * float(np.sum(L * L)))
+        assert np.allclose(grad, 2 * 0.5 * L)
+        Zr = rng.standard_normal((6, 4))
+        _, grad = seraph_loss_and_grad(L, rows(Zr, [[0, 1], [2, 3]]), np.array([1, -1]),
+                                       rows(Zr, [[4, 5]]), **weights)
+        assert np.abs(L.T @ grad - grad.T @ L).max() <= 1e-12
 
     @pytest.mark.parametrize("seed", range(5))
     def test_factor_gradient_matches_finite_differences(self, seed):
-        # the L-gradient SERAPH's optimize_L steps follow is that of
-        # seraph_objective(L L^T), at orthonormal and general L alike
+        # the L-gradient SERAPH's optimize_L steps follow is that of the
+        # per-pair loop's objective at M = L L^T, at orthonormal and
+        # general L alike
         rng = np.random.default_rng(seed)
         Z = rng.standard_normal((10, 6))
-        U, V = rows(Z, [[0, 1], [2, 3], [4, 5]]), rows(Z, [[6, 7], [8, 9], [1, 6]])
+        labeled, unlabeled = [[0, 1], [2, 3], [4, 5]], [[6, 7], [8, 9], [1, 6]]
+        U, V = rows(Z, labeled), rows(Z, unlabeled)
         y = np.array([1, -1, 1])
-        weights = dict(eta=1.0, mu=0.7, lam=0.1)
+        cfg = SimpleNamespace(eta=1.0, mu=0.7, lam=0.1)
+
+        def reference(Lx):
+            return loop_seraph(Lx @ Lx.T, Z, labeled, y, unlabeled, cfg)[0]
+
         for L in (np.linalg.qr(rng.standard_normal((6, 3)))[0],
                   0.5 * rng.standard_normal((6, 3))):
-            value, grad = seraph_loss_and_grad_L(L, U, y, V, **weights)
-            assert value == seraph_objective(L @ L.T, U, y, V, **weights)
-            numeric = gradcheck.finite_difference_grad(
-                lambda Lx: seraph_objective(Lx @ Lx.T, U, y, V, **weights), L)
+            value, grad = seraph_loss_and_grad(L, U, y, V, **vars(cfg))
+            assert value == pytest.approx(reference(L), rel=1e-12)
+            numeric = gradcheck.finite_difference_grad(reference, L)
             assert gradcheck.relative_error(grad, numeric) <= 1e-6
 
 
@@ -173,7 +190,7 @@ class TestLrml:
         Z = rng.standard_normal((5, 3))
         Lap = ssdml.laplacian(np.ones((5, 5)) - np.eye(5))
         quad = Z.T @ Lap @ Z
-        obj = lrml_objective(np.zeros((3, 3)), rows(Z, [[0, 1]]), rows(Z, [[2, 3]]),
+        obj = lrml_objective(np.zeros((3, 2)), rows(Z, [[0, 1]]), rows(Z, [[2, 3]]),
                              quad, gamma_s=1.0, gamma_d=1.0)
         assert obj == 0.0
 
@@ -264,7 +281,7 @@ class TestStiefelMinimizer:
         assert np.linalg.matrix_rank(L) == l
 
         def objective(Lx):
-            return lrml_objective(Lx @ Lx.T, S, D, quad, **weights)
+            return lrml_objective(Lx, S, D, quad, **weights)
 
         bottom = np.linalg.eigvalsh(G)[:l].sum()
         assert value == pytest.approx(bottom, rel=1e-10)
@@ -274,3 +291,20 @@ class TestStiefelMinimizer:
         others.append(_initial_L(d, l))  # every method's starting point
         assert all(objective(L) <= objective(Lx) + 1e-12 for Lx in others)
 
+    @pytest.mark.parametrize("l", [1, 3, 6])
+    def test_closed_form_loss_is_the_objective_minimum(self, l):
+        # training solves on class_pair_rows' compact rows and records the
+        # eigenvalue sum as the loss; that is the objective over one row per
+        # labeled pair at the L it keeps, and no orthonormal L scores below it
+        rng = np.random.default_rng(13)
+        Z = rng.standard_normal((14, 6))
+        y = rng.integers(0, 3, size=14)
+        quad = Z.T @ ssdml.laplacian(np.ones((14, 14)) - np.eye(14)) @ Z
+        S_cls, D_cls, n_sim, n_dis = class_pair_rows(Z, y)
+        weights = dict(gamma_s=1.0 / n_sim, gamma_d=1.0 / n_dis)
+        L, loss = stiefel_minimizer(lrml_gradient(S_cls, D_cls, quad, **weights), l)
+        S, D = labeled_pair_rows(Z, y)
+        assert lrml_objective(L, S, D, quad, **weights) == pytest.approx(loss, rel=1e-10)
+        draws = [lrml_objective(random_stiefel(6, l, rng), S, D, quad, **weights)
+                 for _ in range(200)]
+        assert min(draws) >= loss - 1e-12 * max(1.0, abs(loss))

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import ssdml
+from ssdml import gradcheck as gc
 from ssdml import propagation
 from ssdml.cli import build_parser, run
 from ssdml.encoder import l2_normalize_rows
@@ -170,6 +171,14 @@ class TestGradcheck:
         assert len(out) == 5
         assert all("max relative error" in ln for ln in out)
 
+    def test_one_line_per_suite_in_order(self, capsys):
+        assert run_cli(["gradcheck", "--seed", 3, "--trials", 2]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert [ln.split(":")[0] for ln in out] == list(gc.SUITES)
+        assert list(gc.SUITES) == ["angular_loss_grad_L", "angular_loss_grad_embeddings",
+                                   "encoder_end_to_end", "seraph_grad_L", "lrml_grad_L"]
+        assert all(ln.endswith("[ok]") for ln in out)
+
     @pytest.mark.parametrize("trials", [0, -2])
     def test_no_trials_is_one(self, capsys, trials):
         # zero instances would print five vacuous "ok" lines
@@ -227,6 +236,20 @@ class TestExitCodes:
         capsys.readouterr()
         assert run_cli(["eval", "--data", blob_csv, "--model", model_path,
                         "--recall-ks", "1,x"]) == 1
+
+    @pytest.mark.parametrize("ks, code", [("0", 1), ("-1", 1), ("1,0", 1), ("1,100000", 2)])
+    def test_recall_k_below_one_is_one_and_k_past_n_is_two(self, blob_csv, tmp_path,
+                                                           capsys, ks, code):
+        # a K below 1 is wrong for any data; whether a K reaches n depends on it
+        model_path = tmp_path / "m.model"
+        run_cli(["train", "--data", blob_csv, "--k", 4, "--embed-dim", 3,
+                 "--batch-triplets", 40, "--max-epochs", 1,
+                 "--epochs-per-partition", 1, "--model", model_path])
+        capsys.readouterr()
+        assert run_cli(["eval", "--data", blob_csv, "--model", model_path,
+                        "--recall-ks", ks]) == code
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("usage error:" if code == 1 else "error:")
 
     def test_corrupt_model_matrix_is_two(self, blob_csv, tmp_path):
         bad = tmp_path / "bad.model"

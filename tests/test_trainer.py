@@ -8,6 +8,7 @@ import pytest
 import ssdml
 from ssdml import encoder as enc_mod
 from ssdml import metric, trainer
+from ssdml.baselines import _entropy_terms
 from ssdml.data import Dataset, sample_partition
 from ssdml.errors import ConfigError
 from ssdml.evaluation import EvalReport
@@ -499,8 +500,20 @@ def heldout_r1(L, blobs, semi):
     return ssdml.recall_at_k(metric.embed(L, Z), blobs.labels[rows], ks=(1,))[1]
 
 
+def mspace_seraph(L, U, y, V, *, eta, mu, lam):
+    """SERAPH's value and L-gradient through M = L L^T: each u^T M u from
+    U M, and the chain rule 2 G L from the symmetric gradient G wrt M."""
+    M = L @ L.T
+    a = np.einsum("ij,ij->i", U @ M, U) - eta
+    H, dH = _entropy_terms(np.einsum("ij,ij->i", V @ M, V) - eta)
+    obj = lam * float(np.trace(M)) + float(metric.softplus(y * a).sum()) + mu * float(H.sum())
+    G = lam * np.eye(M.shape[0]) + U.T @ ((y * metric.sigmoid(y * a))[:, None] * U) \
+        + mu * (V.T @ (dH[:, None] * V))
+    return obj, 2.0 * (((G + G.T) / 2.0) @ L)
+
+
 class TestSeraphOnStiefel:
-    """SERAPH fits M = L L^T by one optimize_L step per batch."""
+    """SERAPH fits M = L L^T by one optimize_L step on L per batch."""
 
     CONFIG = TrainConfig(method="seraph", max_epochs=10)
 
@@ -514,16 +527,16 @@ class TestSeraphOnStiefel:
             assert np.linalg.norm(L.T @ L - np.eye(l)) <= 1e-10
 
     def test_summation_order_moves_heldout_r1_at_most_one_point(self, monkeypatch):
-        # the same u^T M u, summed in another order: a chaotic trajectory
-        # would amplify the last-digit differences into different metrics
+        # the same objective and gradient, summed in another order (through
+        # M = L L^T): a chaotic trajectory would amplify the last-digit
+        # differences into different metrics
         blobs = ssdml.make_blobs(10, 200, 5, 45, 6.0, 4.0, seed=0)
         semi = ssdml.strip_labels(blobs, 10, seed=0)
         seen = record_checkpoints(monkeypatch)
         train(semi, self.CONFIG)
         gemm = [heldout_r1(L, blobs, semi) for L, _ in seen]
         seen.clear()
-        monkeypatch.setattr(ssdml.baselines, "quad_forms", lambda M, U: np.einsum(
-            "ij,jk,ik->i", U, M, U, optimize=True))
+        monkeypatch.setattr(ssdml.baselines, "seraph_loss_and_grad", mspace_seraph)
         train(semi, self.CONFIG)
         reordered = [heldout_r1(L, blobs, semi) for L, _ in seen]
         assert len(gemm) == len(reordered) == 11
