@@ -9,7 +9,12 @@ digits of sha256 over the run's ``history`` as sorted-key JSON, then the
 bytes of ``L`` and, when the model has an encoder, of its ``A`` and ``b``.
 Each perfbench run also prints a ``-eval`` line that hashes the exact NMI and
 Recall@K ``evaluate_checkpoint`` gives the trained model on the workload's
-test CSV (what ``ssdml eval`` prints, before rounding).  Runs on one BLAS
+test CSV (what ``ssdml eval`` prints, before rounding).  Each run also prints a
+``triplets-<name>`` line: the same kind of digest over the triplet arrays
+``mine_triplets`` hands training, one per distinct partition, in order (a
+run that mines nothing hashes no bytes).  It shows directly whether a
+change to the graph, propagation or mining stages moved training's input.
+Runs on one BLAS
 thread, as the benchmark does, so that the digests do not depend on the
 machine's core count.  The perfbench runs use the CSV files that
 ``perfbench/workloads.make_inputs`` writes to a temporary directory;
@@ -32,7 +37,10 @@ sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT / "perfbench"))
 sys.dont_write_bytecode = True
 
+import numpy as np  # noqa: E402
+
 import ssdml  # noqa: E402
+from ssdml import trainer  # noqa: E402
 from workloads import WORKLOADS, make_inputs  # noqa: E402
 
 
@@ -92,12 +100,33 @@ RUNS = {
 }
 
 
+def with_mined_triplets(run):
+    """run()'s result and the digest of every triplet array mined during it."""
+    mined = []
+    original = trainer.mine_triplets
+
+    def recording(*args, **kwargs):
+        mined.append(original(*args, **kwargs))
+        return mined[-1]
+
+    trainer.mine_triplets = recording
+    try:
+        result = run()
+    finally:
+        trainer.mine_triplets = original
+    h = hashlib.sha256()
+    for triplets in mined:
+        h.update(np.ascontiguousarray(triplets).tobytes())
+    return result, h.hexdigest()[:16]
+
+
 def main():
     for name, run in RUNS.items():
-        model, report = run()
+        (model, report), triplets = with_mined_triplets(run)
         print(name, digest(model), flush=True)
         if report is not None:
             print(f"{name}-eval", report_digest(report), flush=True)
+        print(f"triplets-{name}", triplets, flush=True)
 
 
 if __name__ == "__main__":

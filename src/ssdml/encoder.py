@@ -62,26 +62,33 @@ class Encoder:
         return Encoder(self.A.copy(), self.b.copy())
 
 
-def forward(encoder: Encoder, X: np.ndarray) -> np.ndarray:
+def forward_pass(encoder: Encoder, X: np.ndarray):
+    """(Z, norms): the output rows and the (n, 1) norms of A x + b they were
+    divided by, which backward() reuses."""
     X = np.asarray(X, dtype=np.float64)
     if X.shape[1] != encoder.d_in:
         raise ValueError("input dimension does not match the encoder")
-    return l2_normalize_rows(X @ encoder.A.T + encoder.b)
+    P = X @ encoder.A.T + encoder.b
+    norms = _row_norms(P)
+    return P / norms, norms
 
 
-def backward(encoder: Encoder, X: np.ndarray, upstream: np.ndarray):
+def forward(encoder: Encoder, X: np.ndarray) -> np.ndarray:
+    return forward_pass(encoder, X)[0]
+
+
+def backward(encoder: Encoder, X: np.ndarray, upstream: np.ndarray, cache=None):
     """Gradients (dA, db) of a loss given per-row output gradients.
 
     Normalization backprops through the Jacobian (I - zhat zhat^T)/||z||
-    before hitting the affine layer.
+    before hitting the affine layer.  `cache` is the forward_pass() of the
+    same encoder on X; without it the pass is run again.
     """
     X = np.asarray(X, dtype=np.float64)
     G = np.asarray(upstream, dtype=np.float64)
     if G.shape != (X.shape[0], encoder.d_out):
         raise ValueError("upstream gradient shape does not match")
-    P = X @ encoder.A.T + encoder.b
-    norms = _row_norms(P)
-    Zhat = P / norms
+    Zhat, norms = forward_pass(encoder, X) if cache is None else cache
     G = (G - Zhat * np.sum(Zhat * G, axis=1, keepdims=True)) / norms
     dA = G.T @ X
     db = G.sum(axis=0)

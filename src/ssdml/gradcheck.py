@@ -105,9 +105,10 @@ def check_encoder_end_to_end(seed=0, trials: int = 100) -> float:
 
         # the training step: encoder and loss run on the batch's rows only
         nodes, local = metric.batch_rows(idx)
-        W = metric.triplet_diffs(enc_mod.forward(enc, X[nodes]), local)
+        encoded = enc_mod.forward_pass(enc, X[nodes])
+        W = metric.triplet_diffs(encoded[0], local)
         upstream = metric.embedding_grad(L, W, local, nodes.size, metric.tan2(alpha))
-        dA, db = enc_mod.backward(enc, X[nodes], upstream)
+        dA, db = enc_mod.backward(enc, X[nodes], upstream, encoded)
         ndA = finite_difference_grad(lambda A: total_loss(A, enc.b), enc.A.copy())
         ndb = finite_difference_grad(lambda b: total_loss(enc.A, b), enc.b.copy())
         # one parameter vector: a translation-invariant loss makes db exactly

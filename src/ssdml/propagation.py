@@ -5,17 +5,27 @@ limit of the random-walk recursion W <- gamma*Q*W + (1-gamma)*W0.  Because
 Q is row-stochastic its spectral radius is at most 1, so the system is
 nonsingular and the iteration converges for gamma < 1.
 
-One solve, _solve(), serves both public results.  It inverts
-A = I - gamma*Q in place by recursive 2 x 2 blocking.  A is strictly row
-diagonally dominant (each diagonal entry exceeds its row's off-diagonal sum
-by at least 1 - gamma), and so are its leading blocks and their Schur
-complements, at every level of the recursion; so every block it inverts is
-nonsingular and no level needs pivoting (Higham, Accuracy and Stability of
-Numerical Algorithms, 2nd ed., sec. 13.3; Demmel, Higham and Schreiber
-1995).  propagate() reads the result at the kNN edges alone, which is all
-that training ranks; propagate_dense() symmetrizes the whole array in place
-for `ssdml propagate`.  propagate_direct(), propagate_iterative() and
-symmetrize() are the dense references both are checked against.
+One solve, _solve(), serves both public results.  It splits
+A = I - gamma*Q at m = n // 2 into 2 x 2 blocks and builds only the two
+diagonal blocks, as dense arrays of at most ceil(n/2)^2: B = inv(A11) and,
+once S = A22 - A21 B A12 has been formed in the second, T = inv(S).  Each
+is inverted in place by recursive 2 x 2 blocking (_invert()).  A is
+strictly row diagonally dominant (each diagonal entry exceeds its row's
+off-diagonal sum by at least 1 - gamma), and so are its leading blocks and
+their Schur complements, at every level of the recursion; so every block
+inverted is nonsingular and no level needs pivoting (Higham, Accuracy and
+Stability of Numerical Algorithms, 2nd ed., sec. 13.3; Demmel, Higham and
+Schreiber 1995).  A12 and A21 hold at most k entries per row and are
+applied as gathers from the neighbor lists.  The columns of X = A^-1 W0
+then come from B and T, at most CHUNK_COLUMNS at a time, so about
+2.25 ceil(n/2)^2 floats, plus n per class and O(n CHUNK_COLUMNS), are alive
+at the peak, against 1.25 n^2 for an in-place inverse of A; the dense
+products are the same, less the one S costs there.  propagate() reads each
+block at the kNN edges, which is all that training ranks;
+propagate_dense() writes the blocks into one n x n array and symmetrizes
+it in place for `ssdml propagate`.  propagate_direct(),
+propagate_iterative() and symmetrize() are the dense references both are
+checked against.
 """
 
 from __future__ import annotations
@@ -34,8 +44,10 @@ ITERATIVE_MAX_ITER = 10_000
 # Diagonal blocks of this size or less are inverted by np.linalg.inv; 64
 # and 128 ran equally fast at n = 1,980.
 LEAF_SIZE = 64
-# Rows per chunk of a neighbor-list gather; its temporaries hold two chunks.
-GATHER_ROWS = 32
+# Columns of X per block; the column phase's buffers hold about 2.5 n x
+# CHUNK_COLUMNS floats.  Wider blocks make fewer, faster products but hold
+# more: 192 raised the perfbench ours-encoder peak RSS from 71.8 to 73.8 MiB.
+CHUNK_COLUMNS = 128
 # What propagate() holds beyond its n-sized arrays: numpy's iterator buffers
 # (about 128 KiB for a ufunc call on a strided view) and one leaf's inverse.
 FIXED_WORKSPACE_BYTES = 1 << 18
@@ -122,27 +134,40 @@ def _check_fits_in_memory(need: int, task: str):
 
 
 def _block_inverse_bytes(n: int, n_classes: int) -> int:
-    """Bound on the peak bytes of propagate(): A (n x n, inverted in place),
-    the scratch of ceil(n/2)^2 floats every product goes through (later a
-    row chunk's labeled columns, no larger), a row chunk's class columns
-    (at most n x n_classes) and the two temporaries of at most
-    GATHER_ROWS x ceil(n/2) floats a top-level gather holds, plus
-    FIXED_WORKSPACE_BYTES.  The (n, k) edge arrays are left out."""
+    """Bound on the peak bytes of propagate(): the two diagonal blocks
+    (ceil(n/2)^2 and (n//2)^2 floats, inverted in place), the class rows
+    (n_classes x n) and one workspace, which serves first as the scratch of
+    q^2 floats each inversion goes through, q = ceil(ceil(n/2)/2), then as
+    one block of w x n rows and three w x ceil(n/2) scratch arrays,
+    w = min(CHUNK_COLUMNS, ceil(n/2)); plus FIXED_WORKSPACE_BYTES.  The
+    workspace's two uses are summed, although one allocation of the larger
+    serves both: the difference is headroom for the (n, k) neighbor-list
+    arrays, which are not counted."""
     half = n - n // 2
-    return (8 * (n * n + half * half + n * n_classes + 2 * GATHER_ROWS * half)
-            + FIXED_WORKSPACE_BYTES)
+    return 8 * ((n // 2) ** 2 + half * half + (half - half // 2) ** 2
+                + _column_floats(n) + n * n_classes) + FIXED_WORKSPACE_BYTES
 
 
-def _a_matrix(graph: NeighborGraph, gamma: float) -> np.ndarray:
-    """A = I - gamma*Q built straight from the neighbor lists with the float
-    operations of np.eye(n) - gamma*Q: 0 - gamma*(1/k) on an edge (once for
-    a repeated neighbor), then +1 on the diagonal (1 - gamma*(1/k) on a
-    self edge)."""
-    n = graph.n
-    A = np.zeros((n, n))
-    A[np.repeat(np.arange(n), graph.k), graph.neighbors.ravel()] = 0.0 - gamma * (1.0 / graph.k)
-    A.flat[::n + 1] += 1.0
-    return A
+def _column_floats(n: int) -> int:
+    """Floats in the column phase's block of rows and three scratch arrays."""
+    half = n - n // 2
+    return (n + 3 * half) * min(CHUNK_COLUMNS, half)
+
+
+def _transposed_diagonal_block(graph: NeighborGraph, gamma: float, lo: int,
+                               hi: int) -> np.ndarray:
+    """A[lo:hi, lo:hi]^T for A = I - gamma*Q, built straight from the
+    neighbor lists with the float operations of np.eye(n) - gamma*Q:
+    0 - gamma*(1/k) on an edge (once for a repeated neighbor), then +1 on
+    the diagonal (1 - gamma*(1/k) on a self edge)."""
+    size = hi - lo
+    nbrs = graph.neighbors[lo:hi]
+    inside = (nbrs >= lo) & (nbrs < hi)
+    a = np.zeros((size, size))
+    a[nbrs[inside] - lo, np.broadcast_to(np.arange(size)[:, None], nbrs.shape)[inside]] = (
+        0.0 - gamma * (1.0 / graph.k))
+    a.flat[::size + 1] += 1.0
+    return a
 
 
 def _inv(a: np.ndarray) -> np.ndarray:
@@ -158,8 +183,9 @@ def _product(x: np.ndarray, y: np.ndarray, buf: np.ndarray) -> np.ndarray:
     return np.matmul(x, y, out=buf[:rows * cols].reshape(rows, cols))
 
 
-def _invert(a: np.ndarray, buf: np.ndarray, gather=None):
-    """Invert the strictly row diagonally dominant square `a` in place.
+def _invert(a: np.ndarray, buf: np.ndarray):
+    """Invert in place the square `a`, strictly diagonally dominant by rows
+    or by columns.
 
     With m = n // 2, B = inv(A11) and T = inv(S) for the Schur complement
     S = A22 - A21 B A12 (both formed the same way, down to LEAF_SIZE):
@@ -167,11 +193,10 @@ def _invert(a: np.ndarray, buf: np.ndarray, gather=None):
         inv(a) = [[B + P W, P T], [W, T]],  P = -B A12,  W = -T A21 B.
 
     Leading blocks and Schur complements of a strictly row diagonally
-    dominant matrix are strictly row diagonally dominant too, so no level
-    needs pivoting.  Every product is written to the flat scratch `buf` of
-    at least ceil(n/2)^2 floats, then added or copied into place.
-    gather(x, out), when given, adds A21 @ x to out without reading
-    A21, as the top level of propagate() does from the neighbor lists.
+    dominant matrix are strictly row diagonally dominant too, and those of
+    its transpose are their transposes, so no level needs pivoting.  Every
+    product is written to the flat scratch `buf` of at least ceil(n/2)^2
+    floats, then added or copied into place.
     """
     n = a.shape[0]
     if n <= LEAF_SIZE:
@@ -181,58 +206,80 @@ def _invert(a: np.ndarray, buf: np.ndarray, gather=None):
     a11, a12, a21, a22 = a[:m, :m], a[:m, m:], a[m:, :m], a[m:, m:]
     _invert(a11, buf)
     np.negative(_product(a11, a12, buf), out=a12)  # P
-    if gather is None:
-        a22 += _product(a21, a12, buf)
-    else:
-        gather(a12, a22)
+    a22 += _product(a21, a12, buf)
     _invert(a22, buf)  # T
-    if gather is None:
-        a21[...] = _product(a21, a11, buf)
-    else:
-        a21.fill(0.0)
-        gather(a11, a21)
+    a21[...] = _product(a21, a11, buf)
     np.negative(_product(a22, a21, buf), out=a21)  # W
     a11 += _product(a12, a21, buf)
     a12[...] = _product(a12, a22, buf)
 
 
-def _neighbor_gather(graph: NeighborGraph, gamma: float, m: int):
-    """gather(x, out) for the bottom-left block A[m:, :m] of
-    A = I - gamma*Q: out += A[m:, :m] @ x as k row gathers, each of
-    (0 - gamma*(1/k)) * x[j] over the distinct neighbors j < m of a row.
-    Going GATHER_ROWS rows at a time bounds the temporaries."""
-    nbrs = graph.neighbors[m:]
-    repeat = np.tril(nbrs[:, :, None] == nbrs[:, None, :], -1).any(axis=2)
-    keep = (nbrs < m) & ~repeat
-    weight = 0.0 - gamma * (1.0 / graph.k)
-
-    def gather(x, out):
-        for s in range(graph.k):
-            rows = np.flatnonzero(keep[:, s])
-            for start in range(0, rows.size, GATHER_ROWS):
-                chunk = rows[start:start + GATHER_ROWS]
-                got = x[nbrs[chunk, s]]
-                got *= weight
-                out[chunk] += got
-
-    return gather
+def _take(a: np.ndarray, rows: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """a[rows] written into the C-contiguous `out`.  The rows are in range;
+    mode "clip" keeps np.take from buffering `out`."""
+    return np.take(a, rows, axis=0, out=out, mode="clip")
 
 
-def _solve(graph: NeighborGraph, labels, gamma: float, extra_bytes: int,
-           task: str) -> np.ndarray:
-    """A^-1 W0 as one n x n array, where A = I - gamma*Q and
-    W0 = seed_affinity(labels).
+class _OffDiagonalBlock:
+    """A[lo:hi, src_lo:src_hi] of A = I - gamma*Q for two disjoint ranges,
+    read from the neighbor lists: row i holds `weight` = 0 - gamma*(1/k) at
+    each distinct neighbor j of node lo + i with src_lo <= j < src_hi."""
 
-    A is built once and inverted in place by _invert(), next to one scratch
-    of ceil(n/2)^2 floats, so about 1.25 n^2 floats are alive at the peak.
-    At the top level the rows of A21 are the neighbor lists, so its products
-    are row gathers.  Column j of W0 is the unit vector e_j for an unlabeled
-    j, so A^-1 already holds A^-1 W0 there.  For a labeled j it is the
+    def __init__(self, graph: NeighborGraph, gamma: float, lo: int, hi: int,
+                 src_lo: int, src_hi: int):
+        nbrs = graph.neighbors[lo:hi]
+        repeat = np.tril(nbrs[:, :, None] == nbrs[:, None, :], -1).any(axis=2)
+        keep = (nbrs >= src_lo) & (nbrs < src_hi) & ~repeat
+        self.weight = 0.0 - gamma * (1.0 / graph.k)
+        count = keep.sum(axis=1)
+        # row i's entries are at columns[starts[i]:starts[i + 1]]
+        self.columns = (nbrs - src_lo)[keep]
+        self.starts = np.concatenate(([0], np.cumsum(count)))
+        # each row's entries packed to the front, rows by descending count:
+        # the rows with an s-th entry are then a prefix
+        order = np.argsort(-count, kind="stable")
+        self.unorder = np.argsort(order)
+        packed = np.take_along_axis(nbrs - src_lo, np.argsort(~keep, axis=1, kind="stable"),
+                                    axis=1)[order]
+        count = count[order]
+        self.index = [packed[:np.count_nonzero(count > s), s] for s in range(count.max(initial=0))]
+
+    def gather(self, x: np.ndarray, acc: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """out = (block @ x) / weight: row i of out is the sum of x[j] over
+        row i's entries j.  x, acc and out are C-contiguous; acc, shaped
+        like out, is scratch."""
+        if not self.index:
+            out.fill(0.0)
+            return out
+        first = self.index[0].size
+        _take(x, self.index[0], acc[:first])
+        acc[first:] = 0.0
+        for index in self.index[1:]:
+            acc[:index.size] += _take(x, index, out[:index.size])
+        return _take(acc, self.unorder, out)
+
+
+def _solve(graph: NeighborGraph, labels, gamma: float, extra_bytes: int, task: str):
+    """An iterator of (cols, rows) with rows[t] = X[:, cols[t]] for
+    X = A^-1 W0, where A = I - gamma*Q and W0 = seed_affinity(labels): every
+    column of X once, at most CHUNK_COLUMNS at a time, each block of rows
+    overwritten by the next.
+
+    With m = n // 2, B = inv(A11), S = A22 - A21 B A12 and T = inv(S),
+
+        A^-1 [v1; v2] = [B v1 - B A12 y; y],  y = T (v2 - A21 B v1).
+
+    Only A11 and A22 are built, as dense transposed arrays; each is
+    inverted in place by _invert(), A22^T after it has been overwritten by
+    S^T.  A21 and A12 are applied as gathers from the neighbor lists.
+    Column j of W0 is the unit vector e_j for an unlabeled j, so X's column
+    j is column j of A^-1: the formula with B v1 = B[:, j] (j < m) or
+    y = T[:, j - m] (j >= m) read off directly.  For a labeled j it is the
     signed indicator of j's class on the labeled rows (+1 same class, -1
-    other class), so, a few rows at a time, one column per class is formed
-    and written over the labeled columns of that class.  Raises ConfigError
-    before allocating anything n x n when the inverse and `extra_bytes` more
-    cannot fit in physical memory.
+    other class), so one column per class is solved and handed out for
+    every labeled column of that class.  Raises ConfigError here, before
+    anything ceil(n/2)^2 is allocated, when the solve and `extra_bytes`
+    more cannot fit in physical memory.
     """
     _check_gamma(gamma)
     n = graph.n
@@ -242,46 +289,145 @@ def _solve(graph: NeighborGraph, labels, gamma: float, extra_bytes: int,
     labeled = np.flatnonzero(y != UNLABELED)
     classes, label_class = np.unique(y[labeled], return_inverse=True)
     _check_fits_in_memory(_block_inverse_bytes(n, classes.size) + extra_bytes, task)
+    return _column_blocks(graph, gamma, y, labeled, label_class, classes.size)
 
-    half = n - n // 2
-    gather = _neighbor_gather(graph, gamma, n // 2)
-    X = _a_matrix(graph, gamma)
-    buf = np.empty(half * half)
-    _invert(X, buf, gather)
-    del buf, gather
 
-    signs = np.where(label_class[:, None] == np.arange(classes.size), 1.0, -1.0)
-    step = max(1, half * half // max(labeled.size, 1))
-    for start in range(0, n, step):
-        rows = slice(start, start + step)
-        X[rows, labeled] = (X[rows, labeled] @ signs)[:, label_class]
-    return X
+def _column_blocks(graph, gamma, y, labeled, label_class, n_classes):
+    """The generator behind _solve(), working on transposes: Bt = B^T and
+    Tt = T^T are the inverses of A11^T and S^T, and a block's row t is
+    column cols[t] of X, so every product with Bt or Tt has the narrow
+    factor on the left."""
+    n = graph.n
+    m, half = n // 2, n - n // 2
+    width = min(CHUNK_COLUMNS, half)
+    a21 = _OffDiagonalBlock(graph, gamma, m, n, 0, m)
+    a12 = _OffDiagonalBlock(graph, gamma, 0, m, m, n)
+    # the inversions' scratch, and between them and after them one block of
+    # rows and three scratch arrays of `width` x ceil(n/2)
+    workspace = np.empty(max((half - half // 2) ** 2, _column_floats(n)))
+    block_buf, x_buf, acc_buf, out_buf = np.split(
+        workspace[:_column_floats(n)], np.cumsum([n * width, half * width, half * width]))
+
+    def view(buf, rows, cols):
+        return buf[:rows * cols].reshape(rows, cols)
+
+    def chunks(idx):
+        """Runs of at most `width` of the sorted `idx`, none across m."""
+        for part in (idx[idx < m], idx[idx >= m]):
+            for start in range(0, part.size, width):
+                yield part[start:start + width]
+
+    def times_weight(off_diagonal, rows):
+        """rows @ off_diagonal.T into x_buf.  The gather runs on the
+        transpose of `rows`, where its row takes are contiguous."""
+        x = view(x_buf, rows.shape[1], rows.shape[0])
+        x[...] = rows.T
+        width_out = off_diagonal.unorder.size
+        sums = off_diagonal.gather(x, view(acc_buf, width_out, rows.shape[0]),
+                                   view(out_buf, width_out, rows.shape[0]))
+        sums *= off_diagonal.weight
+        product = view(x_buf, rows.shape[0], width_out)
+        product[...] = sums.T
+        return product
+
+    def lower(top, bottom, rhs):
+        """bottom = (rhs - top A21^T) Tt, i.e. y^T for y = T (v2 - A21 B v1)
+        with top = (B v1)^T; rhs may be bottom itself."""
+        a21_top = times_weight(a21, top)
+        np.matmul(np.subtract(rhs, a21_top, out=a21_top), Tt, out=bottom)
+
+    def upper(top, bottom):
+        """top -= bottom A12^T Bt, i.e. B v1 - B A12 y as a row."""
+        top -= np.matmul(times_weight(a12, bottom), Bt, out=view(acc_buf, top.shape[0], m))
+
+    Bt = _transposed_diagonal_block(graph, gamma, 0, m)
+    _invert(Bt, workspace)
+
+    # S^T = A22^T - A12^T (A21 B)^T: row j of (A21 B)^T = (B^T A21^T)[j] is
+    # a gather of row j of Bt, and goes to the rows of S^T that row j of A
+    # lists in the bottom half
+    Tt = _transposed_diagonal_block(graph, gamma, m, n)
+    for cols in chunks(np.arange(m)):
+        a21_b = times_weight(a21, _take(Bt, cols, view(block_buf, cols.size, m)))
+        a21_b *= -a12.weight
+        for j, row in zip(cols, a21_b):
+            Tt[a12.columns[a12.starts[j]:a12.starts[j + 1]]] += row
+    _invert(Tt, workspace)
+
+    node_class = np.full(n, -1)
+    node_class[labeled] = label_class
+    F = np.empty((n_classes, n))  # X's column for each class, as a row
+    for start in range(0, n_classes, width):
+        c = np.arange(start, min(start + width, n_classes))
+        block = view(block_buf, c.size, n)
+        top, bottom = block[:, :m], block[:, m:]
+        for row, cls in zip(block, c):  # W0's class column, as a row
+            row[...] = np.where(node_class == cls, 1.0, -1.0)
+        block[:, node_class < 0] = 0.0
+        seeds_top = view(out_buf, c.size, m)
+        seeds_top[...] = top
+        np.matmul(seeds_top, Bt, out=top)
+        lower(top, bottom, bottom)
+        upper(top, bottom)
+        F[c] = block
+
+    done = 0
+    for cols in chunks(labeled):
+        yield cols, _take(F, label_class[done:done + cols.size], view(block_buf, cols.size, n))
+        done += cols.size
+    for cols in chunks(np.flatnonzero(y == UNLABELED)):
+        block = view(block_buf, cols.size, n)
+        top, bottom = block[:, :m], block[:, m:]
+        if cols[0] < m:
+            top[...] = _take(Bt, cols, view(out_buf, cols.size, m))
+            lower(top, bottom, 0.0)
+        else:
+            top.fill(0.0)
+            bottom[...] = _take(Tt, cols - m, view(out_buf, cols.size, half))
+        upper(top, bottom)
+        yield cols, block
 
 
 def propagate(graph: NeighborGraph, labels, gamma: float) -> EdgeAffinity:
     """Propagate the labels' seed affinities over the kNN graph and return
     the symmetrized result (X + X^T) / 2 on the graph's edges, where
-    X = (1 - gamma) A^-1 W0 from _solve().  The edges agree with
-    symmetrize(propagate_direct(neighbor_matrix(graph), seed_affinity(labels),
-    gamma)) to rounding.
+    X = (1 - gamma) A^-1 W0 from _solve(), read off each column block as
+    it comes.  The edges agree with symmetrize(propagate_direct(
+    neighbor_matrix(graph), seed_affinity(labels), gamma)) to rounding.
     """
-    X = _solve(graph, labels, gamma, 0, f"propagation over n={graph.n} nodes")
-    rows, nbrs = np.arange(graph.n)[:, None], graph.neighbors
-    return EdgeAffinity(edges=((1.0 - gamma) * X[rows, nbrs]
-                               + (1.0 - gamma) * X[nbrs, rows]) / 2.0)
+    n, nbrs = graph.n, graph.neighbors
+    to, back = np.empty((n, graph.k)), np.empty((n, graph.k))  # X[i, j], X[j, i]
+    where = np.full(n, -1)  # a column's row in the current block
+    for cols, rows in _solve(graph, labels, gamma, 0, f"propagation over n={n} nodes"):
+        where[cols] = np.arange(cols.size)
+        place = where[nbrs]
+        hit = np.nonzero(place >= 0)
+        to[hit] = rows[place[hit], hit[0]]
+        back[cols] = rows[np.arange(cols.size)[:, None], nbrs[cols]]
+        where[cols] = -1
+    return EdgeAffinity(edges=((1.0 - gamma) * to + (1.0 - gamma) * back) / 2.0)
 
 
 def propagate_dense(graph: NeighborGraph, labels, gamma: float) -> np.ndarray:
     """The full symmetrized n x n propagated affinity (X + X^T) / 2: the
-    same solve as propagate(), scaled and symmetrized in place, so it equals
-    propagate()'s edges where they are read.
+    column blocks of propagate()'s solve written into one array, scaled and
+    symmetrized in place a band at a time (X[i, j] + X[j, i] for both
+    entries, the sum X += X.T forms), so it equals propagate()'s edges
+    where they are read.
 
     Raises ConfigError before allocating anything n x n when the solve and
-    the n x n copy that X += X.T makes cannot fit in physical memory.
+    the n x n result cannot fit in physical memory.
     """
     n = graph.n
-    X = _solve(graph, labels, gamma, 8 * n * n, f"dense propagation over n={n} nodes")
+    blocks = _solve(graph, labels, gamma, 8 * n * n, f"dense propagation over n={n} nodes")
+    X = np.empty((n, n))  # X^T; the symmetrized result is the same
+    for cols, rows in blocks:
+        X[cols] = rows
     X *= 1.0 - gamma
-    X += X.T
+    for start in range(0, n, CHUNK_COLUMNS):
+        rows = slice(start, start + CHUNK_COLUMNS)
+        band = X[rows, start:] + X[start:, rows].T
+        X[rows, start:] = band
+        X[start:, rows] = band.T
     X /= 2.0
     return X

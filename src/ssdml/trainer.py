@@ -292,7 +292,8 @@ def _ours_epochs(config, train_ds, schedule, batch_seed, L, encoder):
                     Zb = Z[nodes]
                 else:
                     Xb = X[nodes]
-                    Zb = enc_mod.forward(encoder, Xb)
+                    encoded = enc_mod.forward_pass(encoder, Xb)
+                    Zb = encoded[0]
                 W = metric.triplet_diffs(Zb, local)
 
                 def fun_and_grad(Lm, W=W):
@@ -307,7 +308,7 @@ def _ours_epochs(config, train_ds, schedule, batch_seed, L, encoder):
                     raise TrainingDiverged("angular loss became non-finite")
                 if encoder is not None and config.lr > 0:
                     upstream = metric.embedding_grad(L, W, local, nodes.size, t)
-                    grads = enc_mod.backward(encoder, Xb, upstream)
+                    grads = enc_mod.backward(encoder, Xb, upstream, encoded)
                     encoder = enc_mod.sgd_update(encoder, grads, config.lr)
             yield p, epoch_loss / len(triplets), L, encoder
 

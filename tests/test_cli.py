@@ -321,9 +321,9 @@ class TestExitCodes:
     @pytest.mark.parametrize("command", ["propagate", "mine", "train"])
     def test_oversized_propagation_is_two(self, blob_csv, monkeypatch, capsys,
                                           command):
-        # pretend the machine has 32 KiB: the block inverse over the ~60
+        # pretend the machine has 32 KiB: the block solve over the ~60
         # blob nodes (about 300 KiB, most of it the fixed workspace), and
-        # for `propagate` that plus one n x n copy, no longer fit, so the
+        # for `propagate` that plus the n x n result, no longer fit, so the
         # run stops before them
         monkeypatch.setattr(propagation, "_physical_memory_bytes", lambda: 2**15)
         args = [command, "--data", blob_csv, "--k", 4]

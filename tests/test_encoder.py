@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from ssdml import gradcheck
-from ssdml.encoder import Encoder, backward, forward, l2_normalize_rows, sgd_update
+from ssdml.encoder import (Encoder, backward, forward, forward_pass, l2_normalize_rows,
+                           sgd_update)
 from ssdml.errors import ConfigError, NumericalError
 
 
@@ -38,6 +39,17 @@ class TestBackward:
         X = rng.standard_normal((6, 4)) + 1.0
         dA, db = backward(enc, X, np.zeros((6, 3)))
         assert np.all(dA == 0.0) and np.all(db == 0.0)
+
+    def test_cached_forward_pass_gives_the_same_gradients(self):
+        # training hands backward() the forward pass it already ran
+        rng = np.random.default_rng(4)
+        enc = Encoder(A=rng.standard_normal((3, 4)), b=rng.standard_normal(3))
+        X = rng.standard_normal((6, 4)) + 1.0
+        upstream = rng.standard_normal((6, 3))
+        cache = forward_pass(enc, X)
+        assert np.array_equal(cache[0], forward(enc, X))
+        for got, want in zip(backward(enc, X, upstream, cache), backward(enc, X, upstream)):
+            assert np.array_equal(got, want)
 
     def test_end_to_end_finite_differences(self):
         assert gradcheck.check_encoder_end_to_end(seed=5, trials=25) <= 1e-5

@@ -180,11 +180,20 @@ def dominant_matrix(rng, n, gamma):
     return np.eye(n) - gamma * Q
 
 
-def invert_in_place(A, gather=None):
+def invert_in_place(A):
     A = A.copy()
     half = A.shape[0] - A.shape[0] // 2
-    propagation._invert(A, np.empty(half * half), gather)
+    propagation._invert(A, np.empty(half * half))
     return A
+
+
+def solved(graph, labels, gamma):
+    """X = A^-1 W0 assembled from the column blocks of the one solve."""
+    X = np.full((graph.n, graph.n), np.nan)
+    for cols, rows in propagation._solve(graph, labels, gamma, 0, "test"):
+        assert np.isnan(X[:, cols]).all()  # every column once
+        X[:, cols] = rows.T
+    return X
 
 
 # the hand-built lists of TestPropagate, and the same made with a bottom-half
@@ -206,15 +215,21 @@ class TestRecursiveInverse:
     @pytest.mark.parametrize("leaf", [1, 2, 5])
     @pytest.mark.parametrize("gamma", [0.0, 0.5, 0.99])
     def test_top_level_gather_matches_numpy_inverse(self, monkeypatch, leaf, gamma):
-        # the top level reads A21 from the neighbor lists instead of from A
+        # the block solve reads A12 and A21 from the neighbor lists and
+        # builds only the diagonal blocks; with no labels W0 = I, so it
+        # hands out the columns of A^-1
         monkeypatch.setattr(propagation, "LEAF_SIZE", leaf)
         rng = np.random.default_rng(leaf)
         graphs = [NeighborGraph(n=4, k=2, neighbors=nbrs) for nbrs in HAND_BUILT]
         graphs += [random_graph(rng, max_n=30)[0] for _ in range(5)]
         for graph in graphs:
-            A = propagation._a_matrix(graph, gamma)
-            assert np.array_equal(A, np.eye(graph.n) - gamma * ssdml.neighbor_matrix(graph))
-            got = invert_in_place(A, propagation._neighbor_gather(graph, gamma, graph.n // 2))
+            A = np.eye(graph.n) - gamma * ssdml.neighbor_matrix(graph)
+            m = graph.n // 2
+            for lo, hi in ((0, m), (m, graph.n), (0, graph.n)):
+                assert np.array_equal(
+                    propagation._transposed_diagonal_block(graph, gamma, lo, hi),
+                    A[lo:hi, lo:hi].T)
+            got = solved(graph, np.full(graph.n, -1), gamma)
             want = np.linalg.inv(A)
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
@@ -343,7 +358,8 @@ class TestPropagate:
         graph = ssdml.build_knn(np.arange(float(n))[:, None], 2)
         labels = np.where(np.arange(n) < 9, np.arange(n) % 3, -1)
         need = propagation._block_inverse_bytes(n, 3)
-        assert need == (8 * (n * n + 26 * 26 + n * 3 + 2 * propagation.GATHER_ROWS * 26)
+        width = min(propagation.CHUNK_COLUMNS, 26)
+        assert need == (8 * (25 * 25 + 26 * 26 + 13 * 13 + (n + 3 * 26) * width + n * 3)
                         + propagation.FIXED_WORKSPACE_BYTES)
         monkeypatch.setattr(propagation, "_physical_memory_bytes", lambda: need)
         ssdml.propagate(graph, labels, 0.5)
@@ -363,10 +379,58 @@ class TestPropagate:
         with pytest.raises(ConfigError, match="n=50"):
             ssdml.propagate_dense(graph, labels, 0.5)
 
+    @pytest.mark.parametrize("where", ["second half", "both halves"])
+    def test_labels_in_one_half_or_both(self, where):
+        # the class columns' seeds then sit in the bottom block alone, or in
+        # both; n is odd, so the blocks differ in size
+        rng = np.random.default_rng(18)
+        n = 91
+        graph = ssdml.build_knn(rng.standard_normal((n, 3)), 6)
+        labels = np.full(n, -1)
+        rows = np.arange(n // 2, n, 4) if where == "second half" else np.arange(0, n, 4)
+        labels[rows] = rng.integers(0, 3, size=rows.size)
+        for gamma in (0.5, 0.99):
+            assert_edges_match_reference(graph, labels, gamma)
+            dense = ssdml.propagate_dense(graph, labels, gamma)
+            assert np.array_equal(on_edges(dense, graph),
+                                  ssdml.propagate(graph, labels, gamma).edges)
+
+    @pytest.mark.parametrize("n", [4, 5, 6, 9, 10, 11, 12, 21])
+    def test_sizes_around_the_chunk_width(self, monkeypatch, n):
+        # with 5 columns per block: n below (4), at (5) and one past (6) the
+        # block width; each half below (9), at (10, 11) and one past (12)
+        # it; and halves of 10 and 11 columns in blocks of 5, 5 and 1 (21)
+        monkeypatch.setattr(propagation, "CHUNK_COLUMNS", 5)
+        rng = np.random.default_rng(n)
+        graph = ssdml.build_knn(rng.standard_normal((n, 2)), min(n - 1, 3))
+        for labels in (np.full(n, -1), np.where(np.arange(n) % 3 == 0, np.arange(n) % 2, -1),
+                       rng.integers(0, 7, size=n)):
+            assert_edges_match_reference(graph, labels, 0.9)
+            dense = ssdml.propagate_dense(graph, labels, 0.9)
+            assert np.abs(dense - dense_reference(graph, labels, 0.9)).max() <= 1e-12
+            assert np.array_equal(on_edges(dense, graph),
+                                  ssdml.propagate(graph, labels, 0.9).edges)
+
+    @pytest.mark.parametrize("n", [1000, 1980])
+    def test_traced_peak_stays_below_one_dense_array(self, n):
+        # the block solve holds two half-size inverses and column blocks;
+        # an in-place inverse of A alone is one n x n array
+        rng = np.random.default_rng(19)
+        graph = ssdml.build_knn(rng.standard_normal((n, 4)), 10)
+        labels = np.where(rng.random(n) < 0.05, rng.integers(0, 10, size=n), -1)
+        tracemalloc.start()
+        try:
+            ssdml.propagate(graph, labels, 0.99)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < n * n * 8
+        assert peak <= propagation._block_inverse_bytes(n, 10)
+
     def test_traced_peak_stays_below_two_dense_arrays(self):
         # the former single dense solve traced 3 n x n arrays (its LAPACK
-        # copies are not traced) and returned one; the block inverse traces
-        # about 1.3 and returns (n, k)
+        # copies are not traced) and returned one; the block solve traces
+        # less than one and returns (n, k)
         rng = np.random.default_rng(17)
         n = 1000
         graph = ssdml.build_knn(rng.standard_normal((n, 4)), 10)
@@ -383,7 +447,7 @@ class TestPropagate:
         assert edges.shape == (n, 10)
         assert peak <= 2 * n * n * 8
         assert peak <= propagation._block_inverse_bytes(n, 5)
-        # the dense result is the inverted array itself, plus one n x n
-        # transpose copy while it is symmetrized
+        # the dense result is one n x n array next to the solve, and it is
+        # symmetrized in place
         assert dense.shape == (n, n)
         assert dense_peak <= propagation._block_inverse_bytes(n, 5) + 8 * n * n
