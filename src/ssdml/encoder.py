@@ -77,18 +77,18 @@ def forward(encoder: Encoder, X: np.ndarray) -> np.ndarray:
     return forward_pass(encoder, X)[0]
 
 
-def backward(encoder: Encoder, X: np.ndarray, upstream: np.ndarray, cache=None):
+def backward(encoder: Encoder, X: np.ndarray, upstream: np.ndarray, cache):
     """Gradients (dA, db) of a loss given per-row output gradients.
 
     Normalization backprops through the Jacobian (I - zhat zhat^T)/||z||
     before hitting the affine layer.  `cache` is the forward_pass() of the
-    same encoder on X; without it the pass is run again.
+    same encoder on X.
     """
     X = np.asarray(X, dtype=np.float64)
     G = np.asarray(upstream, dtype=np.float64)
     if G.shape != (X.shape[0], encoder.d_out):
         raise ValueError("upstream gradient shape does not match")
-    Zhat, norms = forward_pass(encoder, X) if cache is None else cache
+    Zhat, norms = cache
     G = (G - Zhat * np.sum(Zhat * G, axis=1, keepdims=True)) / norms
     dA = G.T @ X
     db = G.sum(axis=0)

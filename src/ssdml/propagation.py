@@ -17,15 +17,15 @@ inverted is nonsingular and no level needs pivoting (Higham, Accuracy and
 Stability of Numerical Algorithms, 2nd ed., sec. 13.3; Demmel, Higham and
 Schreiber 1995).  A12 and A21 hold at most k entries per row and are
 applied as gathers from the neighbor lists.  The columns of X = A^-1 W0
-then come from B and T, at most CHUNK_COLUMNS at a time, so about
-2.25 ceil(n/2)^2 floats, plus n per class and O(n CHUNK_COLUMNS), are alive
-at the peak, against 1.25 n^2 for an in-place inverse of A; the dense
-products are the same, less the one S costs there.  propagate() reads each
-block at the kNN edges, which is all that training ranks;
-propagate_dense() writes the blocks into one n x n array and symmetrizes
-it in place for `ssdml propagate`.  propagate_direct(),
-propagate_iterative() and symmetrize() are the dense references both are
-checked against.
+then come from B and T, at most CHUNK_COLUMNS at a time.  Each product and
+gather is a numpy temporary; at the peak B and T are alive with n floats
+per class and the larger of one ceil(n/4)^2 product of the inversions and
+about 2.5 n CHUNK_COLUMNS floats of a column block (_block_inverse_bytes()),
+against 1.25 n^2 for an in-place inverse of A.  propagate() reads each
+block at the kNN edges, which is all that training ranks; propagate_dense()
+writes the blocks into one n x n array and symmetrizes it in place for
+`ssdml propagate`.  propagate_direct(), propagate_iterative() and
+symmetrize() are the dense references both are checked against.
 """
 
 from __future__ import annotations
@@ -44,9 +44,9 @@ ITERATIVE_MAX_ITER = 10_000
 # Diagonal blocks of this size or less are inverted by np.linalg.inv; 64
 # and 128 ran equally fast at n = 1,980.
 LEAF_SIZE = 64
-# Columns of X per block; the column phase's buffers hold about 2.5 n x
-# CHUNK_COLUMNS floats.  Wider blocks make fewer, faster products but hold
-# more: 192 raised the perfbench ours-encoder peak RSS from 71.8 to 73.8 MiB.
+# Columns of X per block; the column phase's temporaries peak at about
+# 2.5 n x CHUNK_COLUMNS floats.  Wider blocks make fewer, faster products but
+# hold more.
 CHUNK_COLUMNS = 128
 # What propagate() holds beyond its n-sized arrays: numpy's iterator buffers
 # (about 128 KiB for a ufunc call on a strided view) and one leaf's inverse.
@@ -134,24 +134,18 @@ def _check_fits_in_memory(need: int, task: str):
 
 
 def _block_inverse_bytes(n: int, n_classes: int) -> int:
-    """Bound on the peak bytes of propagate(): the two diagonal blocks
-    (ceil(n/2)^2 and (n//2)^2 floats, inverted in place), the class rows
-    (n_classes x n) and one workspace, which serves first as the scratch of
-    q^2 floats each inversion goes through, q = ceil(ceil(n/2)/2), then as
-    one block of w x n rows and three w x ceil(n/2) scratch arrays,
-    w = min(CHUNK_COLUMNS, ceil(n/2)); plus FIXED_WORKSPACE_BYTES.  The
-    workspace's two uses are summed, although one allocation of the larger
-    serves both: the difference is headroom for the (n, k) neighbor-list
-    arrays, which are not counted."""
-    half = n - n // 2
-    return 8 * ((n // 2) ** 2 + half * half + (half - half // 2) ** 2
-                + _column_floats(n) + n * n_classes) + FIXED_WORKSPACE_BYTES
-
-
-def _column_floats(n: int) -> int:
-    """Floats in the column phase's block of rows and three scratch arrays."""
-    half = n - n // 2
-    return (n + 3 * half) * min(CHUNK_COLUMNS, half)
+    """Bound on the peak bytes of propagate(): B and T ((n//2)^2 and
+    ceil(n/2)^2 floats), the class rows (n_classes x n), and two temporaries
+    never alive together, summed: the q^2 product atop each inversion,
+    q = ceil(ceil(n/2)/2), and a column block's w (3 (n//2) + 2 ceil(n/2))
+    floats, w = min(CHUNK_COLUMNS, ceil(n/2)), reached twice: B v1 and y
+    with the gather of A12's copy of y^T, sums and one slot, then B v1, y,
+    the new top and the joined block.  The sum's slack and
+    FIXED_WORKSPACE_BYTES cover the (n, k) index arrays, not counted."""
+    m, half = n // 2, n - n // 2
+    width = min(CHUNK_COLUMNS, half)
+    return 8 * (m * m + half * half + n * n_classes + (half - half // 2) ** 2
+                + width * (3 * m + 2 * half)) + FIXED_WORKSPACE_BYTES
 
 
 def _transposed_diagonal_block(graph: NeighborGraph, gamma: float, lo: int,
@@ -170,20 +164,7 @@ def _transposed_diagonal_block(graph: NeighborGraph, gamma: float, lo: int,
     return a
 
 
-def _inv(a: np.ndarray) -> np.ndarray:
-    try:
-        return np.linalg.inv(a)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"propagation solve failed: {exc}") from exc
-
-
-def _product(x: np.ndarray, y: np.ndarray, buf: np.ndarray) -> np.ndarray:
-    """x @ y, written into the flat scratch `buf` as one contiguous array."""
-    rows, cols = x.shape[0], y.shape[1]
-    return np.matmul(x, y, out=buf[:rows * cols].reshape(rows, cols))
-
-
-def _invert(a: np.ndarray, buf: np.ndarray):
+def _invert(a: np.ndarray):
     """Invert in place the square `a`, strictly diagonally dominant by rows
     or by columns.
 
@@ -194,30 +175,26 @@ def _invert(a: np.ndarray, buf: np.ndarray):
 
     Leading blocks and Schur complements of a strictly row diagonally
     dominant matrix are strictly row diagonally dominant too, and those of
-    its transpose are their transposes, so no level needs pivoting.  Every
-    product is written to the flat scratch `buf` of at least ceil(n/2)^2
-    floats, then added or copied into place.
+    its transpose are their transposes, so no level needs pivoting.  Each
+    product, at most ceil(n/2)^2 floats, is placed before the next is made.
     """
     n = a.shape[0]
     if n <= LEAF_SIZE:
-        a[...] = _inv(a)
+        try:
+            a[...] = np.linalg.inv(a)
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError(f"propagation solve failed: {exc}") from exc
         return
     m = n // 2
     a11, a12, a21, a22 = a[:m, :m], a[:m, m:], a[m:, :m], a[m:, m:]
-    _invert(a11, buf)
-    np.negative(_product(a11, a12, buf), out=a12)  # P
-    a22 += _product(a21, a12, buf)
-    _invert(a22, buf)  # T
-    a21[...] = _product(a21, a11, buf)
-    np.negative(_product(a22, a21, buf), out=a21)  # W
-    a11 += _product(a12, a21, buf)
-    a12[...] = _product(a12, a22, buf)
-
-
-def _take(a: np.ndarray, rows: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """a[rows] written into the C-contiguous `out`.  The rows are in range;
-    mode "clip" keeps np.take from buffering `out`."""
-    return np.take(a, rows, axis=0, out=out, mode="clip")
+    _invert(a11)
+    np.negative(a11 @ a12, out=a12)  # P
+    a22 += a21 @ a12
+    _invert(a22)  # T
+    a21[...] = a21 @ a11
+    np.negative(a22 @ a21, out=a21)  # W
+    a11 += a12 @ a21
+    a12[...] = a12 @ a22
 
 
 class _OffDiagonalBlock:
@@ -244,42 +221,37 @@ class _OffDiagonalBlock:
         count = count[order]
         self.index = [packed[:np.count_nonzero(count > s), s] for s in range(count.max(initial=0))]
 
-    def gather(self, x: np.ndarray, acc: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """out = (block @ x) / weight: row i of out is the sum of x[j] over
-        row i's entries j.  x, acc and out are C-contiguous; acc, shaped
-        like out, is scratch."""
-        if not self.index:
-            out.fill(0.0)
-            return out
-        first = self.index[0].size
-        _take(x, self.index[0], acc[:first])
-        acc[first:] = 0.0
-        for index in self.index[1:]:
-            acc[:index.size] += _take(x, index, out[:index.size])
-        return _take(acc, self.unorder, out)
+    def times_transpose(self, rows: np.ndarray) -> np.ndarray:
+        """rows @ block.T: column i is `weight` times the sum of rows[:, j]
+        over row i's entries j, gathered as rows of a copy of rows.T."""
+        x = np.ascontiguousarray(rows.T)
+        sums = np.zeros((self.unorder.size, x.shape[1]))
+        for index in self.index:
+            sums[:index.size] += x[index]
+        sums *= self.weight
+        sums = sums[self.unorder]
+        return np.ascontiguousarray(sums.T)
 
 
 def _solve(graph: NeighborGraph, labels, gamma: float, extra_bytes: int, task: str):
     """An iterator of (cols, rows) with rows[t] = X[:, cols[t]] for
     X = A^-1 W0, where A = I - gamma*Q and W0 = seed_affinity(labels): every
-    column of X once, at most CHUNK_COLUMNS at a time, each block of rows
-    overwritten by the next.
+    column of X once, at most CHUNK_COLUMNS at a time, each a new array.
 
     With m = n // 2, B = inv(A11), S = A22 - A21 B A12 and T = inv(S),
 
         A^-1 [v1; v2] = [B v1 - B A12 y; y],  y = T (v2 - A21 B v1).
 
-    Only A11 and A22 are built, as dense transposed arrays; each is
-    inverted in place by _invert(), A22^T after it has been overwritten by
-    S^T.  A21 and A12 are applied as gathers from the neighbor lists.
-    Column j of W0 is the unit vector e_j for an unlabeled j, so X's column
-    j is column j of A^-1: the formula with B v1 = B[:, j] (j < m) or
-    y = T[:, j - m] (j >= m) read off directly.  For a labeled j it is the
-    signed indicator of j's class on the labeled rows (+1 same class, -1
-    other class), so one column per class is solved and handed out for
-    every labeled column of that class.  Raises ConfigError here, before
-    anything ceil(n/2)^2 is allocated, when the solve and `extra_bytes`
-    more cannot fit in physical memory.
+    Only A11 and A22 are built, as dense transposed arrays, and inverted in
+    place here, A22^T after it has been overwritten by S^T.  Column j of W0
+    is the unit vector e_j for an unlabeled j, so X's column j is column j
+    of A^-1: the formula with B v1 = B[:, j] (j < m) or y = T[:, j - m]
+    (j >= m) read off directly.  For a labeled j it is the signed indicator
+    of j's class on the labeled rows (+1 same class, -1 other class), so one
+    column per class is solved and handed out for every labeled column of
+    that class.  Raises ConfigError before anything ceil(n/2)^2 is
+    allocated when the solve and `extra_bytes` more cannot fit in physical
+    memory.
     """
     _check_gamma(gamma)
     n = graph.n
@@ -289,27 +261,31 @@ def _solve(graph: NeighborGraph, labels, gamma: float, extra_bytes: int, task: s
     labeled = np.flatnonzero(y != UNLABELED)
     classes, label_class = np.unique(y[labeled], return_inverse=True)
     _check_fits_in_memory(_block_inverse_bytes(n, classes.size) + extra_bytes, task)
-    return _column_blocks(graph, gamma, y, labeled, label_class, classes.size)
-
-
-def _column_blocks(graph, gamma, y, labeled, label_class, n_classes):
-    """The generator behind _solve(), working on transposes: Bt = B^T and
-    Tt = T^T are the inverses of A11^T and S^T, and a block's row t is
-    column cols[t] of X, so every product with Bt or Tt has the narrow
-    factor on the left."""
-    n = graph.n
-    m, half = n // 2, n - n // 2
-    width = min(CHUNK_COLUMNS, half)
+    m = n // 2
     a21 = _OffDiagonalBlock(graph, gamma, m, n, 0, m)
     a12 = _OffDiagonalBlock(graph, gamma, 0, m, m, n)
-    # the inversions' scratch, and between them and after them one block of
-    # rows and three scratch arrays of `width` x ceil(n/2)
-    workspace = np.empty(max((half - half // 2) ** 2, _column_floats(n)))
-    block_buf, x_buf, acc_buf, out_buf = np.split(
-        workspace[:_column_floats(n)], np.cumsum([n * width, half * width, half * width]))
+    Bt = _transposed_diagonal_block(graph, gamma, 0, m)
+    _invert(Bt)
+    # S^T = A22^T - A12^T (A21 B)^T: row j of (A21 B)^T = (B^T A21^T)[j], a
+    # gather of row j of Bt, goes to the rows of S^T that row j of A lists
+    # in the bottom half
+    Tt = _transposed_diagonal_block(graph, gamma, m, n)
+    for start in range(0, m, CHUNK_COLUMNS):
+        cols = np.arange(start, min(start + CHUNK_COLUMNS, m))
+        a21_b = a21.times_transpose(Bt[cols])
+        a21_b *= -a12.weight
+        for j, row in zip(cols, a21_b):
+            Tt[a12.columns[a12.starts[j]:a12.starts[j + 1]]] += row
+    _invert(Tt)
+    return _column_blocks(a21, a12, Bt, Tt, y, labeled, label_class, classes.size)
 
-    def view(buf, rows, cols):
-        return buf[:rows * cols].reshape(rows, cols)
+
+def _column_blocks(a21, a12, Bt, Tt, labels, labeled, label_class, n_classes):
+    """The generator behind _solve(), working on transposes: a block's row
+    t is column cols[t] of X, so every product with Bt = B^T or Tt = T^T
+    has the narrow factor on the left."""
+    n, m = labels.size, Bt.shape[0]
+    width = min(CHUNK_COLUMNS, n - m)
 
     def chunks(idx):
         """Runs of at most `width` of the sorted `idx`, none across m."""
@@ -317,75 +293,32 @@ def _column_blocks(graph, gamma, y, labeled, label_class, n_classes):
             for start in range(0, part.size, width):
                 yield part[start:start + width]
 
-    def times_weight(off_diagonal, rows):
-        """rows @ off_diagonal.T into x_buf.  The gather runs on the
-        transpose of `rows`, where its row takes are contiguous."""
-        x = view(x_buf, rows.shape[1], rows.shape[0])
-        x[...] = rows.T
-        width_out = off_diagonal.unorder.size
-        sums = off_diagonal.gather(x, view(acc_buf, width_out, rows.shape[0]),
-                                   view(out_buf, width_out, rows.shape[0]))
-        sums *= off_diagonal.weight
-        product = view(x_buf, rows.shape[0], width_out)
-        product[...] = sums.T
-        return product
+    def solved(top, bottom):
+        """Rows [B v1 - B A12 y, y] of A^-1 [v1; v2], y = T (v2 - A21 B v1),
+        from top = (B v1)^T and bottom = v2^T; or, for v1 = 0, from
+        top = None and bottom = y^T = (T v2)^T itself."""
+        if top is None:
+            top, y = 0.0, bottom
+        else:
+            y = (bottom - a21.times_transpose(top)) @ Tt
+        return np.concatenate((top - a12.times_transpose(y) @ Bt, y), axis=1)
 
-    def lower(top, bottom, rhs):
-        """bottom = (rhs - top A21^T) Tt, i.e. y^T for y = T (v2 - A21 B v1)
-        with top = (B v1)^T; rhs may be bottom itself."""
-        a21_top = times_weight(a21, top)
-        np.matmul(np.subtract(rhs, a21_top, out=a21_top), Tt, out=bottom)
-
-    def upper(top, bottom):
-        """top -= bottom A12^T Bt, i.e. B v1 - B A12 y as a row."""
-        top -= np.matmul(times_weight(a12, bottom), Bt, out=view(acc_buf, top.shape[0], m))
-
-    Bt = _transposed_diagonal_block(graph, gamma, 0, m)
-    _invert(Bt, workspace)
-
-    # S^T = A22^T - A12^T (A21 B)^T: row j of (A21 B)^T = (B^T A21^T)[j] is
-    # a gather of row j of Bt, and goes to the rows of S^T that row j of A
-    # lists in the bottom half
-    Tt = _transposed_diagonal_block(graph, gamma, m, n)
-    for cols in chunks(np.arange(m)):
-        a21_b = times_weight(a21, _take(Bt, cols, view(block_buf, cols.size, m)))
-        a21_b *= -a12.weight
-        for j, row in zip(cols, a21_b):
-            Tt[a12.columns[a12.starts[j]:a12.starts[j + 1]]] += row
-    _invert(Tt, workspace)
-
-    node_class = np.full(n, -1)
-    node_class[labeled] = label_class
-    F = np.empty((n_classes, n))  # X's column for each class, as a row
+    # W0's class columns as rows, each overwritten by X's column for its class
+    F = np.zeros((n_classes, n))
+    F[:, labeled] = np.where(label_class == np.arange(n_classes)[:, None], 1.0, -1.0)
     for start in range(0, n_classes, width):
-        c = np.arange(start, min(start + width, n_classes))
-        block = view(block_buf, c.size, n)
-        top, bottom = block[:, :m], block[:, m:]
-        for row, cls in zip(block, c):  # W0's class column, as a row
-            row[...] = np.where(node_class == cls, 1.0, -1.0)
-        block[:, node_class < 0] = 0.0
-        seeds_top = view(out_buf, c.size, m)
-        seeds_top[...] = top
-        np.matmul(seeds_top, Bt, out=top)
-        lower(top, bottom, bottom)
-        upper(top, bottom)
-        F[c] = block
+        c = slice(start, start + width)
+        F[c] = solved(F[c, :m] @ Bt, F[c, m:])
 
     done = 0
     for cols in chunks(labeled):
-        yield cols, _take(F, label_class[done:done + cols.size], view(block_buf, cols.size, n))
+        yield cols, F[label_class[done:done + cols.size]]
         done += cols.size
-    for cols in chunks(np.flatnonzero(y == UNLABELED)):
-        block = view(block_buf, cols.size, n)
-        top, bottom = block[:, :m], block[:, m:]
+    for cols in chunks(np.flatnonzero(labels == UNLABELED)):
         if cols[0] < m:
-            top[...] = _take(Bt, cols, view(out_buf, cols.size, m))
-            lower(top, bottom, 0.0)
+            yield cols, solved(Bt[cols], 0.0)
         else:
-            top.fill(0.0)
-            bottom[...] = _take(Tt, cols - m, view(out_buf, cols.size, half))
-        upper(top, bottom)
-        yield cols, block
+            yield cols, solved(None, Tt[cols - m])
 
 
 def propagate(graph: NeighborGraph, labels, gamma: float) -> EdgeAffinity:
@@ -405,6 +338,7 @@ def propagate(graph: NeighborGraph, labels, gamma: float) -> EdgeAffinity:
         to[hit] = rows[place[hit], hit[0]]
         back[cols] = rows[np.arange(cols.size)[:, None], nbrs[cols]]
         where[cols] = -1
+        del rows  # free this block before the solve builds the next
     return EdgeAffinity(edges=((1.0 - gamma) * to + (1.0 - gamma) * back) / 2.0)
 
 
@@ -413,16 +347,15 @@ def propagate_dense(graph: NeighborGraph, labels, gamma: float) -> np.ndarray:
     column blocks of propagate()'s solve written into one array, scaled and
     symmetrized in place a band at a time (X[i, j] + X[j, i] for both
     entries, the sum X += X.T forms), so it equals propagate()'s edges
-    where they are read.
-
-    Raises ConfigError before allocating anything n x n when the solve and
-    the n x n result cannot fit in physical memory.
+    where they are read.  Raises ConfigError before allocating anything
+    n x n when the solve and the n x n result cannot fit in memory.
     """
     n = graph.n
     blocks = _solve(graph, labels, gamma, 8 * n * n, f"dense propagation over n={n} nodes")
     X = np.empty((n, n))  # X^T; the symmetrized result is the same
     for cols, rows in blocks:
         X[cols] = rows
+        del rows  # free this block before the solve builds the next
     X *= 1.0 - gamma
     for start in range(0, n, CHUNK_COLUMNS):
         rows = slice(start, start + CHUNK_COLUMNS)

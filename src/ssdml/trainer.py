@@ -384,10 +384,9 @@ def evaluate_checkpoint(model: Model, dataset: Dataset,
         raise ConfigError("evaluation needs at least 2 labeled rows")
     X = dataset.features[rows]
     y = dataset.labels[rows]
-    Z = _represent(model.encoder, X)
-    if Z.shape[1] != model.L.shape[0]:
+    if X.shape[1] != (model.L.shape[0] if model.encoder is None else model.encoder.d_in):
         raise ConfigError("dataset dimension does not match the model")
-    E = metric.embed(model.L, Z)
+    E = metric.embed(model.L, _represent(model.encoder, X))
     n_clusters = min(dataset.n_classes, len(y))
     return evaluation.evaluate_embeddings(E, y, n_classes=n_clusters, ks=ks, seed=seed)
 

@@ -251,6 +251,24 @@ class TestExitCodes:
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("usage error:" if code == 1 else "error:")
 
+    @pytest.mark.parametrize("encoder", [False, True], ids=["linear", "encoder"])
+    def test_eval_on_data_of_another_width_is_two(self, blob_csv, tmp_path, capsys,
+                                                  encoder):
+        # the model was trained on 5 columns; the CSV has 4
+        model_path = tmp_path / "m.model"
+        args = ["train", "--data", blob_csv, "--k", 4, "--embed-dim", 3,
+                "--batch-triplets", 40, "--max-epochs", 1, "--epochs-per-partition", 1,
+                "--model", model_path]
+        assert run_cli(args + (["--encoder", "--lr", 1e-3] if encoder else [])) == 0
+        narrow = tmp_path / "narrow.csv"
+        assert run_cli(["blobs", "--classes", 3, "--per-class", 20, "--signal-dims", 2,
+                        "--noise-dims", 2, "--seed", 1, "--out", narrow]) == 0
+        capsys.readouterr()
+        assert run_cli(["eval", "--data", narrow, "--model", model_path]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.strip() == "error: dataset dimension does not match the model"
+
     def test_corrupt_model_matrix_is_two(self, blob_csv, tmp_path):
         bad = tmp_path / "bad.model"
         bad.write_text("ssdml-model v1 2 1 0 1\n0.5\nnot-a-number\n")

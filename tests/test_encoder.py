@@ -37,19 +37,28 @@ class TestBackward:
         rng = np.random.default_rng(3)
         enc = Encoder(A=rng.standard_normal((3, 4)), b=rng.standard_normal(3))
         X = rng.standard_normal((6, 4)) + 1.0
-        dA, db = backward(enc, X, np.zeros((6, 3)))
+        dA, db = backward(enc, X, np.zeros((6, 3)), forward_pass(enc, X))
         assert np.all(dA == 0.0) and np.all(db == 0.0)
 
-    def test_cached_forward_pass_gives_the_same_gradients(self):
-        # training hands backward() the forward pass it already ran
+    def test_gradients_match_the_per_row_jacobian(self):
+        # row i's upstream gradient g goes back through the normalization's
+        # Jacobian (I - z z^T) / ||p||, p = A x + b, then the affine layer
         rng = np.random.default_rng(4)
         enc = Encoder(A=rng.standard_normal((3, 4)), b=rng.standard_normal(3))
         X = rng.standard_normal((6, 4)) + 1.0
         upstream = rng.standard_normal((6, 3))
         cache = forward_pass(enc, X)
         assert np.array_equal(cache[0], forward(enc, X))
-        for got, want in zip(backward(enc, X, upstream, cache), backward(enc, X, upstream)):
-            assert np.array_equal(got, want)
+        want_dA, want_db = np.zeros((3, 4)), np.zeros(3)
+        for x, g in zip(X, upstream):
+            p = enc.A @ x + enc.b
+            z = p / np.linalg.norm(p)
+            gp = (np.eye(3) - np.outer(z, z)) @ g / np.linalg.norm(p)
+            want_dA += np.outer(gp, x)
+            want_db += gp
+        dA, db = backward(enc, X, upstream, cache)
+        assert np.allclose(dA, want_dA, rtol=1e-12, atol=1e-12)
+        assert np.allclose(db, want_db, rtol=1e-12, atol=1e-12)
 
     def test_end_to_end_finite_differences(self):
         assert gradcheck.check_encoder_end_to_end(seed=5, trials=25) <= 1e-5
@@ -91,6 +100,6 @@ def test_row_whose_norm_overflows_is_rejected():
         with pytest.raises(NumericalError, match="not finite"):
             l2_normalize_rows(X)
         with pytest.raises(NumericalError, match="not finite"):
-            backward(enc, X, np.ones((2, 2)))
+            forward_pass(enc, X)
     ok = X[1:]
     assert np.array_equal(l2_normalize_rows(ok), ok / np.linalg.norm(ok, axis=1, keepdims=True))

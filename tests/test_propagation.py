@@ -182,8 +182,7 @@ def dominant_matrix(rng, n, gamma):
 
 def invert_in_place(A):
     A = A.copy()
-    half = A.shape[0] - A.shape[0] // 2
-    propagation._invert(A, np.empty(half * half))
+    propagation._invert(A)
     return A
 
 
@@ -359,7 +358,7 @@ class TestPropagate:
         labels = np.where(np.arange(n) < 9, np.arange(n) % 3, -1)
         need = propagation._block_inverse_bytes(n, 3)
         width = min(propagation.CHUNK_COLUMNS, 26)
-        assert need == (8 * (25 * 25 + 26 * 26 + 13 * 13 + (n + 3 * 26) * width + n * 3)
+        assert need == (8 * (25 * 25 + 26 * 26 + 13 * 13 + (3 * 25 + 2 * 26) * width + n * 3)
                         + propagation.FIXED_WORKSPACE_BYTES)
         monkeypatch.setattr(propagation, "_physical_memory_bytes", lambda: need)
         ssdml.propagate(graph, labels, 0.5)
@@ -426,6 +425,31 @@ class TestPropagate:
             tracemalloc.stop()
         assert peak < n * n * 8
         assert peak <= propagation._block_inverse_bytes(n, 10)
+
+    @pytest.mark.parametrize("n_classes", [0, 3, 10])
+    @pytest.mark.parametrize("n", [63, 64, 65, 127, 128, 129, 130, 255, 256, 257, 258,
+                                   999, 1000])
+    def test_memory_bound_covers_the_traced_peak(self, n, n_classes):
+        # n around LEAF_SIZE (64) and CHUNK_COLUMNS (128), for the whole
+        # problem and for each half, odd and even, up to 1,000
+        rng = np.random.default_rng(n)
+        graph = ssdml.build_knn(rng.standard_normal((n, 4)), 10)
+        labels = np.full(n, -1)
+        if n_classes:
+            labels[rng.permutation(n)[:max(n // 10, n_classes)]] = np.arange(
+                max(n // 10, n_classes)) % n_classes
+        need = propagation._block_inverse_bytes(n, n_classes)
+        tracemalloc.start()
+        try:
+            ssdml.propagate(graph, labels, 0.99)
+            _, peak = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            ssdml.propagate_dense(graph, labels, 0.99)
+            _, dense_peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= need
+        assert dense_peak <= need + 8 * n * n
 
     def test_traced_peak_stays_below_two_dense_arrays(self):
         # the former single dense solve traced 3 n x n arrays (its LAPACK

@@ -1,5 +1,6 @@
 """The experiment scripts: one training run per seed, scored by one function."""
 
+import hashlib
 import importlib.util
 import os
 import subprocess
@@ -70,6 +71,60 @@ def test_rounded_keeps_validation_r1_and_rounds_nmi_and_heldout_r1():
     figures = {"trained_val_r1": 12.345, "heldout_nmi": 0.123456, "heldout_r1_final": 12.345}
     assert benchmark.rounded(figures) == {"trained_val_r1": 12.345, "heldout_nmi": 0.1235,
                                           "heldout_r1_final": 12.3}
+
+
+@pytest.fixture()
+def digests(monkeypatch):
+    """scripts/run_digests.py, loaded as the scoreboard is.  Loading it sets
+    the BLAS thread variables, puts src/ and perfbench/ on sys.path and
+    stops bytecode writes; all of that is undone after the test."""
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.setenv(var, os.environ.get(var, ""))
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    monkeypatch.setattr(sys, "dont_write_bytecode", sys.dont_write_bytecode)
+    spec = importlib.util.spec_from_file_location("run_digests", SCRIPTS / "run_digests.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("partition_size, distinct", [(30, 2), (0, 1)])
+def test_with_mined_triplets_hashes_each_distinct_partition_once(monkeypatch, digests,
+                                                                  partition_size, distinct):
+    # two partitions of 30 sampled unlabeled rows differ; two of all rows are equal
+    _, semi = small_blobs()
+    config = TrainConfig(seed=3, partition_size=partition_size,
+                         **{**FAST, "max_epochs": 2, "epochs_per_partition": 1})
+    model, digest = digests.with_mined_triplets(lambda: ssdml.train(semi, config))
+
+    mined = []
+    mine = trainer.mine_triplets
+
+    def recording(*args, **kwargs):
+        mined.append(mine(*args, **kwargs))
+        return mined[-1]
+
+    monkeypatch.setattr(trainer, "mine_triplets", recording)
+    assert ssdml.train(semi, config).history == model.history
+    assert len(mined) == distinct
+    if distinct == 2:
+        assert mined[0].tobytes() != mined[1].tobytes()
+    want = hashlib.sha256(b"".join(triplets.tobytes() for triplets in mined))
+    assert digest == want.hexdigest()[:16]
+
+
+def test_with_mined_triplets_restores_the_miner_when_the_run_raises(digests):
+    _, semi = small_blobs()
+    mine = trainer.mine_triplets
+
+    def failing():
+        ssdml.train(semi, TrainConfig(seed=3, **FAST))
+        assert trainer.mine_triplets is not mine  # the run went through the recorder
+        raise RuntimeError("run failed")
+
+    with pytest.raises(RuntimeError, match="run failed"):
+        digests.with_mined_triplets(failing)
+    assert trainer.mine_triplets is mine
 
 
 @pytest.mark.parametrize("script", ["run_orth_ablation.py", "run_synthetic_benchmark.py"])

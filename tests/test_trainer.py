@@ -79,7 +79,8 @@ def full_rows_train_ours(dataset, config):
                 L, step = res.L, res.step
                 epoch_loss += res.objective
                 upstream = metric.embedding_grad(L, W, idx, Z.shape[0], t)
-                grads = enc_mod.backward(encoder, X, upstream)
+                grads = enc_mod.backward(encoder, X, upstream,
+                                         enc_mod.forward_pass(encoder, X))
                 encoder = enc_mod.sgd_update(encoder, grads, config.lr)
                 Z = enc_mod.forward(encoder, X)
             r1 = validate(epoch, p, epoch_loss / len(triplets))
