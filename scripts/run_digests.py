@@ -14,9 +14,12 @@ test CSV (what ``ssdml eval`` prints, before rounding).  Each run also prints a
 ``mine_triplets`` hands training, one per distinct partition, in order (a
 run that mines nothing hashes no bytes).  It shows directly whether a
 change to the graph, propagation or mining stages moved training's input.
-Runs on one BLAS
-thread, as the benchmark does, so that the digests do not depend on the
-machine's core count.  The perfbench runs use the CSV files that
+The last line, ``gradcheck-202``, hashes the float64 bytes of the largest
+relative errors ``gradcheck.run_all(seed=202, trials=100)`` reports, suite
+by suite in order (acceptance criterion 2's call), so it shows whether a
+change to a gradient, a suite or the harness moved the checks.  Runs on one
+BLAS thread, as the benchmark does, so that the digests do not depend on
+the machine's core count.  The perfbench runs use the CSV files that
 ``perfbench/workloads.make_inputs`` writes to a temporary directory;
 ``perfbench/`` is only read (no bytecode is written there).
 """
@@ -40,7 +43,7 @@ sys.dont_write_bytecode = True
 import numpy as np  # noqa: E402
 
 import ssdml  # noqa: E402
-from ssdml import trainer  # noqa: E402
+from ssdml import gradcheck, trainer  # noqa: E402
 from workloads import WORKLOADS, make_inputs  # noqa: E402
 
 
@@ -120,6 +123,11 @@ def with_mined_triplets(run):
     return result, h.hexdigest()[:16]
 
 
+def gradcheck_digest(seed: int) -> str:
+    errors = gradcheck.run_all(seed=seed, trials=100)
+    return hashlib.sha256(np.array(list(errors.values())).tobytes()).hexdigest()[:16]
+
+
 def main():
     for name, run in RUNS.items():
         (model, report), triplets = with_mined_triplets(run)
@@ -127,6 +135,7 @@ def main():
         if report is not None:
             print(f"{name}-eval", report_digest(report), flush=True)
         print(f"triplets-{name}", triplets, flush=True)
+    print("gradcheck-202", gradcheck_digest(202), flush=True)
 
 
 if __name__ == "__main__":

@@ -63,6 +63,12 @@ class Dataset:
         return np.flatnonzero(self.labels != UNLABELED)
 
     @property
+    def classes(self) -> np.ndarray:
+        """The class ids the labeled rows carry, ascending.  Ids may be
+        sparse, so there can be far fewer than n_classes."""
+        return np.unique(self.labels[self.labeled_indices])
+
+    @property
     def unlabeled_indices(self) -> np.ndarray:
         return np.flatnonzero(self.labels == UNLABELED)
 
@@ -351,10 +357,8 @@ def strip_labels(dataset: Dataset, keep_per_class: int, seed=0) -> Dataset:
         raise ConfigError(f"labels kept per class must be >= 0 (got {keep_per_class})")
     rng = _rng(seed)
     labels = np.full_like(dataset.labels, UNLABELED)
-    for c in range(dataset.n_classes):
+    for c in dataset.classes:
         rows = np.flatnonzero(dataset.labels == c)
-        if rows.size == 0:
-            continue
         keep = min(keep_per_class, rows.size)
         chosen = np.sort(rng.choice(rows, size=keep, replace=False))
         labels[chosen] = c
@@ -364,7 +368,9 @@ def strip_labels(dataset: Dataset, keep_per_class: int, seed=0) -> Dataset:
 def sample_partition(dataset: Dataset, n_unlabeled: int, seed=0) -> np.ndarray:
     """A partition's node rows: every labeled row, ascending, then
     n_unlabeled unlabeled rows sampled without replacement, ascending
-    (0 = every unlabeled row).  Affinity seeding relies on that order."""
+    (0 = every unlabeled row).  The trainer relies on that order: SERAPH
+    draws its unlabeled pairs from rows labeled.size onwards, and SERAPH
+    and LRML read the labeled rows as every partition's first rows."""
     labeled = dataset.labeled_indices
     unlabeled = dataset.unlabeled_indices
     if labeled.size == 0:
@@ -388,14 +394,11 @@ def split_validation(dataset: Dataset, fraction: float, seed=0):
         raise ConfigError("fraction must lie strictly between 0 and 1")
     rng = _rng(seed)
     val_rows = []
-    for c in range(dataset.n_classes):
+    for c in dataset.classes:
         rows = np.flatnonzero(dataset.labels == c)
         if rows.size < 2:
-            if rows.size:
-                warnings.warn(
-                    f"class {c} has fewer than 2 labeled rows; kept whole in train",
-                    stacklevel=2,
-                )
+            warnings.warn(f"class {c} has fewer than 2 labeled rows; kept whole in train",
+                          stacklevel=2)
             continue
         n_val = math.ceil(fraction * rows.size)
         val_rows.append(rng.choice(rows, size=n_val, replace=False))

@@ -296,10 +296,11 @@ def recall_at_k(Z, labels, ks=DEFAULT_RECALL_KS) -> dict:
 
 def evaluate_embeddings(Z, labels, n_classes=None, ks=DEFAULT_RECALL_KS,
                         seed=0) -> EvalReport:
-    """Full report: NMI of restarted k-means plus Recall@K retrieval."""
+    """Full report: NMI of restarted k-means plus Recall@K retrieval.  By
+    default k-means makes one cluster per distinct label in `labels`."""
     y = np.asarray(labels)
     if n_classes is None:
-        n_classes = int(y.max()) + 1
+        n_classes = np.unique(y).size
     assign, _ = kmeans_best(Z, n_classes, seed=seed)
     return EvalReport(
         nmi=nmi(assign, y),

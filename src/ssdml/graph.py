@@ -181,7 +181,7 @@ def seed_affinity(node_labels: np.ndarray) -> np.ndarray:
 
     Entries: +1 on the diagonal, +1 for distinct same-class labeled pairs,
     -1 for labeled pairs of different classes, 0 whenever either node is
-    unlabeled.  Node order must be labeled rows first, then unlabeled.
+    unlabeled.  Labeled and unlabeled nodes may come in any order.
     """
     y = np.asarray(node_labels, dtype=np.int64)
     n = y.size

@@ -124,8 +124,7 @@ def optimize_L(L0, fun_and_grad, max_iter: int = 10, step0: float = 1.0,
     pair = np.empty((2,) + L.shape)  # G_new and the old direction, projected together
 
     for _ in range(max_iter):
-        result.grad_norm = np.sqrt(gn2)
-        if result.grad_norm < grad_tol:
+        if np.sqrt(gn2) < grad_tol:
             break
         slope = float(np.vdot(g, direction))
         if slope <= 0:  # conjugate direction lost descent; restart on gradient
@@ -133,25 +132,16 @@ def optimize_L(L0, fun_and_grad, max_iter: int = 10, step0: float = 1.0,
             slope = gn2
 
         step = result.step
-        accepted = False
-        first_try = True
-        for _ in range(MAX_BACKTRACKS):
+        for trial in range(MAX_BACKTRACKS):
             try:
-                if orthonormal:
-                    L_new = retract_qr(L, direction, step)
-                else:
-                    L_new = L - step * direction
+                L_new = retract_qr(L, direction, step) if orthonormal else L - step * direction
                 J_new, G_new = fun_and_grad(L_new)
+                if np.isfinite(J_new) and J_new <= J - ARMIJO_C * step * slope:
+                    break
             except NumericalError:
-                step *= BACKTRACK_FACTOR
-                first_try = False
-                continue
-            if np.isfinite(J_new) and J_new <= J - ARMIJO_C * step * slope:
-                accepted = True
-                break
+                pass
             step *= BACKTRACK_FACTOR
-            first_try = False
-        if not accepted:
+        else:
             result.stalled = True
             break
 
@@ -171,7 +161,7 @@ def optimize_L(L0, fun_and_grad, max_iter: int = 10, step0: float = 1.0,
 
         L, J, g, gn2 = L_new, float(J_new), g_new, gn2_new
         result.L = L
-        result.step = min(step * 2.0 if first_try else step, max_step)
+        result.step = min(step * 2.0 if trial == 0 else step, max_step)
         result.n_iter += 1
         result.objectives.append(J)
         if callback is not None:

@@ -19,13 +19,14 @@ Schreiber 1995).  A12 and A21 hold at most k entries per row and are
 applied as gathers from the neighbor lists.  The columns of X = A^-1 W0
 then come from B and T, at most CHUNK_COLUMNS at a time.  Each product and
 gather is a numpy temporary; at the peak B and T are alive with n floats
-per class and the larger of one ceil(n/4)^2 product of the inversions and
-about 2.5 n CHUNK_COLUMNS floats of a column block (_block_inverse_bytes()),
-against 1.25 n^2 for an in-place inverse of A.  propagate() reads each
-block at the kNN edges, which is all that training ranks; propagate_dense()
-writes the blocks into one n x n array and symmetrizes it in place for
-`ssdml propagate`.  propagate_direct(), propagate_iterative() and
-symmetrize() are the dense references both are checked against.
+per class, seven (n, k) index and edge arrays, and the larger of one
+ceil(n/4)^2 product of the inversions and about 2.5 n CHUNK_COLUMNS floats
+of a column block (_block_inverse_bytes()), against 1.25 n^2 for an
+in-place inverse of A.  propagate() reads each block at the kNN edges,
+which is all that training ranks; propagate_dense() writes the blocks into
+one n x n array and symmetrizes it in place for `ssdml propagate`.
+propagate_direct(), propagate_iterative() and symmetrize() are the dense
+references both are checked against.
 """
 
 from __future__ import annotations
@@ -133,18 +134,21 @@ def _check_fits_in_memory(need: int, task: str):
             f"{have / 2**30:.1f} GiB of physical memory; use a smaller --partition-size")
 
 
-def _block_inverse_bytes(n: int, n_classes: int) -> int:
+def _block_inverse_bytes(n: int, n_classes: int, k: int) -> int:
     """Bound on the peak bytes of propagate(): B and T ((n//2)^2 and
-    ceil(n/2)^2 floats), the class rows (n_classes x n), and two temporaries
-    never alive together, summed: the q^2 product atop each inversion,
+    ceil(n/2)^2 floats), the class rows (n_classes x n), seven (n, k) arrays
+    of 8-byte entries alive through the column phase (propagate()'s `to`,
+    `back`, `where[nbrs]` and the two hit index arrays, and the slot lists
+    and CSR columns of A12 and A21 together), and two temporaries never
+    alive together, summed: the q^2 product atop each inversion,
     q = ceil(ceil(n/2)/2), and a column block's w (3 (n//2) + 2 ceil(n/2))
     floats, w = min(CHUNK_COLUMNS, ceil(n/2)), reached twice: B v1 and y
     with the gather of A12's copy of y^T, sums and one slot, then B v1, y,
     the new top and the joined block.  The sum's slack and
-    FIXED_WORKSPACE_BYTES cover the (n, k) index arrays, not counted."""
+    FIXED_WORKSPACE_BYTES cover the n-sized arrays, not counted."""
     m, half = n // 2, n - n // 2
     width = min(CHUNK_COLUMNS, half)
-    return 8 * (m * m + half * half + n * n_classes + (half - half // 2) ** 2
+    return 8 * (m * m + half * half + n * n_classes + 7 * n * k + (half - half // 2) ** 2
                 + width * (3 * m + 2 * half)) + FIXED_WORKSPACE_BYTES
 
 
@@ -260,7 +264,7 @@ def _solve(graph: NeighborGraph, labels, gamma: float, extra_bytes: int, task: s
     y = np.asarray(labels, dtype=np.int64)
     labeled = np.flatnonzero(y != UNLABELED)
     classes, label_class = np.unique(y[labeled], return_inverse=True)
-    _check_fits_in_memory(_block_inverse_bytes(n, classes.size) + extra_bytes, task)
+    _check_fits_in_memory(_block_inverse_bytes(n, classes.size, graph.k) + extra_bytes, task)
     m = n // 2
     a21 = _OffDiagonalBlock(graph, gamma, m, n, 0, m)
     a12 = _OffDiagonalBlock(graph, gamma, 0, m, m, n)

@@ -183,12 +183,13 @@ def _run(dataset, config):
     train_ds, val_ds, seeds = _split(dataset, config)
     if val_ds.n < 2:
         raise ConfigError("validation split has fewer than 2 rows; add labeled data")
-    val_counts = np.bincount(val_ds.labels[val_ds.labeled_indices],
-                             minlength=dataset.n_classes)
+    classes = dataset.classes  # the ids the data holds, which may be sparse
+    val_counts = np.bincount(np.searchsorted(classes, val_ds.labels[val_ds.labeled_indices]),
+                             minlength=classes.size)
     if val_counts.min() < VAL_MIN_PER_CLASS:
         warnings.warn(
             f"validation split has fewer than {VAL_MIN_PER_CLASS} rows in class(es) "
-            f"{np.flatnonzero(val_counts < VAL_MIN_PER_CLASS).tolist()}; its Recall@1 "
+            f"{classes[val_counts < VAL_MIN_PER_CLASS].tolist()}; its Recall@1 "
             "moves in coarse steps, so the kept checkpoint is a noisy pick",
             stacklevel=3,
         )
@@ -387,8 +388,7 @@ def evaluate_checkpoint(model: Model, dataset: Dataset,
     if X.shape[1] != (model.L.shape[0] if model.encoder is None else model.encoder.d_in):
         raise ConfigError("dataset dimension does not match the model")
     E = metric.embed(model.L, _represent(model.encoder, X))
-    n_clusters = min(dataset.n_classes, len(y))
-    return evaluation.evaluate_embeddings(E, y, n_classes=n_clusters, ks=ks, seed=seed)
+    return evaluation.evaluate_embeddings(E, y, ks=ks, seed=seed)
 
 
 def save_model(model: Model, path) -> None:

@@ -121,7 +121,7 @@ class TestSeraphObjective:
         assert np.argmax(vals) == 10  # dist2 = 1.0 = eta
 
     def test_gradient_matches_finite_differences(self):
-        assert gradcheck.check_seraph_grad(seed=2, trials=25) <= 1e-5
+        assert gradcheck.check("seraph_grad_L", seed=2, trials=25) <= 1e-5
 
     def test_gradient_symmetric_and_trace_only_when_no_pairs(self):
         # a function of L L^T has the gradient 2 G L with G symmetric, so
@@ -206,7 +206,7 @@ class TestLrml:
         assert obj == pytest.approx(expected)
 
     def test_gradient_matches_finite_differences(self):
-        assert gradcheck.check_lrml_grad(seed=2, trials=25) <= 1e-5
+        assert gradcheck.check("lrml_grad_L", seed=2, trials=25) <= 1e-5
 
     def test_gradient_independent_of_M(self):
         rng = np.random.default_rng(4)

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import time
 
 import numpy as np
 import pytest
@@ -78,6 +79,27 @@ class TestTrainEval:
                         "--recall-ks", "1,3"]) == 0
         report = json.loads(capsys.readouterr().out.strip())
         assert list(report) == ["nmi", "r@1", "r@3"]
+
+    def test_sparse_class_ids_train_like_dense_ones(self, tmp_path, capsys):
+        # ids 0 and 100,000,000 make n_classes 100,000,001; only the two
+        # classes the data holds may be looped over, counted or clustered
+        features = np.random.default_rng(23).standard_normal((60, 4))
+        outputs = []
+        for second in (100_000_000, 1):
+            path, model = tmp_path / f"{second}.csv", tmp_path / f"{second}.model"
+            with open(path, "w", newline="") as fh:
+                writer = csv.writer(fh)
+                writer.writerow(["f0", "f1", "f2", "f3", "label"])
+                for i, row in enumerate(features):
+                    label = "" if i % 3 else 0 if i < 30 else second
+                    writer.writerow([*map(repr, row.tolist()), label])
+            start = time.perf_counter()
+            assert run_cli(["train", "--data", path, "--k", 4, "--embed-dim", 2,
+                            "--max-epochs", 1, "--model", model]) == 0
+            assert run_cli(["eval", "--data", path, "--model", model]) == 0
+            assert time.perf_counter() - start < 30.0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
 
     def test_no_orth_flag(self, blob_csv, capsys):
         code = run_cli(["train", "--data", blob_csv, "--no-orth", "--k", 4,
@@ -178,6 +200,17 @@ class TestGradcheck:
         assert list(gc.SUITES) == ["angular_loss_grad_L", "angular_loss_grad_embeddings",
                                    "encoder_end_to_end", "seraph_grad_L", "lrml_grad_L"]
         assert all(ln.endswith("[ok]") for ln in out)
+
+    def test_a_nan_case_fails_its_suite(self, capsys, monkeypatch):
+        # one NaN among finite errors must not vanish from the maximum
+        analytic = iter([1.0, np.nan, 1.0])
+
+        def case(rng):
+            return np.array([next(analytic)]), np.array([1.0])
+
+        monkeypatch.setattr(gc, "SUITES", {"nan_case": case})
+        assert run_cli(["gradcheck", "--trials", 3]) == 2
+        assert capsys.readouterr().out == "nan_case: max relative error nan [FAIL]\n"
 
     @pytest.mark.parametrize("trials", [0, -2])
     def test_no_trials_is_one(self, capsys, trials):

@@ -61,7 +61,7 @@ class TestBackward:
         assert np.allclose(db, want_db, rtol=1e-12, atol=1e-12)
 
     def test_end_to_end_finite_differences(self):
-        assert gradcheck.check_encoder_end_to_end(seed=5, trials=25) <= 1e-5
+        assert gradcheck.check("encoder_end_to_end", seed=5, trials=25) <= 1e-5
 
 
 class TestSgdUpdate:

@@ -260,3 +260,75 @@ class TestOptimizeL:
     def test_non_orthonormal_start_rejected(self):
         with pytest.raises(ConfigError):
             optimize_L(np.ones((4, 2)), quadratic_problem(np.eye(4)), max_iter=1)
+
+
+def first_step(L0, fun_and_grad, orthonormal, step):
+    """The trial point of optimize_L's first line search at `step`: along
+    the (projected) gradient at L0, retracted in orthonormal mode."""
+    G = fun_and_grad(L0)[1]
+    if not orthonormal:
+        return L0 - step * G
+    return retract_qr(L0, tangent_project(L0, G), step)
+
+
+class TestLineSearchExits:
+    """optimize_L's line search: it halves the step after a NumericalError
+    or a non-finite or too-small decrease, and gives up after
+    MAX_BACKTRACKS halvings."""
+
+    @pytest.mark.parametrize("orthonormal", [True, False])
+    @pytest.mark.parametrize("outside", ["raise", np.nan, np.inf])
+    def test_halves_until_inside_the_radius(self, orthonormal, outside):
+        rng = np.random.default_rng(20)
+        L0 = random_stiefel(6, 2, rng)
+        B = rng.standard_normal((6, 6))
+        quadratic = quadratic_problem(B @ B.T / 6.0)
+        # the trial at step 1/8 lies inside the radius, those at 1/4, 1/2
+        # and 1 outside it
+        dist = [np.linalg.norm(first_step(L0, quadratic, orthonormal, 0.5 ** j) - L0)
+                for j in range(4)]
+        assert dist[0] > dist[1] > dist[2] > dist[3]
+        radius = (dist[2] + dist[3]) / 2.0
+        trials = []
+
+        def fg(L):
+            trials.append(L)
+            J, G = quadratic(L)
+            if np.linalg.norm(L - L0) <= radius:
+                return J, G
+            if outside == "raise":
+                raise NumericalError("outside the trust radius")
+            return outside, G
+
+        res = optimize_L(L0, fg, max_iter=1, step0=1.0, orthonormal=orthonormal)
+        assert not res.stalled
+        assert res.n_iter == 1
+        assert res.step == 0.125  # the accepted step, not doubled after a halving
+        assert len(trials) == 1 + 4  # the start, then steps 1, 1/2, 1/4, 1/8
+        for j, L in enumerate(trials[1:]):
+            assert np.array_equal(L, first_step(L0, quadratic, orthonormal, 0.5 ** j))
+        assert np.array_equal(res.L, trials[-1])
+        assert res.objectives == [quadratic(L0)[0], quadratic(trials[-1])[0]]
+
+    @pytest.mark.parametrize("orthonormal", [True, False])
+    def test_ascent_direction_stalls_after_max_backtracks(self, orthonormal):
+        # J is smallest at L0, so no step along the claimed gradient G0
+        # decreases it, however short
+        rng = np.random.default_rng(21)
+        L0 = random_stiefel(6, 2, rng)
+        G0 = rng.standard_normal((6, 2))
+        calls = []
+
+        def uphill(L):
+            calls.append(L)
+            return float(np.sum((L - L0) ** 2)), G0
+
+        res = optimize_L(L0, uphill, max_iter=5, step0=0.5, orthonormal=orthonormal)
+        assert res.stalled
+        assert res.n_iter == 0
+        assert np.array_equal(res.L, L0)
+        assert res.step == 0.5
+        assert res.objectives == [0.0]
+        assert len(calls) == 1 + MAX_BACKTRACKS
+        g0 = tangent_project(L0, G0) if orthonormal else G0
+        assert res.grad_norm == np.sqrt(float(np.vdot(g0, g0)))

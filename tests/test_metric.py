@@ -121,10 +121,10 @@ class TestGradients:
         assert np.all(metric.embedding_grad(L, W, idx, 3, t) == 0.0)
 
     def test_grad_L_matches_finite_differences(self):
-        assert gradcheck.check_angular_grad_L(seed=3, trials=25) <= 1e-5
+        assert gradcheck.check("angular_loss_grad_L", seed=3, trials=25) <= 1e-5
 
     def test_grad_embeddings_matches_finite_differences(self):
-        assert gradcheck.check_angular_grad_embeddings(seed=3, trials=25) <= 1e-5
+        assert gradcheck.check("angular_loss_grad_embeddings", seed=3, trials=25) <= 1e-5
 
     def test_grad_single_instance_inline_oracle(self):
         # independent spot check, not via the shared harness

@@ -345,7 +345,7 @@ class TestPropagate:
         n = 50
         graph = ssdml.build_knn(np.arange(float(n))[:, None], 2)
         labels = np.full(n, -1)
-        need = propagation._block_inverse_bytes(n, 0)
+        need = propagation._block_inverse_bytes(n, 0, 2)
         monkeypatch.setattr(propagation, "_physical_memory_bytes", lambda: need)
         ssdml.propagate(graph, labels, 0.5)
         monkeypatch.setattr(propagation, "_physical_memory_bytes", lambda: need - 1)
@@ -356,9 +356,10 @@ class TestPropagate:
         n = 51
         graph = ssdml.build_knn(np.arange(float(n))[:, None], 2)
         labels = np.where(np.arange(n) < 9, np.arange(n) % 3, -1)
-        need = propagation._block_inverse_bytes(n, 3)
+        need = propagation._block_inverse_bytes(n, 3, 2)
         width = min(propagation.CHUNK_COLUMNS, 26)
-        assert need == (8 * (25 * 25 + 26 * 26 + 13 * 13 + (3 * 25 + 2 * 26) * width + n * 3)
+        assert need == (8 * (25 * 25 + 26 * 26 + 13 * 13 + (3 * 25 + 2 * 26) * width + n * 3
+                             + 7 * n * 2)
                         + propagation.FIXED_WORKSPACE_BYTES)
         monkeypatch.setattr(propagation, "_physical_memory_bytes", lambda: need)
         ssdml.propagate(graph, labels, 0.5)
@@ -371,7 +372,7 @@ class TestPropagate:
         n = 50
         graph = ssdml.build_knn(np.arange(float(n))[:, None], 2)
         labels = np.full(n, -1)
-        need = propagation._block_inverse_bytes(n, 0) + 8 * n * n
+        need = propagation._block_inverse_bytes(n, 0, 2) + 8 * n * n
         monkeypatch.setattr(propagation, "_physical_memory_bytes", lambda: need)
         ssdml.propagate_dense(graph, labels, 0.5)
         monkeypatch.setattr(propagation, "_physical_memory_bytes", lambda: need - 1)
@@ -424,32 +425,35 @@ class TestPropagate:
         finally:
             tracemalloc.stop()
         assert peak < n * n * 8
-        assert peak <= propagation._block_inverse_bytes(n, 10)
+        assert peak <= propagation._block_inverse_bytes(n, 10, 10)
 
     @pytest.mark.parametrize("n_classes", [0, 3, 10])
     @pytest.mark.parametrize("n", [63, 64, 65, 127, 128, 129, 130, 255, 256, 257, 258,
                                    999, 1000])
     def test_memory_bound_covers_the_traced_peak(self, n, n_classes):
         # n around LEAF_SIZE (64) and CHUNK_COLUMNS (128), for the whole
-        # problem and for each half, odd and even, up to 1,000
+        # problem and for each half, odd and even, up to 1,000; and k from
+        # the default 10 to 60, since the (n, k) arrays grow with k
         rng = np.random.default_rng(n)
-        graph = ssdml.build_knn(rng.standard_normal((n, 4)), 10)
+        points = rng.standard_normal((n, 4))
         labels = np.full(n, -1)
         if n_classes:
             labels[rng.permutation(n)[:max(n // 10, n_classes)]] = np.arange(
                 max(n // 10, n_classes)) % n_classes
-        need = propagation._block_inverse_bytes(n, n_classes)
-        tracemalloc.start()
-        try:
-            ssdml.propagate(graph, labels, 0.99)
-            _, peak = tracemalloc.get_traced_memory()
-            tracemalloc.reset_peak()
-            ssdml.propagate_dense(graph, labels, 0.99)
-            _, dense_peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak <= need
-        assert dense_peak <= need + 8 * n * n
+        for k in (10, 30, 60):
+            graph = ssdml.build_knn(points, k)
+            need = propagation._block_inverse_bytes(n, n_classes, k)
+            tracemalloc.start()
+            try:
+                ssdml.propagate(graph, labels, 0.99)
+                _, peak = tracemalloc.get_traced_memory()
+                tracemalloc.reset_peak()
+                ssdml.propagate_dense(graph, labels, 0.99)
+                _, dense_peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak <= need, k
+            assert dense_peak <= need + 8 * n * n, k
 
     def test_traced_peak_stays_below_two_dense_arrays(self):
         # the former single dense solve traced 3 n x n arrays (its LAPACK
@@ -470,8 +474,8 @@ class TestPropagate:
             tracemalloc.stop()
         assert edges.shape == (n, 10)
         assert peak <= 2 * n * n * 8
-        assert peak <= propagation._block_inverse_bytes(n, 5)
+        assert peak <= propagation._block_inverse_bytes(n, 5, 10)
         # the dense result is one n x n array next to the solve, and it is
         # symmetrized in place
         assert dense.shape == (n, n)
-        assert dense_peak <= propagation._block_inverse_bytes(n, 5) + 8 * n * n
+        assert dense_peak <= propagation._block_inverse_bytes(n, 5, 10) + 8 * n * n
