@@ -17,7 +17,14 @@ change to the graph, propagation or mining stages moved training's input.
 The last line, ``gradcheck-202``, hashes the float64 bytes of the largest
 relative errors ``gradcheck.run_all(seed=202, trials=100)`` reports, suite
 by suite in order (acceptance criterion 2's call), so it shows whether a
-change to a gradient, a suite or the harness moved the checks.  Runs on one
+change to a gradient, a suite or the harness moved the checks.  The line
+before it, ``propagation-criterion8-k10-k30``, hashes the bytes of
+``propagate()``'s edges and of ``propagate_dense()`` at gamma 0.99 over the
+kNN graphs (k = 10, then 30) of criterion 8's 2,000 seed-0 blob rows,
+l2-normalized, with the labels ``strip_labels(..., 10, seed=0)`` leaves,
+and then over one hand-built 150-node list with a self edge and a repeated
+neighbor.  Mining only sees the ranking of the affinities, so a last-bit
+change to the propagation solve shows on this line alone.  Runs on one
 BLAS thread, as the benchmark does, so that the digests do not depend on
 the machine's core count.  The perfbench runs use the CSV files that
 ``perfbench/workloads.make_inputs`` writes to a temporary directory;
@@ -44,6 +51,7 @@ import numpy as np  # noqa: E402
 
 import ssdml  # noqa: E402
 from ssdml import gradcheck, trainer  # noqa: E402
+from ssdml.encoder import l2_normalize_rows  # noqa: E402
 from workloads import WORKLOADS, make_inputs  # noqa: E402
 
 
@@ -128,6 +136,24 @@ def gradcheck_digest(seed: int) -> str:
     return hashlib.sha256(np.array(list(errors.values())).tobytes()).hexdigest()[:16]
 
 
+def propagation_digest() -> str:
+    blobs = ssdml.make_blobs(10, 200, 5, 45, 6.0, 4.0, seed=0)
+    semi = ssdml.strip_labels(blobs, 10, seed=0)
+    Z = l2_normalize_rows(semi.features)
+    cases = [(ssdml.build_knn(Z, k), semi.labels) for k in (10, 30)]
+    n = 150  # both halves over LEAF_SIZE, so each is inverted recursively
+    neighbors = (np.arange(n)[:, None] + [1, 2, 3, n // 2]) % n
+    neighbors[0, 0] = 0  # a self edge
+    neighbors[1, 1] = neighbors[1, 0]  # a repeated neighbor
+    labels = np.where(np.arange(n) % 10 == 0, np.arange(n) // 10 % 3, -1)
+    cases.append((ssdml.NeighborGraph(n=n, k=4, neighbors=neighbors), labels))
+    h = hashlib.sha256()
+    for graph, labels in cases:
+        h.update(ssdml.propagate(graph, labels, 0.99).edges.tobytes())
+        h.update(ssdml.propagate_dense(graph, labels, 0.99).tobytes())
+    return h.hexdigest()[:16]
+
+
 def main():
     for name, run in RUNS.items():
         (model, report), triplets = with_mined_triplets(run)
@@ -135,6 +161,7 @@ def main():
         if report is not None:
             print(f"{name}-eval", report_digest(report), flush=True)
         print(f"triplets-{name}", triplets, flush=True)
+    print("propagation-criterion8-k10-k30", propagation_digest(), flush=True)
     print("gradcheck-202", gradcheck_digest(202), flush=True)
 
 

@@ -57,8 +57,7 @@ def score_seed(blobs, semi, config):
     printed, so the other held-out figures skip evaluate_checkpoint's
     k-means and score R@1 alone."""
     train_ds, val, (_, eval_seed, _, _) = _split(semi, config)
-    identity = evaluation.evaluate_embeddings(val.features, val.labels,
-                                              min(semi.n_classes, val.n), ks=(1,),
+    identity = evaluation.evaluate_embeddings(val.features, val.labels, ks=(1,),
                                               seed=eval_seed)
     Z = l2_normalize_rows(train_ds.features)
     laplacian_L, _ = stiefel_minimizer(knn_laplacian_form(ssdml.build_knn(Z, config.k), Z),

@@ -2,7 +2,7 @@
 
 Subcommands: train, eval, propagate, mine, blobs, gradcheck.  Results go
 to stdout (or --out) as JSON lines or CSV.  Exit codes: 0 success, 1 usage
-error, 2 data or numeric error.
+error, 2 data or numeric error or a refused allocation.
 """
 
 from __future__ import annotations
@@ -243,19 +243,16 @@ def build_parser() -> _Parser:
 
 
 def run(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except _UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
-    try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except (SsdmlError, OSError) as exc:  # OSError: unreadable input, unwritable output
-        print(f"error: {exc}", file=sys.stderr)
+    except (SsdmlError, OSError, MemoryError) as exc:
+        # OSError: unreadable input, unwritable output; MemoryError: a
+        # refused allocation, which may carry no message
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
     except np.linalg.LinAlgError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)

@@ -87,38 +87,29 @@ def _rng(seed):
     return np.random.default_rng(int(seed))
 
 
-def _parse_label_cells(cells):
-    """Map raw label strings to dense ids; empty cells stay unlabeled.
+def _class_count(labels) -> int:
+    """n_classes for class ids `labels`: the largest id + 1, at least 2 (the
+    Dataset invariant), or 0 when no row is labeled."""
+    present = labels[labels != UNLABELED]
+    return max(int(present.max()) + 1, 2) if present.size else 0
 
-    Non-negative integer labels are kept verbatim; anything else is mapped
-    by first-appearance order.
-    """
-    nonempty = [c for c in cells if c != ""]
-    all_int = True
-    for c in nonempty:
-        try:
-            if int(c) < 0:
-                all_int = False
-                break
-        except ValueError:
-            all_int = False
-            break
+
+def _parse_label_cells(cells):
+    """(labels, n_classes) from raw label strings; empty cells stay unlabeled.
+    When every non-empty cell is an integer in [0, 2^63) the ids are kept
+    verbatim; otherwise each distinct cell is numbered by first appearance."""
     labels = np.full(len(cells), UNLABELED, dtype=np.int64)
-    if all_int:
-        for i, c in enumerate(cells):
-            if c != "":
-                labels[i] = int(c)
-    else:
-        mapping = {}
-        for i, c in enumerate(cells):
-            if c == "":
-                continue
-            if c not in mapping:
-                mapping[c] = len(mapping)
-            labels[i] = mapping[c]
-    # C >= 2 whenever any label is present (Dataset invariant)
-    n_classes = max(int(labels.max()) + 1, 2) if (labels != UNLABELED).any() else 0
-    return labels, n_classes
+    rows = [i for i, c in enumerate(cells) if c != ""]
+    try:
+        ids = np.array([int(cells[i]) for i in rows], dtype=np.int64)
+        verbatim = (ids >= 0).all()
+    except (ValueError, OverflowError):  # not an integer, or not an int64
+        verbatim = False
+    if not verbatim:
+        first = {}
+        ids = [first.setdefault(cells[i], len(first)) for i in rows]
+    labels[rows] = ids
+    return labels, _class_count(labels)
 
 
 _BLANK_LINES = ("\n", "\r\n", "\r")
@@ -303,8 +294,7 @@ def parse_idx(images_path, labels_path) -> Dataset:
 
     features = np.frombuffer(pixels, dtype=np.uint8).reshape(n, rows * cols) / 255.0
     labels = np.frombuffer(labels, dtype=np.uint8).astype(np.int64)
-    n_classes = max(int(labels.max()) + 1, 2) if labels.size else 0
-    return Dataset(features, labels, n_classes)
+    return Dataset(features, labels, _class_count(labels))
 
 
 def _blob_mean(c: int, d_signal: int, signal_sep: float) -> np.ndarray:

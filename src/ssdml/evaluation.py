@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, NumericalError
 from .graph import (KNN_BLOCK_ENTRIES, SCREEN_RTOL, _exact_knn, _pair_sq_dists,
                     _screen_is_safe)
 
@@ -46,9 +46,10 @@ def _choose(p: np.ndarray, u: np.ndarray) -> np.ndarray:
 def _sq_dists_to_rows(Z, idx):
     """(R, n) squared distances of every row to row idx[r], summed as
     np.sum((Z - Z[idx[r]]) ** 2, axis=1) does."""
-    diff = Z - Z[idx, None]
-    diff *= diff
-    return diff.sum(axis=2)
+    with np.errstate(over="ignore"):  # _kmeanspp_init rejects an overflow
+        diff = Z - Z[idx, None]
+        diff *= diff
+        return diff.sum(axis=2)
 
 
 def _kmeanspp_init(Z: np.ndarray, n_clusters: int, rngs) -> np.ndarray:
@@ -67,10 +68,11 @@ def _kmeanspp_init(Z: np.ndarray, n_clusters: int, rngs) -> np.ndarray:
     taken[runs, chosen[:, 0]] = True
     d2 = _sq_dists_to_rows(Z, chosen[:, 0])
     for j in range(1, n_clusters):
-        total = d2.sum(axis=1)
+        with np.errstate(over="ignore"):  # rejected just below
+            total = d2.sum(axis=1)
         draw = np.flatnonzero(total > 0)
         if not np.isfinite(total[draw]).all():
-            raise ValueError("k-means++ seeding: squared distances overflow")
+            raise NumericalError("k-means++ seeding: squared distances overflow")
         idx = taken.argmin(axis=1)  # the smallest unchosen index
         if draw.size:
             u = np.array([rngs[r].random() for r in draw])
@@ -294,14 +296,11 @@ def recall_at_k(Z, labels, ks=DEFAULT_RECALL_KS) -> dict:
     return {k: 100.0 * int(hits[k - 1]) / n for k in ks}
 
 
-def evaluate_embeddings(Z, labels, n_classes=None, ks=DEFAULT_RECALL_KS,
-                        seed=0) -> EvalReport:
-    """Full report: NMI of restarted k-means plus Recall@K retrieval.  By
-    default k-means makes one cluster per distinct label in `labels`."""
+def evaluate_embeddings(Z, labels, ks=DEFAULT_RECALL_KS, seed=0) -> EvalReport:
+    """Full report: NMI of restarted k-means, one cluster per distinct label
+    in `labels`, plus Recall@K retrieval."""
     y = np.asarray(labels)
-    if n_classes is None:
-        n_classes = np.unique(y).size
-    assign, _ = kmeans_best(Z, n_classes, seed=seed)
+    assign, _ = kmeans_best(Z, np.unique(y).size, seed=seed)
     return EvalReport(
         nmi=nmi(assign, y),
         recall_at=recall_at_k(Z, y, ks=ks),

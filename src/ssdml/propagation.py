@@ -19,7 +19,7 @@ Schreiber 1995).  A12 and A21 hold at most k entries per row and are
 applied as gathers from the neighbor lists.  The columns of X = A^-1 W0
 then come from B and T, at most CHUNK_COLUMNS at a time.  Each product and
 gather is a numpy temporary; at the peak B and T are alive with n floats
-per class, seven (n, k) index and edge arrays, and the larger of one
+per class, six (n, k) index and edge arrays, and the larger of one
 ceil(n/4)^2 product of the inversions and about 2.5 n CHUNK_COLUMNS floats
 of a column block (_block_inverse_bytes()), against 1.25 n^2 for an
 in-place inverse of A.  propagate() reads each block at the kNN edges,
@@ -136,10 +136,10 @@ def _check_fits_in_memory(need: int, task: str):
 
 def _block_inverse_bytes(n: int, n_classes: int, k: int) -> int:
     """Bound on the peak bytes of propagate(): B and T ((n//2)^2 and
-    ceil(n/2)^2 floats), the class rows (n_classes x n), seven (n, k) arrays
+    ceil(n/2)^2 floats), the class rows (n_classes x n), six (n, k) arrays
     of 8-byte entries alive through the column phase (propagate()'s `to`,
-    `back`, `where[nbrs]` and the two hit index arrays, and the slot lists
-    and CSR columns of A12 and A21 together), and two temporaries never
+    `back`, `where[nbrs]` and the two hit index arrays, and the packed
+    neighbor lists of A12 and A21 together), and two temporaries never
     alive together, summed: the q^2 product atop each inversion,
     q = ceil(ceil(n/2)/2), and a column block's w (3 (n//2) + 2 ceil(n/2))
     floats, w = min(CHUNK_COLUMNS, ceil(n/2)), reached twice: B v1 and y
@@ -148,7 +148,7 @@ def _block_inverse_bytes(n: int, n_classes: int, k: int) -> int:
     FIXED_WORKSPACE_BYTES cover the n-sized arrays, not counted."""
     m, half = n // 2, n - n // 2
     width = min(CHUNK_COLUMNS, half)
-    return 8 * (m * m + half * half + n * n_classes + 7 * n * k + (half - half // 2) ** 2
+    return 8 * (m * m + half * half + n * n_classes + 6 * n * k + (half - half // 2) ** 2
                 + width * (3 * m + 2 * half)) + FIXED_WORKSPACE_BYTES
 
 
@@ -213,17 +213,16 @@ class _OffDiagonalBlock:
         keep = (nbrs >= src_lo) & (nbrs < src_hi) & ~repeat
         self.weight = 0.0 - gamma * (1.0 / graph.k)
         count = keep.sum(axis=1)
-        # row i's entries are at columns[starts[i]:starts[i + 1]]
-        self.columns = (nbrs - src_lo)[keep]
-        self.starts = np.concatenate(([0], np.cumsum(count)))
         # each row's entries packed to the front, rows by descending count:
-        # the rows with an s-th entry are then a prefix
+        # the rows with an s-th entry are then a prefix, and row i's entries
+        # are packed[r, :count[r]] for r = unorder[i]
         order = np.argsort(-count, kind="stable")
         self.unorder = np.argsort(order)
-        packed = np.take_along_axis(nbrs - src_lo, np.argsort(~keep, axis=1, kind="stable"),
-                                    axis=1)[order]
-        count = count[order]
-        self.index = [packed[:np.count_nonzero(count > s), s] for s in range(count.max(initial=0))]
+        self.packed = np.take_along_axis(nbrs - src_lo,
+                                         np.argsort(~keep, axis=1, kind="stable"), axis=1)[order]
+        self.count = count[order]
+        self.index = [self.packed[:np.count_nonzero(self.count > s), s]
+                      for s in range(self.count.max(initial=0))]
 
     def times_transpose(self, rows: np.ndarray) -> np.ndarray:
         """rows @ block.T: column i is `weight` times the sum of rows[:, j]
@@ -278,8 +277,8 @@ def _solve(graph: NeighborGraph, labels, gamma: float, extra_bytes: int, task: s
         cols = np.arange(start, min(start + CHUNK_COLUMNS, m))
         a21_b = a21.times_transpose(Bt[cols])
         a21_b *= -a12.weight
-        for j, row in zip(cols, a21_b):
-            Tt[a12.columns[a12.starts[j]:a12.starts[j + 1]]] += row
+        for r, row in zip(a12.unorder[cols], a21_b):
+            Tt[a12.packed[r, :a12.count[r]]] += row
     _invert(Tt)
     return _column_blocks(a21, a12, Bt, Tt, y, labeled, label_class, classes.size)
 

@@ -82,10 +82,11 @@ class TestTrainEval:
 
     def test_sparse_class_ids_train_like_dense_ones(self, tmp_path, capsys):
         # ids 0 and 100,000,000 make n_classes 100,000,001; only the two
-        # classes the data holds may be looped over, counted or clustered
+        # classes the data holds may be looped over, counted or clustered.
+        # An id past int64 numbers the labels by first appearance instead.
         features = np.random.default_rng(23).standard_normal((60, 4))
         outputs = []
-        for second in (100_000_000, 1):
+        for second in (100_000_000, 1, 10**20 - 1):
             path, model = tmp_path / f"{second}.csv", tmp_path / f"{second}.model"
             with open(path, "w", newline="") as fh:
                 writer = csv.writer(fh)
@@ -99,7 +100,7 @@ class TestTrainEval:
             assert run_cli(["eval", "--data", path, "--model", model]) == 0
             assert time.perf_counter() - start < 30.0
             outputs.append(capsys.readouterr().out)
-        assert outputs[0] == outputs[1]
+        assert outputs[0] == outputs[1] == outputs[2]
 
     def test_no_orth_flag(self, blob_csv, capsys):
         code = run_cli(["train", "--data", blob_csv, "--no-orth", "--k", 4,
@@ -384,6 +385,42 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error:") and len(err.strip().splitlines()) == 1
         assert "--partition-size" in err
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_model_whose_embeddings_overflow_k_means_is_two(self, blob_csv, tmp_path,
+                                                            capsys):
+        # finite entries, but the embeddings' squared distances overflow
+        model_path = tmp_path / "m.model"
+        assert run_cli(["train", "--data", blob_csv, "--k", 4, "--embed-dim", 2,
+                        "--max-epochs", 2, "--model", model_path]) == 0
+        capsys.readouterr()
+        lines = model_path.read_text().splitlines(keepends=True)
+        d = int(lines[0].split()[2])
+        huge = tmp_path / "huge.model"
+        huge.write_text(lines[0] + "1e200 1e200\n" * d + "".join(lines[d + 1:]))
+        assert run_cli(["eval", "--data", blob_csv, "--model", huge]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.strip() == "error: k-means++ seeding: squared distances overflow"
+
+    @pytest.mark.parametrize("command, target, message, shown", [
+        (["blobs", "--classes", 2, "--per-class", 3], "make_blobs",
+         "Unable to allocate 36.4 TiB", "Unable to allocate 36.4 TiB"),
+        (["train", "--embed-dim", 3], "train", "", "MemoryError"),
+    ], ids=["blobs", "train-no-message"])
+    def test_refused_allocation_is_two(self, blob_csv, monkeypatch, capsys, command,
+                                       target, message, shown):
+        # a stand-in for the refusal: asking for a real oversized array would
+        # be granted and then touched on a host that always overcommits
+        def refuse(*args, **kwargs):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(f"ssdml.cli.{target}", refuse)
+        if command[0] == "train":
+            command = command + ["--data", blob_csv]
+        assert run_cli(command) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.strip() == f"error: {shown}"
 
     @pytest.mark.parametrize("args", [
         ["train", "--method", "lrml", "--embed-dim", 3, "--lrml-gamma-s", -1],

@@ -65,6 +65,20 @@ class TestLoadCsv:
         assert ds.labels.tolist() == [0, 1, 0]
         assert ds.n_classes == 2
 
+    @pytest.mark.parametrize("big, labels, n_classes", [
+        (2**63 - 1, [2**63 - 1, 0, 2**63 - 1, UNLABELED], 2**63),
+        (2**63, [0, 1, 0, UNLABELED], 2),
+        (10**20 - 1, [0, 1, 0, UNLABELED], 2),
+    ])
+    def test_ids_stay_verbatim_up_to_int64_max(self, tmp_path, big, labels, n_classes):
+        # an id past int64 numbers the labels by first appearance, as a
+        # non-integer cell does
+        p = tmp_path / "d.csv"
+        write_lines(p, ["f0,label", f"1.0,{big}", "2.0,0", f"3.0,{big}", "4.0,"])
+        ds = ssdml.load_csv(p)
+        assert ds.labels.tolist() == labels
+        assert ds.n_classes == n_classes
+
     def test_custom_label_column(self, tmp_path):
         p = tmp_path / "d.csv"
         write_lines(p, ["f0,target,f1", "1.0,0,2.0", "3.0,1,4.0"])

@@ -9,7 +9,7 @@ import pytest
 
 import ssdml
 from ssdml import evaluation
-from ssdml.errors import ConfigError
+from ssdml.errors import ConfigError, NumericalError
 from ssdml.evaluation import (KMEANS_MAX_ITER, KMEANS_RESTARTS, evaluate_embeddings,
                               kmeans, kmeans_best)
 
@@ -237,7 +237,7 @@ class TestKmeansMatchesReference:
         Z[3] = 1e155
         with pytest.raises(ValueError), np.errstate(all="ignore"):
             reference_kmeans(Z, 4, seed=1)
-        with pytest.raises(ValueError), np.errstate(all="ignore"):
+        with pytest.raises(NumericalError):
             kmeans(Z, 4, seed=1)
 
     def test_choose_matches_generator_choice(self):

@@ -359,7 +359,7 @@ class TestPropagate:
         need = propagation._block_inverse_bytes(n, 3, 2)
         width = min(propagation.CHUNK_COLUMNS, 26)
         assert need == (8 * (25 * 25 + 26 * 26 + 13 * 13 + (3 * 25 + 2 * 26) * width + n * 3
-                             + 7 * n * 2)
+                             + 6 * n * 2)
                         + propagation.FIXED_WORKSPACE_BYTES)
         monkeypatch.setattr(propagation, "_physical_memory_bytes", lambda: need)
         ssdml.propagate(graph, labels, 0.5)

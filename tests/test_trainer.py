@@ -618,7 +618,7 @@ class TestEvaluateCheckpoint:
         model = Model(L=np.eye(4), encoder=None, config=None)
         report = evaluate_checkpoint(model, ds, seed=11)
         raw = ssdml.evaluate_embeddings(enc_mod.l2_normalize_rows(ds.features),
-                                        ds.labels, n_classes=3, seed=11)
+                                        ds.labels, seed=11)
         assert report.nmi == raw.nmi
         assert report.recall_at == raw.recall_at
 
