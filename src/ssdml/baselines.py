@@ -2,8 +2,9 @@
 
 Two objectives are provided: an entropy-regularized pairwise likelihood
 (labeled pairs fit a logistic similarity model, unlabeled pairs pay their
-predictive entropy, a trace term keeps the metric sparse in projections)
-and a min-max pairwise objective with a graph Laplacian smoothness term.
+predictive entropy) and a min-max pairwise objective with a graph Laplacian
+smoothness term.  Both are fitted with L^T L = I, under which the first
+one's trace regularizer ||L||_F^2 would be the constant l, so it is left out.
 Both are written as functions of the factor L, like the paper's metric,
 and never form M: a pair's delta^2_M is the squared norm of its difference
 row times L.  The first is minimized over L by `manifold.optimize_L`, which
@@ -44,23 +45,23 @@ def _entropy_terms(a: np.ndarray):
     return H, dH_da
 
 
-def seraph_loss_and_grad(L, U, y, V, *, eta, mu, lam):
+def seraph_loss_and_grad(L, U, y, V, *, eta, mu):
     """Value and gradient wrt L of the labeled-pair negative log-likelihood
-    + mu * unlabeled entropy + lam * ||L||_F^2 (the trace of M = L L^T).
+    + mu * unlabeled entropy.
 
     U holds the labeled pair rows with +1/-1 same/different tags y, and V
     the unlabeled pair rows (see `pair_diffs`).  A pair's delta^2_M is the
     squared norm of its row of U L or V L, so the gradient is
-    2 lam L + 2 U^T (c * U L) + 2 mu V^T (dH * V L) with c and dH the
-    derivatives of each pair's term wrt its delta^2.
+    2 U^T (c * U L) + 2 mu V^T (dH * V L) with c and dH the derivatives of
+    each pair's term wrt its delta^2.
     """
     UL, VL = U @ L, V @ L
     a = np.einsum("ij,ij->i", UL, UL) - eta
     H, dH = _entropy_terms(np.einsum("ij,ij->i", VL, VL) - eta)
     # -log p(y) for the logistic model is softplus(y * a)
-    obj = lam * float(np.sum(L * L)) + float(softplus(y * a).sum()) + mu * float(H.sum())
+    obj = float(softplus(y * a).sum()) + mu * float(H.sum())
     c = y * sigmoid(y * a)  # d softplus(y a)/da
-    grad = 2.0 * (lam * L + U.T @ (c[:, None] * UL) + mu * (V.T @ (dH[:, None] * VL)))
+    grad = 2.0 * (U.T @ (c[:, None] * UL) + mu * (V.T @ (dH[:, None] * VL)))
     return obj, grad
 
 

@@ -20,7 +20,7 @@ from .data import (load_csv, make_blobs, parse_idx, sample_partition, strip_labe
 from .encoder import l2_normalize_rows
 from .errors import SsdmlError
 from .graph import build_knn
-from .mining import mine_triplets
+from .mining import mine_triplets, require_even_k
 from .propagation import propagate, propagate_dense
 from .trainer import (METHODS, TrainConfig, evaluate_checkpoint, load_model,
                       save_model, train)
@@ -68,11 +68,10 @@ _TRAIN_HELP = {
     "inner_l_iters": "metric optimizer steps per batch (ours only: seraph takes "
                      "one step per batch, lrml solves in closed form)",
     "seed": "run seed (drives every RNG stream)",
-    "orth": "keep the metric factor orthonormal (Stiefel steps); lrml requires it",
+    "orth": "keep the metric factor orthonormal (Stiefel steps); the baselines require it",
     "encoder": "train the affine encoder alongside the metric",
     "seraph_eta": "entropy baseline distance threshold",
     "seraph_mu": "entropy baseline unlabeled weight",
-    "seraph_lambda": "entropy baseline trace weight (acts only with --no-orth)",
     "lrml_gamma_s": "Laplacian baseline similar-pair weight",
     "lrml_gamma_d": "Laplacian baseline dissimilar-pair weight",
 }
@@ -151,6 +150,7 @@ def _cmd_propagate(args) -> int:
 
 
 def _cmd_mine(args) -> int:
+    require_even_k(args.k)  # before the graph and the propagation solve
     graph, labels = _partition_graph(args)
     triplets = mine_triplets(propagate(graph, labels, args.gamma), graph)
     with _out_stream(args.out) as out:

@@ -94,21 +94,28 @@ def _class_count(labels) -> int:
     return max(int(present.max()) + 1, 2) if present.size else 0
 
 
+def _label_key(cell):
+    """A label cell's class: its integer value when int() reads it (so `3`
+    and `03` name one class), else its text."""
+    try:
+        return int(cell)
+    except ValueError:
+        return cell
+
+
 def _parse_label_cells(cells):
     """(labels, n_classes) from raw label strings; empty cells stay unlabeled.
     When every non-empty cell is an integer in [0, 2^63) the ids are kept
-    verbatim; otherwise each distinct cell is numbered by first appearance."""
+    verbatim; otherwise each distinct class (`_label_key`) is numbered by
+    first appearance."""
     labels = np.full(len(cells), UNLABELED, dtype=np.int64)
     rows = [i for i, c in enumerate(cells) if c != ""]
-    try:
-        ids = np.array([int(cells[i]) for i in rows], dtype=np.int64)
-        verbatim = (ids >= 0).all()
-    except (ValueError, OverflowError):  # not an integer, or not an int64
-        verbatim = False
-    if not verbatim:
+    keys = [_label_key(cells[i]) for i in rows]
+    if all(isinstance(key, int) and 0 <= key < 2**63 for key in keys):
+        labels[rows] = keys
+    else:
         first = {}
-        ids = [first.setdefault(cells[i], len(first)) for i in rows]
-    labels[rows] = ids
+        labels[rows] = [first.setdefault(key, len(first)) for key in keys]
     return labels, _class_count(labels)
 
 

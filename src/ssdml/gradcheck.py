@@ -118,7 +118,7 @@ def _random_pair_instance(rng, max_d: int = 6):
 
 def _seraph_grad_L(rng):
     """The L-gradient SERAPH's optimize_L steps follow."""
-    weights = dict(eta=1.0, mu=0.7, lam=1e-3)
+    weights = dict(eta=1.0, mu=0.7)
     Z, L, lp, y, up = _random_pair_instance(rng)
     U, V = bl.pair_diffs(Z, lp), bl.pair_diffs(Z, up)
     _, analytic = bl.seraph_loss_and_grad(L, U, y, V, **weights)

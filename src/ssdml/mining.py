@@ -37,6 +37,12 @@ def sorted_neighborhood(W: np.ndarray | EdgeAffinity, graph: NeighborGraph,
     return _rank_neighbors(W, graph, np.array([anchor], dtype=np.int64))[0]
 
 
+def require_even_k(k: int) -> None:
+    """Mining splits each neighborhood into halves, so k must be even."""
+    if k % 2 != 0:
+        raise ConfigError(f"triplet mining needs an even k (got {k})")
+
+
 def mine_triplets(W: np.ndarray | EdgeAffinity, graph: NeighborGraph,
                   anchors=None) -> np.ndarray:
     """Pair the top half of each sorted neighborhood against the bottom half.
@@ -48,8 +54,7 @@ def mine_triplets(W: np.ndarray | EdgeAffinity, graph: NeighborGraph,
     array of (anchor, positive, negative) rows, anchor by anchor and rank by
     rank.
     """
-    if graph.k % 2 != 0:
-        raise ConfigError(f"triplet mining needs an even k (got {graph.k})")
+    require_even_k(graph.k)
     anchors = np.arange(graph.n) if anchors is None else np.asarray(anchors, dtype=np.int64)
     ranked = _rank_neighbors(W, graph, anchors)
     half = graph.k // 2

@@ -38,7 +38,7 @@ from .data import Dataset, sample_partition, split_validation
 from .errors import ConfigError, NumericalError
 from .graph import build_knn, knn_laplacian_form
 from .manifold import optimize_L
-from .mining import batch_triplets, mine_triplets
+from .mining import batch_triplets, mine_triplets, require_even_k
 from .propagation import propagate
 
 METHODS = ("ours", "seraph", "lrml")
@@ -69,7 +69,9 @@ class TrainConfig:
     dataset protocol: gamma 0.99, k 10, alpha 40 deg, 100-triplet batches,
     lr 1e-4, 10 epochs per partition, 50 epochs total, 10 metric steps
     per batch; `inner_l_iters` acts on `ours` only: seraph takes one step
-    per batch and lrml solves for L in closed form)."""
+    per batch and lrml solves for L in closed form).  `encoder` and
+    `orth=False` are options of `ours` only: both baselines fit an
+    orthonormal L."""
 
     method: str = "ours"
     gamma: float = 0.99
@@ -88,7 +90,6 @@ class TrainConfig:
     val_fraction: float = 0.15
     seraph_eta: float = 1.0
     seraph_mu: float = 1.0
-    seraph_lambda: float = 1e-3
     lrml_gamma_s: float = 1.0
     lrml_gamma_d: float = 1.0
 
@@ -121,8 +122,8 @@ def _validate(config: TrainConfig, dataset: Dataset):
         raise ConfigError("gamma must lie in [0, 1)")
     if config.k < 2:
         raise ConfigError("k must be >= 2")
-    if config.method == "ours" and config.k % 2 != 0:
-        raise ConfigError("triplet mining needs an even k")
+    if config.method == "ours":
+        require_even_k(config.k)
     if not 0.0 < config.alpha_deg < 90.0:
         raise ConfigError("alpha must lie in (0, 90) degrees")
     if not 1 <= config.embed_dim <= dataset.dim:
@@ -138,10 +139,9 @@ def _validate(config: TrainConfig, dataset: Dataset):
     if config.method == "lrml" and (min(config.lrml_gamma_s, config.lrml_gamma_d) < 0
                                     or config.lrml_gamma_s + config.lrml_gamma_d == 0):
         raise ConfigError("LRML pair weights must be non-negative and not both zero")
-    if config.encoder and config.method != "ours":
-        raise ConfigError("the trainable encoder is only supported with method='ours'")
-    if config.method == "lrml" and not config.orth:
-        raise ConfigError("LRML's closed form is orthonormal; it has no orth=False mode")
+    if config.method != "ours" and (config.encoder or not config.orth):
+        raise ConfigError("the trainable encoder and orth=False are options of "
+                          "method='ours' only; the baselines fit an orthonormal L")
     if config.seed < 0:
         raise ConfigError("seed must be non-negative")
     if dataset.labeled_indices.size == 0:
@@ -316,8 +316,8 @@ def _ours_epochs(config, train_ds, schedule, batch_seed, L, encoder):
 
 def _seraph_epochs(config, train_ds, schedule, batch_seed, pair_seed, L):
     """SERAPH from L: per batch of the shuffled labeled pairs and random
-    unlabeled pairs of the partition, one `optimize_L` step on L."""
-    weights = dict(eta=config.seraph_eta, mu=config.seraph_mu, lam=config.seraph_lambda)
+    unlabeled pairs of the partition, one Stiefel `optimize_L` step on L."""
+    weights = dict(eta=config.seraph_eta, mu=config.seraph_mu)
     step_carry = METRIC_MAX_STEP
     labeled = train_ds.labeled_indices  # every partition's first rows
     pairs, y_pairs = _all_labeled_pairs(train_ds.labels[labeled])
@@ -345,7 +345,7 @@ def _seraph_epochs(config, train_ds, schedule, batch_seed, pair_seed, L):
                     return bl.seraph_loss_and_grad(Lm, U, by, V, **weights)
 
                 res = optimize_L(L, fun_and_grad, max_iter=1, step0=step_carry,
-                                 orthonormal=config.orth, max_step=METRIC_MAX_STEP)
+                                 max_step=METRIC_MAX_STEP)
                 L, step_carry = res.L, res.step
                 epoch_loss += res.objective
                 if not np.isfinite(epoch_loss):
@@ -462,9 +462,13 @@ def load_model(path) -> Model:
             raise ConfigError(f"{path}: line {lineno}: record is not a JSON object")
         if "config" in rec:
             fields = rec["config"]
-            # older files record "normalize": true, the only mode left
-            if isinstance(fields, dict) and fields.pop("normalize", True) is not True:
-                raise ConfigError(f"{path}: line {lineno}: raw-feature models are not supported")
+            # older files record "normalize": true, the only mode left, and
+            # SERAPH's trace weight, a constant under L^T L = I
+            if isinstance(fields, dict):
+                fields.pop("seraph_lambda", None)
+                if fields.pop("normalize", True) is not True:
+                    raise ConfigError(f"{path}: line {lineno}: "
+                                      "raw-feature models are not supported")
             try:
                 config = TrainConfig(**fields)
             except TypeError as exc:

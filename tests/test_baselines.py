@@ -26,8 +26,7 @@ def loop_sq_dists(M, Z, pairs):
 
 def loop_seraph(M, Z, labeled_pairs, labeled_y, unlabeled_pairs, cfg):
     """Reference objective and gradient wrt M from per-pair loops."""
-    d = M.shape[0]
-    obj, grad = cfg.lam * float(np.trace(M)), cfg.lam * np.eye(d)
+    obj, grad = 0.0, np.zeros_like(M)
     for (i, j), y, d2 in zip(labeled_pairs, labeled_y,
                              loop_sq_dists(M, Z, labeled_pairs)):
         u, a = Z[i] - Z[j], d2 - cfg.eta
@@ -79,7 +78,7 @@ class TestPairDistances:
         # the kernel's value is the loop's objective at M = L L^T, and its
         # gradient the chain rule's 2 G L from the loop's gradient G wrt M
         L, Z, labeled, y, unlabeled = self.problem(sum(counts), *counts)
-        cfg = SimpleNamespace(eta=1.0, mu=0.7, lam=0.1)
+        cfg = SimpleNamespace(eta=1.0, mu=0.7)
         obj_ref, grad_M = loop_seraph(L @ L.T, Z, labeled, y, unlabeled, cfg)
         U, V = pair_diffs(Z, labeled), pair_diffs(Z, unlabeled)
         obj, grad = seraph_loss_and_grad(L, U, y, V, **vars(cfg))
@@ -93,7 +92,7 @@ class TestSeraphObjective:
     def test_single_pair_at_threshold_gives_log_two(self):
         Z = np.array([[0.0, 0.0], [1.0, 0.0]])
         obj = seraph_value(np.eye(2), rows(Z, [[0, 1]]), np.array([1]),
-                           rows(Z, []), eta=1.0, mu=1.0, lam=0.0)
+                           rows(Z, []), eta=1.0, mu=1.0)
         assert obj == pytest.approx(math.log(2.0), abs=1e-12)
 
     def test_unlabeled_pair_at_threshold_contributes_mu_log_two(self):
@@ -101,14 +100,8 @@ class TestSeraphObjective:
         # exactly at p = 1/2
         Z = np.array([[0.0, 0.0], [1.0, 0.0]])
         obj = seraph_value(np.eye(2), rows(Z, []), np.array([]),
-                           rows(Z, [[0, 1]]), eta=1.0, mu=0.7, lam=0.0)
+                           rows(Z, [[0, 1]]), eta=1.0, mu=0.7)
         assert obj == pytest.approx(0.7 * math.log(2.0), abs=1e-12)
-
-    def test_trace_term(self):
-        Z = np.zeros((2, 3))
-        obj = seraph_value(np.eye(3), rows(Z, []), np.array([]), rows(Z, []),
-                           eta=1.0, mu=1.0, lam=0.25)
-        assert obj == pytest.approx(0.25 * 3.0)
 
     def test_entropy_term_maximized_at_threshold_distance(self):
         # minimizing the objective therefore pushes unlabeled pairs away
@@ -117,23 +110,23 @@ class TestSeraphObjective:
         for d in np.linspace(0.0, 3.0, 31):
             Z = np.array([[0.0, 0.0], [math.sqrt(d), 0.0]]) if d > 0 else np.zeros((2, 2))
             vals.append(seraph_value(np.eye(2), rows(Z, []), np.array([]),
-                                     rows(Z, [[0, 1]]), eta=1.0, mu=1.0, lam=0.0))
+                                     rows(Z, [[0, 1]]), eta=1.0, mu=1.0))
         assert np.argmax(vals) == 10  # dist2 = 1.0 = eta
 
     def test_gradient_matches_finite_differences(self):
         assert gradcheck.check("seraph_grad_L", seed=2, trials=25) <= 1e-5
 
-    def test_gradient_symmetric_and_trace_only_when_no_pairs(self):
+    def test_gradient_symmetric_and_zero_when_no_pairs(self):
         # a function of L L^T has the gradient 2 G L with G symmetric, so
-        # L^T times it is symmetric; with no pairs only the trace term is left
-        weights = dict(eta=1.0, mu=1.0, lam=0.5)
+        # L^T times it is symmetric; with no pairs nothing is left
+        weights = dict(eta=1.0, mu=1.0)
         rng = np.random.default_rng(0)
         L = rng.standard_normal((4, 2))
         Z = np.zeros((2, 4))
         obj, grad = seraph_loss_and_grad(L, rows(Z, []), np.array([]), rows(Z, []),
                                          **weights)
-        assert obj == pytest.approx(0.5 * float(np.sum(L * L)))
-        assert np.allclose(grad, 2 * 0.5 * L)
+        assert obj == 0.0
+        assert np.array_equal(grad, np.zeros_like(L))
         Zr = rng.standard_normal((6, 4))
         _, grad = seraph_loss_and_grad(L, rows(Zr, [[0, 1], [2, 3]]), np.array([1, -1]),
                                        rows(Zr, [[4, 5]]), **weights)
@@ -149,7 +142,7 @@ class TestSeraphObjective:
         labeled, unlabeled = [[0, 1], [2, 3], [4, 5]], [[6, 7], [8, 9], [1, 6]]
         U, V = rows(Z, labeled), rows(Z, unlabeled)
         y = np.array([1, -1, 1])
-        cfg = SimpleNamespace(eta=1.0, mu=0.7, lam=0.1)
+        cfg = SimpleNamespace(eta=1.0, mu=0.7)
 
         def reference(Lx):
             return loop_seraph(Lx @ Lx.T, Z, labeled, y, unlabeled, cfg)[0]

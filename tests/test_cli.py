@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 import ssdml
+from ssdml import cli, propagation
 from ssdml import gradcheck as gc
-from ssdml import propagation
 from ssdml.cli import build_parser, run
 from ssdml.encoder import l2_normalize_rows
 from ssdml.graph import build_knn
@@ -323,6 +323,22 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error:") and len(err.strip().splitlines()) == 1
 
+    def test_seraph_lambda_flag_is_one(self, blob_csv, capsys):
+        # SERAPH has no trace weight: on the Stiefel manifold it is a constant
+        assert run_cli(["train", "--data", blob_csv, "--method", "seraph",
+                        "--seraph-lambda", 0.1]) == 1
+        assert "usage error" in capsys.readouterr().err
+
+    def test_odd_k_mine_is_two_before_propagating(self, blob_csv, monkeypatch, capsys):
+        def refuse(*args, **kwargs):
+            raise AssertionError("propagate ran for an odd k")
+
+        monkeypatch.setattr(cli, "propagate", refuse)
+        assert run_cli(["mine", "--data", blob_csv, "--k", 5]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.strip() == "error: triplet mining needs an even k (got 5)"
+
     def test_threads_flag_is_one(self, blob_csv, capsys):
         # the flag was parsed and ignored; it is gone, so it is a usage error
         assert run_cli(["--threads", 1, "train", "--data", blob_csv]) == 1
@@ -440,6 +456,7 @@ class TestExitCodes:
         ["blobs", "--classes", 3, "--per-class", 20, "--noise-sigma", "1e308"],
         ["train", "--embed-dim", 3, "--data", "overflow.csv"],
         ["train", "--method", "lrml", "--embed-dim", 3, "--no-orth"],  # always orthonormal
+        ["train", "--method", "seraph", "--embed-dim", 3, "--no-orth"],  # likewise
     ])
     def test_bad_weight_or_count_is_two(self, blob_csv, tmp_path, capsys, args):
         # each must stop on one error line, not a ValueError traceback
@@ -516,6 +533,15 @@ class TestOlderModelFiles:
             reports.append(capsys.readouterr().out)
         assert reports[0] == reports[1] and json.loads(reports[0])["r@1"] >= 0
 
+    def test_seraph_lambda_loads_with_the_rest_of_the_config(self, model_path, tmp_path):
+        # files written while SERAPH had a trace weight record it
+        text = model_path.read_text()
+        assert '"seraph_mu": 1.0, "lrml' in text
+        older = tmp_path / "older.model"
+        older.write_text(text.replace('"seraph_mu": 1.0, "lrml',
+                                      '"seraph_mu": 1.0, "seraph_lambda": 0.001, "lrml'))
+        assert ssdml.load_model(older).config == ssdml.load_model(model_path).config
+
     @pytest.mark.parametrize("raw", ["header-flag", "config"])
     def test_raw_feature_model_is_two(self, blob_csv, model_path, tmp_path, capsys,
                                       raw):
@@ -545,8 +571,8 @@ def test_train_flag_defaults_equal_train_config():
     assert exposed == {
         "method", "gamma", "k", "alpha_deg", "embed_dim", "lr", "batch_triplets",
         "partition_size", "epochs_per_partition", "max_epochs", "inner_l_iters",
-        "seed", "orth", "encoder", "seraph_eta", "seraph_mu", "seraph_lambda",
-        "lrml_gamma_s", "lrml_gamma_d"}
+        "seed", "orth", "encoder", "seraph_eta", "seraph_mu", "lrml_gamma_s",
+        "lrml_gamma_d"}
     assert set(vars(args)) - exposed == {"command", "func", "data", "images_idx",
                                          "labels_idx", "model", "out"}
     for name in exposed:

@@ -65,6 +65,17 @@ class TestLoadCsv:
         assert ds.labels.tolist() == [0, 1, 0]
         assert ds.n_classes == 2
 
+    @pytest.mark.parametrize("cells, labels, n_classes", [
+        (["3", "03", ""], [3, 3, UNLABELED], 4),
+        (["3", "x", "03", ""], [0, 1, 0, UNLABELED], 2),
+        (["-1", "x", "-01"], [0, 1, 0], 2),
+    ])
+    def test_equal_integer_cells_name_one_class(self, cells, labels, n_classes):
+        # whatever else the file holds, a cell int() reads is keyed by its value
+        got, count = _parse_label_cells(cells)
+        assert got.tolist() == labels
+        assert count == n_classes
+
     @pytest.mark.parametrize("big, labels, n_classes", [
         (2**63 - 1, [2**63 - 1, 0, 2**63 - 1, UNLABELED], 2**63),
         (2**63, [0, 1, 0, UNLABELED], 2),

@@ -125,11 +125,12 @@ class TestConfigValidation:
             train(small_semi_dataset(),
                   TrainConfig(method="lrml", encoder=True, **FAST))
 
-    def test_lrml_has_no_orth_false_mode(self):
-        # the closed form is orthonormal by construction, so the flag would
-        # be ignored
+    @pytest.mark.parametrize("method", ["lrml", "seraph"])
+    def test_baselines_have_no_orth_false_mode(self, method):
+        # LRML's closed form is orthonormal by construction, and SERAPH is
+        # fitted on the Stiefel manifold like the paper's metric
         with pytest.raises(ConfigError, match="orth"):
-            train(small_semi_dataset(), TrainConfig(method="lrml", orth=False, **FAST))
+            train(small_semi_dataset(), TrainConfig(method=method, orth=False, **FAST))
 
     def test_no_labeled_rows(self):
         ds = Dataset(np.random.default_rng(0).standard_normal((10, 8)),
@@ -501,15 +502,14 @@ def heldout_r1(L, blobs, semi):
     return ssdml.recall_at_k(metric.embed(L, Z), blobs.labels[rows], ks=(1,))[1]
 
 
-def mspace_seraph(L, U, y, V, *, eta, mu, lam):
+def mspace_seraph(L, U, y, V, *, eta, mu):
     """SERAPH's value and L-gradient through M = L L^T: each u^T M u from
     U M, and the chain rule 2 G L from the symmetric gradient G wrt M."""
     M = L @ L.T
     a = np.einsum("ij,ij->i", U @ M, U) - eta
     H, dH = _entropy_terms(np.einsum("ij,ij->i", V @ M, V) - eta)
-    obj = lam * float(np.trace(M)) + float(metric.softplus(y * a).sum()) + mu * float(H.sum())
-    G = lam * np.eye(M.shape[0]) + U.T @ ((y * metric.sigmoid(y * a))[:, None] * U) \
-        + mu * (V.T @ (dH[:, None] * V))
+    obj = float(metric.softplus(y * a).sum()) + mu * float(H.sum())
+    G = U.T @ ((y * metric.sigmoid(y * a))[:, None] * U) + mu * (V.T @ (dH[:, None] * V))
     return obj, 2.0 * (((G + G.T) / 2.0) @ L)
 
 
