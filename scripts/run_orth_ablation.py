@@ -5,8 +5,11 @@ Runs the default configuration twice per seed, with the Stiefel constraint
 on and off, and prints one JSON line per run: the synthetic benchmark's
 per-seed figures (``score_seed``), the kept epoch's named ``best_val_*``,
 plus the last epoch's validation R@1.  A last line per configuration gives
-the held-out figures' min-max across seeds.  No ordering between the two is
-asserted; the output is for inspection.
+the held-out figures' min-max across seeds, and the range of the last
+epoch's singular values (``final_L_sv_min`` to ``final_L_sv_max``) with the
+largest ``final_L_orth_error``: how far the run without the constraint
+left the manifold.  No ordering between the two is asserted; the output is
+for inspection.
 """
 
 import argparse
@@ -43,6 +46,9 @@ def main():
                                    max(r["heldout_r1"] for r in mine)],
             "heldout_nmi_min_max": [min(r["heldout_nmi"] for r in mine),
                                     max(r["heldout_nmi"] for r in mine)],
+            "final_L_sv_min_max": [min(r["final_L_sv_min"] for r in mine),
+                                   max(r["final_L_sv_max"] for r in mine)],
+            "final_L_orth_error_max": max(r["final_L_orth_error"] for r in mine),
         }))
 
 

@@ -14,8 +14,12 @@ scores raw features, so its "gain" also credits what the starting metric
 already does before any training step.  Every method starts from the same
 metric L0 (the first l coordinates); each seed's line also gives its
 held-out R@1, and ``heldout_r1_final`` that of the last epoch's metric,
-from the same training run.  ``--rotate`` multiplies the blobs by a seeded
-random orthogonal matrix, so that L0 no longer sees the signal dimensions.
+from the same training run.  That last L's smallest and largest singular
+value and ||L^T L - I||_F (``final_L_sv_min``, ``final_L_sv_max``,
+``final_L_orth_error``) show how far it left the Stiefel manifold; all
+three are 1, 1 and about 0 when ``orth`` is on.  ``--rotate`` multiplies the
+blobs by a seeded random orthogonal matrix, so that L0 no longer sees the
+signal dimensions.
 
 Each seed also gives a label-free reference, ``heldout_r1_laplacian``: the
 held-out R@1 of the L of the l smallest eigenvectors of the kNN smoothness
@@ -43,7 +47,7 @@ from ssdml.baselines import stiefel_minimizer
 from ssdml.data import Dataset
 from ssdml.encoder import l2_normalize_rows
 from ssdml.graph import knn_laplacian_form
-from ssdml.manifold import random_stiefel
+from ssdml.manifold import orthonormality_error, random_stiefel
 from ssdml.trainer import (METHODS, TrainConfig, _initial_L, _represent, _run, _split,
                            evaluate_checkpoint)
 
@@ -55,7 +59,9 @@ def score_seed(blobs, semi, config):
     L of the l smallest eigenvectors of Z^T (D - W) Z over train()'s
     l2-normalized train rows Z.  Only the kept checkpoint's held-out NMI is
     printed, so the other held-out figures skip evaluate_checkpoint's
-    k-means and score R@1 alone."""
+    k-means and score R@1 alone.  The last epoch's L is also described by
+    its smallest and largest singular value and ||L^T L - I||_F, which
+    show how far an orth=False run has left the manifold."""
     train_ds, val, (_, eval_seed, _, _) = _split(semi, config)
     identity = evaluation.evaluate_embeddings(val.features, val.labels, ks=(1,),
                                               seed=eval_seed)
@@ -71,6 +77,7 @@ def score_seed(blobs, semi, config):
         return evaluation.recall_at_k(E, heldout.labels, ks=(1,))[1]
 
     kept = evaluate_checkpoint(model, heldout, ks=(1,))
+    singular = np.linalg.svd(L, compute_uv=False)
     return {
         "seed": config.seed,
         "identity_val_r1": identity.recall_at[1],
@@ -84,13 +91,18 @@ def score_seed(blobs, semi, config):
         "heldout_r1_start": held_r1(_initial_L(semi.dim, config.embed_dim)),
         "heldout_r1_laplacian": held_r1(laplacian_L),
         "heldout_r1_final": held_r1(L, encoder),
+        "final_L_sv_min": float(singular.min()),
+        "final_L_sv_max": float(singular.max()),
+        "final_L_orth_error": orthonormality_error(L),
     }, model
 
 
 def rounded(figures):
-    """score_seed's figures as printed: NMI to 4 digits, held-out R@1 to 1."""
+    """score_seed's figures as printed: NMI to 4 digits, held-out R@1 to 1,
+    the last L's figures to 4 significant digits."""
     return {k: round(v, 4) if k.endswith("nmi") else round(v, 1) if k.startswith("heldout_r1")
-            else v for k, v in figures.items()}
+            else float(f"{v:.4g}") if k.startswith("final_L") else v
+            for k, v in figures.items()}
 
 
 def seed_data(seed, noise_sigma, labeled_per_class, rotated=False):

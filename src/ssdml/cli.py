@@ -63,7 +63,7 @@ _TRAIN_HELP = {
     "lr": "encoder SGD learning rate",
     "batch_triplets": "mini-batch size in triplets (pairs for baselines)",
     "partition_size": "unlabeled rows per partition (0 = all)",
-    "epochs_per_partition": None,
+    "epochs_per_partition": "epochs trained on each partition before the next is drawn",
     "max_epochs": "total training epochs across partitions",
     "inner_l_iters": "metric optimizer steps per batch (ours only: seraph takes "
                      "one step per batch, lrml solves in closed form)",
@@ -72,8 +72,6 @@ _TRAIN_HELP = {
     "encoder": "train the affine encoder alongside the metric",
     "seraph_eta": "entropy baseline distance threshold",
     "seraph_mu": "entropy baseline unlabeled weight",
-    "lrml_gamma_s": "Laplacian baseline similar-pair weight",
-    "lrml_gamma_d": "Laplacian baseline dissimilar-pair weight",
 }
 
 

@@ -2,9 +2,9 @@
 
 Minimizes a smooth objective over matrices with orthonormal columns using
 Polak-Ribiere conjugate directions built from tangent-projected gradients,
-a Cholesky-QR retraction, and Armijo backtracking.  A plain (unconstrained)
-descent mode with the same line search supports the no-orthogonality
-ablation.
+a Cholesky-QR retraction, and Armijo backtracking.  The no-orthogonality
+ablation runs the same conjugate-gradient loop without projection or
+retraction: Euclidean gradients, and the step L - t*d taken as it is.
 """
 
 from __future__ import annotations
@@ -105,12 +105,15 @@ def optimize_L(L0, fun_and_grad, max_iter: int = 10, step0: float = 1.0,
     orthonormal mode gradients are tangent-projected, steps retracted by
     Cholesky-QR, and the previous conjugate direction is transported by
     re-projection at the new point (projected together with the new
-    gradient, in one stacked call).  In the ablation mode (orthonormal
-    False) this is plain gradient descent with the same Armijo search.
-    Accepted objective values never increase; a failed line search (30
-    halvings) returns the current iterate flagged as stalled.  `max_step`
-    caps every line-search trial, which keeps successive mini-batch calls
-    from leaping to each batch's private optimum.
+    gradient, in one stacked call).  The ablation mode (orthonormal False)
+    runs the same Polak-Ribiere update with identity geometry: the new
+    gradient and the old direction are carried over unprojected, and a
+    step moves to L - t*d; the flag picks only the start check, the
+    projection and the retraction.  Accepted objective values never
+    increase; a failed line search (30 halvings) returns the current
+    iterate flagged as stalled.  `max_step` caps every line-search trial,
+    which keeps successive mini-batch calls from leaping to each batch's
+    private optimum.
     """
     L = np.array(L0, dtype=np.float64)
     if orthonormal and orthonormality_error(L) > ORTH_TOL:
@@ -149,15 +152,14 @@ def optimize_L(L0, fun_and_grad, max_iter: int = 10, step0: float = 1.0,
             pair[0] = G_new
             pair[1] = direction
             g_new, moved = tangent_project(L_new, pair)
-            gn2_new = float(np.vdot(g_new, g_new))
-            # Polak-Ribiere against the old gradient transported to L_new:
-            # the projector is self-adjoint and g_new tangent there, so
-            # <g_new, P(g)> = <g_new, g> and P(g) itself is never formed
-            beta = (gn2_new - float(np.vdot(g_new, g))) / gn2 if gn2 > 0 else 0.0
-            direction = g_new + max(0.0, beta) * moved
         else:
-            g_new = direction = G_new
-            gn2_new = float(np.vdot(g_new, g_new))
+            g_new, moved = G_new, direction
+        gn2_new = float(np.vdot(g_new, g_new))
+        # Polak-Ribiere against the old gradient transported to L_new: the
+        # projector is self-adjoint and g_new tangent there, so
+        # <g_new, P(g)> = <g_new, g> and P(g) itself is never formed
+        beta = (gn2_new - float(np.vdot(g_new, g))) / gn2 if gn2 > 0 else 0.0
+        direction = g_new + max(0.0, beta) * moved
 
         L, J, g, gn2 = L_new, float(J_new), g_new, gn2_new
         result.L = L

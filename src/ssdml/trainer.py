@@ -71,7 +71,9 @@ class TrainConfig:
     per batch; `inner_l_iters` acts on `ours` only: seraph takes one step
     per batch and lrml solves for L in closed form).  `encoder` and
     `orth=False` are options of `ours` only: both baselines fit an
-    orthonormal L."""
+    orthonormal L.  LRML has no weight to set: its similar- and
+    dissimilar-pair terms are per-pair means, weighed against the kNN
+    term by `LRML_LAPLACIAN_WEIGHT`."""
 
     method: str = "ours"
     gamma: float = 0.99
@@ -90,8 +92,6 @@ class TrainConfig:
     val_fraction: float = 0.15
     seraph_eta: float = 1.0
     seraph_mu: float = 1.0
-    lrml_gamma_s: float = 1.0
-    lrml_gamma_d: float = 1.0
 
 
 @dataclass
@@ -136,9 +136,6 @@ def _validate(config: TrainConfig, dataset: Dataset):
         raise ConfigError("batch size and epoch counts must be >= 1")
     if config.inner_l_iters < 0 or config.partition_size < 0:
         raise ConfigError("inner_l_iters and partition_size must be >= 0")
-    if config.method == "lrml" and (min(config.lrml_gamma_s, config.lrml_gamma_d) < 0
-                                    or config.lrml_gamma_s + config.lrml_gamma_d == 0):
-        raise ConfigError("LRML pair weights must be non-negative and not both zero")
     if config.method != "ours" and (config.encoder or not config.orth):
         raise ConfigError("the trainable encoder and orth=False are options of "
                           "method='ours' only; the baselines fit an orthonormal L")
@@ -368,8 +365,8 @@ def _lrml_epochs(config, train_ds, schedule):
             Z = _represent(None, train_ds.features[rows])
             quad = knn_laplacian_form(build_knn(Z, config.k), Z) \
                 * (2.0 * LRML_LAPLACIAN_WEIGHT / (rows.size * config.k))
-            G = bl.lrml_gradient(S, D, quad, gamma_s=config.lrml_gamma_s / max(n_sim, 1),
-                                 gamma_d=config.lrml_gamma_d / max(n_dis, 1))
+            G = bl.lrml_gradient(S, D, quad, gamma_s=1.0 / max(n_sim, 1),
+                                 gamma_d=1.0 / max(n_dis, 1))
             if not np.isfinite(G).all():
                 raise TrainingDiverged("LRML objective became non-finite")
             L, loss = bl.stiefel_minimizer(G, config.embed_dim)
@@ -410,7 +407,9 @@ def save_model(model: Model, path) -> None:
 
 
 def load_model(path) -> Model:
-    """Inverse of save_model; matrices reload bit-exactly."""
+    """Inverse of save_model; matrices reload bit-exactly.  A config record
+    must agree with the header: its `encoder` flag with the encoder block,
+    its `embed_dim` with l."""
     with open(path) as fh:
         lines = [ln.rstrip("\n") for ln in fh]
     if not lines:
@@ -462,10 +461,12 @@ def load_model(path) -> Model:
             raise ConfigError(f"{path}: line {lineno}: record is not a JSON object")
         if "config" in rec:
             fields = rec["config"]
-            # older files record "normalize": true, the only mode left, and
-            # SERAPH's trace weight, a constant under L^T L = I
+            # older files record "normalize": true, the only mode left,
+            # SERAPH's trace weight, a constant under L^T L = I, and LRML's
+            # pair weights, now fixed per-pair means
             if isinstance(fields, dict):
-                fields.pop("seraph_lambda", None)
+                for retired in ("seraph_lambda", "lrml_gamma_s", "lrml_gamma_d"):
+                    fields.pop(retired, None)
                 if fields.pop("normalize", True) is not True:
                     raise ConfigError(f"{path}: line {lineno}: "
                                       "raw-feature models are not supported")
@@ -473,6 +474,11 @@ def load_model(path) -> Model:
                 config = TrainConfig(**fields)
             except TypeError as exc:
                 raise ConfigError(f"{path}: line {lineno}: bad config ({exc})") from None
+            if config.encoder != bool(has_enc) or config.embed_dim != l:
+                raise ConfigError(f"{path}: line {lineno}: config record (encoder "
+                                  f"{config.encoder}, embed_dim {config.embed_dim}) "
+                                  f"disagrees with the header (encoder {bool(has_enc)}, "
+                                  f"l {l})")
         else:
             history.append(rec)
     return Model(L=L, encoder=encoder, config=config, history=history)

@@ -329,6 +329,12 @@ class TestExitCodes:
                         "--seraph-lambda", 0.1]) == 1
         assert "usage error" in capsys.readouterr().err
 
+    def test_lrml_gamma_flag_is_one(self, blob_csv, capsys):
+        # LRML's pair terms are per-pair means: there is no weight to set
+        assert run_cli(["train", "--data", blob_csv, "--method", "lrml",
+                        "--lrml-gamma-s", 1]) == 1
+        assert "usage error" in capsys.readouterr().err
+
     def test_odd_k_mine_is_two_before_propagating(self, blob_csv, monkeypatch, capsys):
         def refuse(*args, **kwargs):
             raise AssertionError("propagate ran for an odd k")
@@ -439,16 +445,12 @@ class TestExitCodes:
         assert out == "" and err.strip() == f"error: {shown}"
 
     @pytest.mark.parametrize("args", [
-        ["train", "--method", "lrml", "--embed-dim", 3, "--lrml-gamma-s", -1],
-        ["train", "--method", "lrml", "--embed-dim", 3, "--lrml-gamma-s", 0,
-         "--lrml-gamma-d", 0],
         ["mine", "--k", 4, "--partition-size", -1],
         ["propagate", "--k", 4, "--partition-size", -1],
         ["blobs", "--classes", 2, "--per-class", 3, "--labeled-per-class", -1],
         ["train", "--encoder", "--embed-dim", 3, "--lr", "nan"],
         ["train", "--encoder", "--embed-dim", 3, "--lr", "inf"],
         ["train", "--method", "seraph", "--embed-dim", 3, "--seraph-eta", "nan"],
-        ["train", "--method", "lrml", "--embed-dim", 3, "--lrml-gamma-d", "nan"],
         ["gradcheck", "--seed", -1],
         ["blobs", "--classes", 3, "--per-class", 20, "--sep", "nan"],
         ["blobs", "--classes", 3, "--per-class", 20, "--noise-sigma", "inf"],
@@ -474,12 +476,6 @@ class TestExitCodes:
         assert err.startswith("error:") and len(err.strip().splitlines()) == 1
         if non_finite:  # rejected up front, not after a diverged run
             assert "must be finite" in err
-
-    def test_seraph_ignores_lrml_weights(self, blob_csv):
-        # only the running method's weights are built and checked
-        assert run_cli(["train", "--data", blob_csv, "--method", "seraph",
-                        "--lrml-gamma-s", -1, "--embed-dim", 3,
-                        "--max-epochs", 1]) == 0
 
     def test_lrml_trains_where_no_dense_array_fits(self, blob_csv, monkeypatch,
                                                    capsys):
@@ -536,10 +532,20 @@ class TestOlderModelFiles:
     def test_seraph_lambda_loads_with_the_rest_of_the_config(self, model_path, tmp_path):
         # files written while SERAPH had a trace weight record it
         text = model_path.read_text()
-        assert '"seraph_mu": 1.0, "lrml' in text
+        assert '"seraph_mu": 1.0}' in text
         older = tmp_path / "older.model"
-        older.write_text(text.replace('"seraph_mu": 1.0, "lrml',
-                                      '"seraph_mu": 1.0, "seraph_lambda": 0.001, "lrml'))
+        older.write_text(text.replace('"seraph_mu": 1.0}',
+                                      '"seraph_mu": 1.0, "seraph_lambda": 0.001}'))
+        assert ssdml.load_model(older).config == ssdml.load_model(model_path).config
+
+    def test_lrml_weights_load_with_the_rest_of_the_config(self, model_path, tmp_path):
+        # files written while LRML's pair weights were settable record both
+        text = model_path.read_text()
+        assert '"seraph_mu": 1.0}' in text
+        older = tmp_path / "older.model"
+        older.write_text(text.replace(
+            '"seraph_mu": 1.0}',
+            '"seraph_mu": 1.0, "lrml_gamma_s": 1.0, "lrml_gamma_d": 1.0}'))
         assert ssdml.load_model(older).config == ssdml.load_model(model_path).config
 
     @pytest.mark.parametrize("raw", ["header-flag", "config"])
@@ -559,6 +565,60 @@ class TestOlderModelFiles:
         assert err.startswith("error:") and len(err.strip().splitlines()) == 1
 
 
+class TestConfigRecordAgreesWithMatrices:
+    @pytest.fixture()
+    def linear_model(self, blob_csv, tmp_path, capsys):
+        path = tmp_path / "m.model"
+        assert run_cli(["train", "--data", blob_csv, "--k", 4, "--embed-dim", 2,
+                        "--max-epochs", 1, "--model", path]) == 0
+        capsys.readouterr()
+        return path
+
+    @staticmethod
+    def edited(path, tmp_path, *replacements):
+        text = path.read_text()
+        for old, new in replacements:
+            assert old in text
+            text = text.replace(old, new)
+        edited = tmp_path / "edited.model"
+        edited.write_text(text)
+        return edited
+
+    @pytest.mark.parametrize("old, new", [
+        ('"encoder": false', '"encoder": true'),  # the header has no encoder
+        ('"embed_dim": 2', '"embed_dim": 3'),  # L has 2 columns
+    ], ids=["encoder", "embed-dim"])
+    def test_disagreeing_record_is_two(self, blob_csv, linear_model, tmp_path, capsys,
+                                       old, new):
+        bad = self.edited(linear_model, tmp_path, (old, new))
+        assert run_cli(["eval", "--data", blob_csv, "--model", bad]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and len(err.strip().splitlines()) == 1
+        assert err.startswith("error:") and "disagrees with the header" in err
+
+    def test_older_seraph_file_without_orth_loads(self, blob_csv, linear_model,
+                                                  tmp_path, capsys):
+        # train() refuses this method and orth pair now, but files written
+        # before it did still load: train()'s rules are not the file's
+        older = self.edited(linear_model, tmp_path, ('"method": "ours"', '"method": "seraph"'),
+                            ('"orth": true', '"orth": false'))
+        config = ssdml.load_model(older).config
+        assert config.method == "seraph" and not config.orth
+        reports = []
+        for path in (linear_model, older):
+            assert run_cli(["eval", "--data", blob_csv, "--model", path]) == 0
+            reports.append(capsys.readouterr().out)
+        assert reports[0] == reports[1]
+
+
+def test_every_train_flag_has_a_help_text():
+    assert all(isinstance(text, str) and text for text in cli._TRAIN_HELP.values())
+    train_help = build_parser()._subparsers._group_actions[0].choices["train"]
+    text = train_help.format_help().split("options:")[1]
+    entry = text[text.index("--epochs-per-partition"):text.index("--max-epochs")]
+    assert "(default: 10)" in entry
+
+
 def test_train_flag_defaults_equal_train_config():
     from dataclasses import fields
 
@@ -571,8 +631,7 @@ def test_train_flag_defaults_equal_train_config():
     assert exposed == {
         "method", "gamma", "k", "alpha_deg", "embed_dim", "lr", "batch_triplets",
         "partition_size", "epochs_per_partition", "max_epochs", "inner_l_iters",
-        "seed", "orth", "encoder", "seraph_eta", "seraph_mu", "lrml_gamma_s",
-        "lrml_gamma_d"}
+        "seed", "orth", "encoder", "seraph_eta", "seraph_mu"}
     assert set(vars(args)) - exposed == {"command", "func", "data", "images_idx",
                                          "labels_idx", "model", "out"}
     for name in exposed:

@@ -19,13 +19,23 @@ def householder_retract(L, xi, step):
 
 
 def three_projection_optimize_L(L0, fun_and_grad, max_iter, step0=1.0,
-                                max_step=np.inf, grad_tol=1e-9):
-    """Reference for optimize_L's orthonormal CG mode: Householder
-    retraction, and the new gradient, the old gradient and the old direction
-    each projected at the new point on their own.  Returns the iterates."""
+                                max_step=np.inf, grad_tol=1e-9, orthonormal=True):
+    """Reference for optimize_L's CG loop: Householder retraction, and the
+    new gradient, the old gradient and the old direction each projected at
+    the new point on their own.  With orthonormal False the geometry is the
+    identity: no projection, and the step L - t*d.  Returns the iterates."""
+    if orthonormal:
+        project, retract = tangent_project, householder_retract
+    else:
+        def project(L, G):
+            return G
+
+        def retract(L, xi, step):
+            return L - step * xi
+
     L = np.array(L0, dtype=np.float64)
     J, G = fun_and_grad(L)
-    g = tangent_project(L, G)
+    g = project(L, G)
     gn2 = float(np.vdot(g, g))
     direction, step, iterates = g, min(step0, max_step), [L]
     for _ in range(max_iter):
@@ -36,7 +46,7 @@ def three_projection_optimize_L(L0, fun_and_grad, max_iter, step0=1.0,
             direction, slope = g, gn2
         trial, first_try = step, True
         for _ in range(MAX_BACKTRACKS):
-            L_new = householder_retract(L, direction, trial)
+            L_new = retract(L, direction, trial)
             J_new, G_new = fun_and_grad(L_new)
             if J_new <= J - ARMIJO_C * trial * slope:
                 break
@@ -44,10 +54,10 @@ def three_projection_optimize_L(L0, fun_and_grad, max_iter, step0=1.0,
             first_try = False
         else:
             break
-        g_new = tangent_project(L_new, G_new)
-        g_prev = tangent_project(L_new, g)
+        g_new = project(L_new, G_new)
+        g_prev = project(L_new, g)
         beta = max(0.0, float(np.vdot(g_new, g_new - g_prev)) / gn2)
-        direction = g_new + beta * tangent_project(L_new, direction)
+        direction = g_new + beta * project(L_new, direction)
         L, J, g, gn2 = L_new, J_new, g_new, float(np.vdot(g_new, g_new))
         step = min(trial * 2.0 if first_try else trial, max_step)
         iterates.append(L)
@@ -210,6 +220,30 @@ class TestOptimizeL:
             optimize_L(L0, fg, max_iter=20, grad_tol=1e-4,
                        callback=lambda L, J: seen.append(L))
             ref = three_projection_optimize_L(L0, fg, max_iter=20, grad_tol=1e-4)
+            assert len(seen) == len(ref)
+            for a, b in zip(seen, ref):
+                assert np.abs(a - b).max() <= 1e-12
+
+    def test_ablation_matches_reference_with_identity_geometry(self):
+        # the same matrices S, but J(L) = Tr(L^T S L): off the manifold the
+        # concave -Tr(L^T S L) has no minimum and the iterates overflow
+        rng = np.random.default_rng(16)
+        for _ in range(20):
+            d = int(rng.integers(3, 11))
+            l = int(rng.integers(1, d))
+            B = rng.standard_normal((d, d))
+            L0 = random_stiefel(d, l, rng)
+            concave = quadratic_problem(B @ B.T)
+
+            def fg(L, concave=concave):
+                J, G = concave(L)
+                return -J, -G
+
+            seen = [L0]
+            optimize_L(L0, fg, max_iter=20, grad_tol=1e-4, orthonormal=False,
+                       callback=lambda L, J: seen.append(L))
+            ref = three_projection_optimize_L(L0, fg, max_iter=20, grad_tol=1e-4,
+                                              orthonormal=False)
             assert len(seen) == len(ref)
             for a, b in zip(seen, ref):
                 assert np.abs(a - b).max() <= 1e-12

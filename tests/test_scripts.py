@@ -7,10 +7,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import ssdml
 from ssdml import trainer
+from ssdml.manifold import orthonormality_error
 from ssdml.trainer import Model, TrainConfig, evaluate_checkpoint
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -25,7 +27,8 @@ _spec.loader.exec_module(benchmark)
 PER_SEED_KEYS = {
     "seed", "identity_val_r1", "identity_val_nmi", "trained_val_r1", "trained_val_nmi",
     "epoch0_val_r1", "best_epoch", "heldout_r1", "heldout_nmi", "heldout_r1_start",
-    "heldout_r1_laplacian", "heldout_r1_final",
+    "heldout_r1_laplacian", "heldout_r1_final", "final_L_sv_min", "final_L_sv_max",
+    "final_L_orth_error",
 }
 
 FAST = dict(k=4, embed_dim=4, batch_triplets=50, max_epochs=4,
@@ -40,8 +43,9 @@ def small_blobs():
 
 
 @pytest.mark.parametrize("run", [dict(method="ours"), dict(method="ours", encoder=True),
-                                 dict(method="seraph"), dict(method="lrml")],
-                         ids=["ours", "ours-encoder", "seraph", "lrml"])
+                                 dict(method="seraph"), dict(method="lrml"),
+                                 dict(method="ours", orth=False)],
+                         ids=["ours", "ours-encoder", "seraph", "lrml", "ours-no-orth"])
 def test_score_seed_reads_one_run(monkeypatch, run):
     blobs, semi = small_blobs()
     config = TrainConfig(seed=3, **run, **FAST)
@@ -65,12 +69,23 @@ def test_score_seed_reads_one_run(monkeypatch, run):
     final = evaluate_checkpoint(Model(L, encoder, None), heldout, ks=(1,))
     assert figures["heldout_r1_final"] == final.recall_at[1]
     assert figures["heldout_r1"] == evaluate_checkpoint(best, heldout, ks=(1,)).recall_at[1]
+    singular = np.linalg.svd(L, compute_uv=False)
+    assert figures["final_L_sv_min"] == singular.min()
+    assert figures["final_L_sv_max"] == singular.max()
+    assert figures["final_L_orth_error"] == orthonormality_error(L)
+    if config.orth:  # every method but the ablation keeps L on the manifold
+        assert np.abs(singular - 1.0).max() <= 1e-12
+        assert figures["final_L_orth_error"] <= 1e-12
+    else:
+        assert figures["final_L_orth_error"] > 1e-6
 
 
 def test_rounded_keeps_validation_r1_and_rounds_nmi_and_heldout_r1():
-    figures = {"trained_val_r1": 12.345, "heldout_nmi": 0.123456, "heldout_r1_final": 12.345}
+    figures = {"trained_val_r1": 12.345, "heldout_nmi": 0.123456, "heldout_r1_final": 12.345,
+               "final_L_sv_max": 7.123456, "final_L_orth_error": 3.14159e-15}
     assert benchmark.rounded(figures) == {"trained_val_r1": 12.345, "heldout_nmi": 0.1235,
-                                          "heldout_r1_final": 12.3}
+                                          "heldout_r1_final": 12.3, "final_L_sv_max": 7.123,
+                                          "final_L_orth_error": 3.142e-15}
 
 
 @pytest.fixture()
