@@ -51,9 +51,8 @@ def _add_data_flags(p):
     p.add_argument("--labels-idx", help="IDX label file (use with --images-idx)")
 
 
-# Help text for each TrainConfig field that `train` exposes, in --help order.
-# The flag's name, type and default come from the field; `val_fraction`
-# stays library-only.
+# Help text for each TrainConfig field, in --help order: every field is a
+# `train` flag.  The flag's name, type and default come from the field.
 _TRAIN_HELP = {
     "method": "graph-triplet method or a classical pairwise baseline",
     "gamma": "affinity propagation weight",

@@ -7,8 +7,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, NumericalError
-from .graph import (KNN_BLOCK_ENTRIES, SCREEN_RTOL, _exact_knn, _pair_sq_dists,
-                    _screen_is_safe)
+from .graph import (KNN_BLOCK_ENTRIES, SCREEN_RTOL, _check_screen, _exact_knn,
+                    _pair_sq_dists)
 
 KMEANS_RESTARTS = 10
 KMEANS_MAX_ITER = 100
@@ -88,34 +88,29 @@ def _nearest(Z, sq, centers):
 
     One GEMM screen with the rounding slack of graph._exact_knn's screen
     (SCREEN_RTOL) decides which explicit distances can be the smallest; a
-    row with more than one such center (or every row, without a safe
-    screen) has them recomputed from explicit differences, so the result
-    equals the argmin of the explicit distances.
+    row with more than one such center has them recomputed from explicit
+    differences, so the result equals the argmin of the explicit distances.
+    Points or centers the screen cannot take raise NumericalError.
     """
-    R, C, _ = centers.shape
-    n = Z.shape[0]
+    C = centers.shape[1]
     csq = np.einsum("rcj,rcj->rc", centers, centers)
-    if _screen_is_safe(sq, csq):
-        S = centers @ Z.T  # (R, C, n)
-        S *= -2.0
-        S += sq
-        S += csq[..., None]
-        slack = SCREEN_RTOL * (sq + csq.max(axis=1)[:, None])
-        near = S <= (S.min(axis=1) + 2.0 * slack)[:, None, :]
-        S[...] = near  # the screen is done with: reuse it for near as floats
-        # per row, the number of centers at or below the bar and their index
-        # sum: the nearest center's index wherever the count is 1
-        count, best = (np.array([np.ones(C), np.arange(C)]) @ S).transpose(1, 0, 2)
-        best = best.astype(np.int64)
-        tied = np.flatnonzero(count > 1)
-    else:
-        best = np.zeros((R, n), dtype=np.int64)
-        tied = np.arange(R * n)
-        near = np.ones((R, C, n), dtype=bool)
+    _check_screen(sq, csq)
+    S = centers @ Z.T  # (R, C, n)
+    S *= -2.0
+    S += sq
+    S += csq[..., None]
+    slack = SCREEN_RTOL * (sq + csq.max(axis=1)[:, None])
+    near = S <= (S.min(axis=1) + 2.0 * slack)[:, None, :]
+    S[...] = near  # the screen is done with: reuse it for near as floats
+    # per row, the number of centers at or below the bar and their index
+    # sum: the nearest center's index wherever the count is 1
+    count, best = (np.array([np.ones(C), np.arange(C)]) @ S).transpose(1, 0, 2)
+    best = best.astype(np.int64)
+    tied = np.flatnonzero(count > 1)
     block = max(1, KNN_BLOCK_ENTRIES // (C * Z.shape[1]))
     for s in range(0, tied.size, block):
         rows = tied[s:s + block]
-        r, i = np.divmod(rows, n)
+        r, i = np.divmod(rows, Z.shape[0])
         k, c = np.nonzero(near[r, :, i])
         D = np.full((rows.size, C), np.inf)
         D[k, c] = _sq_dists(Z, centers, r[k], i[k], c)
@@ -278,6 +273,14 @@ def nmi(assignments, labels) -> float:
     return mi / denom
 
 
+def _check_labels(Z, labels) -> np.ndarray:
+    """labels as an array, one entry per row of Z, or a ConfigError."""
+    y = np.asarray(labels)
+    if y.shape != (len(Z),):
+        raise ConfigError(f"labels must hold one per row (got {y.size} labels for {len(Z)} rows)")
+    return y
+
+
 def recall_at_k(Z, labels, ks=DEFAULT_RECALL_KS) -> dict:
     """Percentage of points with a same-class neighbor among their K nearest.
 
@@ -285,7 +288,7 @@ def recall_at_k(Z, labels, ks=DEFAULT_RECALL_KS) -> dict:
     broken toward the smaller index.
     """
     Z = np.asarray(Z, dtype=np.float64)
-    y = np.asarray(labels)
+    y = _check_labels(Z, labels)
     n = Z.shape[0]
     ks = sorted(int(k) for k in ks)
     if not ks or ks[0] < 1 or ks[-1] >= n:
@@ -299,7 +302,7 @@ def recall_at_k(Z, labels, ks=DEFAULT_RECALL_KS) -> dict:
 def evaluate_embeddings(Z, labels, ks=DEFAULT_RECALL_KS, seed=0) -> EvalReport:
     """Full report: NMI of restarted k-means, one cluster per distinct label
     in `labels`, plus Recall@K retrieval."""
-    y = np.asarray(labels)
+    y = _check_labels(Z, labels)
     assign, _ = kmeans_best(Z, np.unique(y).size, seed=seed)
     return EvalReport(
         nmi=nmi(assign, y),

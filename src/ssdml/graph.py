@@ -46,12 +46,13 @@ KNN_BLOCK_ENTRIES = 1 << 16
 SCREEN_RTOL = 1e-9
 
 
-def _screen_is_safe(*sq_norms) -> bool:
-    """Whether an inner-product screen over points with these squared norms
-    stays finite (|screen| and every distance lie below 4 * max ||z||^2).
-    It only picks the screened or the all-explicit path; both rank alike."""
+def _check_screen(*sq_norms) -> None:
+    """Raise NumericalError unless an inner-product screen over points with
+    these squared norms stays finite (|screen| and every distance lie below
+    4 * max ||z||^2, so no NaN, inf or near-overflow point passes)."""
     with np.errstate(over="ignore"):  # an overflow to inf is the answer
-        return all(bool(np.isfinite(4.0 * sq.max())) for sq in sq_norms)
+        if not all(np.isfinite(4.0 * sq.max()) for sq in sq_norms):
+            raise NumericalError("distance screen: non-finite or overflowing points")
 
 
 def _pair_sq_dists(A, ia, B, ib):
@@ -63,10 +64,9 @@ def _pair_sq_dists(A, ia, B, ib):
     """
     out = np.empty(ia.size)
     chunk = max(1, KNN_BLOCK_ENTRIES // max(A.shape[1], 1))
-    with np.errstate(invalid="ignore"):  # inf - inf: a NaN distance, ranked last
-        for s in range(0, ia.size, chunk):
-            diff = A[ia[s:s + chunk]] - B[ib[s:s + chunk]]
-            out[s:s + chunk] = np.einsum("ij,ij->i", diff, diff)
+    for s in range(0, ia.size, chunk):
+        diff = A[ia[s:s + chunk]] - B[ib[s:s + chunk]]
+        out[s:s + chunk] = np.einsum("ij,ij->i", diff, diff)
     return out
 
 
@@ -84,38 +84,32 @@ def _exact_knn(Z: np.ndarray, k: int) -> np.ndarray:
     explicit distances within a slack of s_k + ||z_i||^2 (SCREEN_RTOL), so
     every column that can rank in the top k, ties included, screens at most
     s_k + 2 * slack, and the result equals a full per-row sort of the
-    explicit distances.  Without a safe screen (a non-finite or overflowing
-    row) every distance is computed, and a row's own entry counts as +inf
-    and NaN distances rank last, as in that sort.  Scratch memory is the
-    operand and a few KNN_BLOCK_ENTRIES-sized arrays whatever the data.
+    explicit distances.  A row's own screened entry is +inf, so it never
+    ranks; points the screen cannot take raise NumericalError.  Scratch
+    memory is the operand and a few KNN_BLOCK_ENTRIES-sized arrays.
     """
     Z = np.ascontiguousarray(Z, dtype=np.float64)
     n, d = Z.shape
     if not 1 <= k < n:
         raise ConfigError(f"k must satisfy 1 <= k < n (got k={k}, n={n})")
     sq = np.einsum("ij,ij->i", Z, Z)
-    screen = _screen_is_safe(sq)
+    _check_screen(sq)
     block = min(n, max(1, KNN_BLOCK_ENTRIES // n))
-    if screen:
-        P = np.empty((d + 1, n))
-        np.multiply(Z.T, -2.0, out=P[:d])
-        P[d] = sq
-        Zb = np.ones((block, d + 1))  # [Z_block, 1]
-        bar = 2.0 * SCREEN_RTOL * (sq + sq.max())
+    P = np.empty((d + 1, n))
+    np.multiply(Z.T, -2.0, out=P[:d])
+    P[d] = sq
+    Zb = np.ones((block, d + 1))  # [Z_block, 1]
+    bar = 2.0 * SCREEN_RTOL * (sq + sq.max())
     neighbors = np.empty((n, k), dtype=np.int64)
     for start in range(0, n, block):
         stop = min(start + block, n)
-        if screen:
-            Zb[:stop - start, :d] = Z[start:stop]
-            S = Zb[:stop - start] @ P
-            S.reshape(-1)[start + np.arange(stop - start) * (n + 1)] = np.inf  # self
-            kth = np.partition(S, k - 1, axis=1)[:, k - 1]
-            hits = np.flatnonzero(S <= (kth + bar[start:stop])[:, None])
-            rows, cols = np.divmod(hits, n)  # self stays out: +inf
-        else:
-            rows, cols = np.divmod(np.arange((stop - start) * n), n)
+        Zb[:stop - start, :d] = Z[start:stop]
+        S = Zb[:stop - start] @ P
+        S.reshape(-1)[start + np.arange(stop - start) * (n + 1)] = np.inf  # self
+        kth = np.partition(S, k - 1, axis=1)[:, k - 1]
+        hits = np.flatnonzero(S <= (kth + bar[start:stop])[:, None])
+        rows, cols = np.divmod(hits, n)  # self stays out: +inf
         d2 = _pair_sq_dists(Z, cols, Z, start + rows)
-        d2[cols == start + rows] = np.inf
         order = np.lexsort((cols, d2, rows))  # by row, then distance, then index
         counts = np.bincount(rows, minlength=stop - start)
         first = np.cumsum(counts) - counts
@@ -128,8 +122,9 @@ def build_knn(Z: np.ndarray, k: int) -> NeighborGraph:
 
     Neighbors are ordered by (explicit-difference distance, index), so
     duplicated points tie exactly and ties go to the smaller index (see
-    _exact_knn).  Rows of Z are assumed to be the current embeddings;
-    callers l2-normalize beforehand when required.
+    _exact_knn), and non-finite or overflowing points raise NumericalError.
+    Rows of Z are assumed to be the current embeddings; callers l2-normalize
+    beforehand when required.
     """
     neighbors = _exact_knn(Z, k)
     return NeighborGraph(n=neighbors.shape[0], k=k, neighbors=neighbors)

@@ -43,22 +43,21 @@ def require_even_k(k: int) -> None:
         raise ConfigError(f"triplet mining needs an even k (got {k})")
 
 
-def mine_triplets(W: np.ndarray | EdgeAffinity, graph: NeighborGraph,
-                  anchors=None) -> np.ndarray:
+def mine_triplets(W: np.ndarray | EdgeAffinity, graph: NeighborGraph) -> np.ndarray:
     """Pair the top half of each sorted neighborhood against the bottom half.
 
-    W is a dense (n, n) affinity matrix or the EdgeAffinity propagate()
-    returns; both rank each anchor's neighbors the same way.  The rank-i
-    entry becomes the positive and the rank-(k/2+i) entry the negative of
-    one triplet, giving k/2 triplets per anchor.  Returns a (T, 3) int64
-    array of (anchor, positive, negative) rows, anchor by anchor and rank by
-    rank.
+    Every node is an anchor.  W is a dense (n, n) affinity matrix or the
+    EdgeAffinity propagate() returns; both rank each node's neighbors the
+    same way.  The rank-i entry becomes the positive and the rank-(k/2+i)
+    entry the negative of one triplet, giving k/2 triplets per node.
+    Returns an (n k/2, 3) int64 array of (anchor, positive, negative) rows,
+    anchor by anchor and rank by rank.
     """
     require_even_k(graph.k)
-    anchors = np.arange(graph.n) if anchors is None else np.asarray(anchors, dtype=np.int64)
+    anchors = np.arange(graph.n)
     ranked = _rank_neighbors(W, graph, anchors)
     half = graph.k // 2
-    triplets = np.empty((anchors.size, half, 3), dtype=np.int64)
+    triplets = np.empty((graph.n, half, 3), dtype=np.int64)
     triplets[:, :, 0] = anchors[:, None]
     triplets[:, :, 1] = ranked[:, :half]
     triplets[:, :, 2] = ranked[:, half:]

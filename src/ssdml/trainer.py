@@ -28,6 +28,7 @@ import json
 import math
 import warnings
 from dataclasses import asdict, dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -73,7 +74,8 @@ class TrainConfig:
     `orth=False` are options of `ours` only: both baselines fit an
     orthonormal L.  LRML has no weight to set: its similar- and
     dissimilar-pair terms are per-pair means, weighed against the kNN
-    term by `LRML_LAPLACIAN_WEIGHT`."""
+    term by `LRML_LAPLACIAN_WEIGHT`.  Every field is a `train` flag; the
+    validation share `val_fraction` is a class constant."""
 
     method: str = "ours"
     gamma: float = 0.99
@@ -89,7 +91,7 @@ class TrainConfig:
     max_epochs: int = 50
     inner_l_iters: int = 10
     seed: int = 0
-    val_fraction: float = 0.15
+    val_fraction: ClassVar[float] = 0.15
     seraph_eta: float = 1.0
     seraph_mu: float = 1.0
 
@@ -462,10 +464,10 @@ def load_model(path) -> Model:
         if "config" in rec:
             fields = rec["config"]
             # older files record "normalize": true, the only mode left,
-            # SERAPH's trace weight, a constant under L^T L = I, and LRML's
-            # pair weights, now fixed per-pair means
+            # SERAPH's trace weight, a constant under L^T L = I, LRML's pair
+            # weights, now fixed per-pair means, and the validation share
             if isinstance(fields, dict):
-                for retired in ("seraph_lambda", "lrml_gamma_s", "lrml_gamma_d"):
+                for retired in ("seraph_lambda", "lrml_gamma_s", "lrml_gamma_d", "val_fraction"):
                     fields.pop(retired, None)
                 if fields.pop("normalize", True) is not True:
                     raise ConfigError(f"{path}: line {lineno}: "

@@ -444,21 +444,30 @@ class TestExitCodes:
         out, err = capsys.readouterr()
         assert out == "" and err.strip() == f"error: {shown}"
 
+    # each case names its own id (the one pytest first gave it by position),
+    # so removing a case renames no other
     @pytest.mark.parametrize("args", [
-        ["mine", "--k", 4, "--partition-size", -1],
-        ["propagate", "--k", 4, "--partition-size", -1],
-        ["blobs", "--classes", 2, "--per-class", 3, "--labeled-per-class", -1],
-        ["train", "--encoder", "--embed-dim", 3, "--lr", "nan"],
-        ["train", "--encoder", "--embed-dim", 3, "--lr", "inf"],
-        ["train", "--method", "seraph", "--embed-dim", 3, "--seraph-eta", "nan"],
-        ["gradcheck", "--seed", -1],
-        ["blobs", "--classes", 3, "--per-class", 20, "--sep", "nan"],
-        ["blobs", "--classes", 3, "--per-class", 20, "--noise-sigma", "inf"],
-        ["blobs", "--classes", 11, "--per-class", 2, "--sep", "1e308"],  # mean 2e308
-        ["blobs", "--classes", 3, "--per-class", 20, "--noise-sigma", "1e308"],
-        ["train", "--embed-dim", 3, "--data", "overflow.csv"],
-        ["train", "--method", "lrml", "--embed-dim", 3, "--no-orth"],  # always orthonormal
-        ["train", "--method", "seraph", "--embed-dim", 3, "--no-orth"],  # likewise
+        pytest.param(["mine", "--k", 4, "--partition-size", -1], id="args0"),
+        pytest.param(["propagate", "--k", 4, "--partition-size", -1], id="args1"),
+        pytest.param(["blobs", "--classes", 2, "--per-class", 3, "--labeled-per-class", -1],
+                     id="args2"),
+        pytest.param(["train", "--encoder", "--embed-dim", 3, "--lr", "nan"], id="args3"),
+        pytest.param(["train", "--encoder", "--embed-dim", 3, "--lr", "inf"], id="args4"),
+        pytest.param(["train", "--method", "seraph", "--embed-dim", 3, "--seraph-eta", "nan"],
+                     id="args5"),
+        pytest.param(["gradcheck", "--seed", -1], id="args6"),
+        pytest.param(["blobs", "--classes", 3, "--per-class", 20, "--sep", "nan"], id="args7"),
+        pytest.param(["blobs", "--classes", 3, "--per-class", 20, "--noise-sigma", "inf"],
+                     id="args8"),
+        pytest.param(["blobs", "--classes", 11, "--per-class", 2, "--sep", "1e308"],
+                     id="args9"),  # mean 2e308
+        pytest.param(["blobs", "--classes", 3, "--per-class", 20, "--noise-sigma", "1e308"],
+                     id="args10"),
+        pytest.param(["train", "--embed-dim", 3, "--data", "overflow.csv"], id="args11"),
+        pytest.param(["train", "--method", "lrml", "--embed-dim", 3, "--no-orth"],
+                     id="args12"),  # always orthonormal
+        pytest.param(["train", "--method", "seraph", "--embed-dim", 3, "--no-orth"],
+                     id="args13"),  # likewise
     ])
     def test_bad_weight_or_count_is_two(self, blob_csv, tmp_path, capsys, args):
         # each must stop on one error line, not a ValueError traceback
@@ -548,6 +557,15 @@ class TestOlderModelFiles:
             '"seraph_mu": 1.0, "lrml_gamma_s": 1.0, "lrml_gamma_d": 1.0}'))
         assert ssdml.load_model(older).config == ssdml.load_model(model_path).config
 
+    def test_val_fraction_loads_with_the_rest_of_the_config(self, model_path, tmp_path):
+        # files written while the validation share was a field record it
+        text = model_path.read_text()
+        assert '"seed": 0, "seraph_eta"' in text
+        older = tmp_path / "older.model"
+        older.write_text(text.replace('"seed": 0, "seraph_eta"',
+                                      '"seed": 0, "val_fraction": 0.15, "seraph_eta"'))
+        assert ssdml.load_model(older).config == ssdml.load_model(model_path).config
+
     @pytest.mark.parametrize("raw", ["header-flag", "config"])
     def test_raw_feature_model_is_two(self, blob_csv, model_path, tmp_path, capsys,
                                       raw):
@@ -627,7 +645,7 @@ def test_train_flag_defaults_equal_train_config():
     args = build_parser().parse_args(["train", "--data", "x.csv"])
     cfg = TrainConfig()
     exposed = {f.name for f in fields(TrainConfig) if hasattr(args, f.name)}
-    # val_fraction is library-only
+    assert exposed == {f.name for f in fields(TrainConfig)}  # every field is a flag
     assert exposed == {
         "method", "gamma", "k", "alpha_deg", "embed_dim", "lr", "batch_triplets",
         "partition_size", "epochs_per_partition", "max_epochs", "inner_l_iters",

@@ -186,15 +186,15 @@ class TestKmeansMatchesReference:
                 ra, ri = reference_kmeans_best(Z, C, seed=seed)
                 assert np.array_equal(a, ra) and i == ri
 
-    def test_unsafe_screen_takes_the_exact_path(self):
-        # ||z||^2 near the float64 limit: the inner-product screen would
-        # overflow, yet every pairwise distance is finite
+    def test_unsafe_screen_is_refused(self):
+        # ||z||^2 near the float64 limit: k-means++ seeding stays finite, but
+        # the inner-product screen would overflow, so the first assignment
+        # step refuses the points
         rng = np.random.default_rng(13)
         Z = 8e153 * (1.0 + 1e-3 * rng.standard_normal((40, 1)))
         for C in (1, 3, 7):
-            a, i = kmeans_best(Z, C, seed=C)
-            ra, ri = reference_kmeans_best(Z, C, seed=C)
-            assert np.array_equal(a, ra) and i == ri
+            with pytest.raises(NumericalError, match="distance screen"):
+                kmeans_best(Z, C, seed=C)
 
     def test_seeding_matches_reference(self):
         rng = np.random.default_rng(18)
@@ -439,3 +439,12 @@ class TestEvaluateEmbeddings:
         report = evaluate_embeddings(Z, y, seed=3)
         assert report.nmi > 0.95
         assert report.recall_at[1] == 100.0
+
+
+@pytest.mark.parametrize("fn", [ssdml.recall_at_k, evaluate_embeddings],
+                         ids=["recall", "evaluate"])
+@pytest.mark.parametrize("n_labels", [11, 13], ids=["short", "long"])
+def test_labels_of_another_length_rejected(fn, n_labels):
+    Z = np.random.default_rng(16).standard_normal((12, 2))
+    with pytest.raises(ConfigError, match=f"got {n_labels} labels for 12 rows"):
+        fn(Z, np.arange(n_labels) % 3, ks=(1,))

@@ -120,14 +120,18 @@ class TestKnnKernelEdgeCases:
         self.check(Z, 9)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, 1e300])
-    def test_non_finite_or_overflowing_row_matches_row_loop(self, bad):
-        # no safe screen: NaN distances rank last and a row's own entry
-        # counts as +inf, exactly as in the per-row sort
+    def test_non_finite_or_overflowing_row_is_refused(self, bad):
+        # the inner-product screen cannot rank such a row: both users of the
+        # kernel refuse it instead of ranking it
         rng = np.random.default_rng(12)
         Z = rng.standard_normal((30, 3))
         Z[4, 1] = bad
+        labels = np.arange(30) % 3
         for k in (1, 5, 29):
-            assert np.array_equal(ssdml.build_knn(Z, k).neighbors, row_loop_knn(Z, k))
+            with pytest.raises(NumericalError, match="distance screen"):
+                ssdml.build_knn(Z, k)
+            with pytest.raises(NumericalError, match="distance screen"):
+                ssdml.recall_at_k(Z, labels, ks=(k,))
 
     def test_criterion8_shaped_blobs_over_default_blocks(self):
         # 600 l2-normalized rows of 5 signal + 45 noise dims: six blocks

@@ -103,6 +103,14 @@ def test_protocol_defaults_pinned():
     assert cfg.method == "ours" and cfg.orth and not cfg.encoder
 
 
+def test_val_fraction_is_a_class_constant_not_a_field():
+    from dataclasses import asdict
+
+    assert "val_fraction" not in asdict(TrainConfig())
+    with pytest.raises(TypeError, match="val_fraction"):
+        TrainConfig(val_fraction=0.2)
+
+
 class TestConfigValidation:
     def test_unknown_method(self):
         with pytest.raises(ConfigError, match="method"):
