@@ -14,17 +14,24 @@ test CSV (what ``ssdml eval`` prints, before rounding).  Each run also prints a
 ``mine_triplets`` hands training, one per distinct partition, in order (a
 run that mines nothing hashes no bytes).  It shows directly whether a
 change to the graph, propagation or mining stages moved training's input.
-The last line, ``gradcheck-202``, hashes the float64 bytes of the largest
-relative errors ``gradcheck.run_all(seed=202, trials=100)`` reports, suite
-by suite in order (acceptance criterion 2's call), so it shows whether a
-change to a gradient, a suite or the harness moved the checks.  The line
-before it, ``propagation-criterion8-k10-k30``, hashes the bytes of
-``propagate()``'s edges and of ``propagate_dense()`` at gamma 0.99 over the
-kNN graphs (k = 10, then 30) of criterion 8's 2,000 seed-0 blob rows,
-l2-normalized, with the labels ``strip_labels(..., 10, seed=0)`` leaves,
-and then over one hand-built 150-node list with a self edge and a repeated
-neighbor.  Mining only sees the ranking of the affinities, so a last-bit
-change to the propagation solve shows on this line alone.  Runs on one
+Three lines follow the runs.  ``propagation-criterion8-k10-k30`` hashes
+the bytes of ``propagate()``'s edges and of ``propagate_dense()`` at gamma
+0.99 over the kNN graphs (k = 10, then 30) of criterion 8's 2,000 seed-0
+blob rows, l2-normalized, with the labels ``strip_labels(..., 10, seed=0)``
+leaves, and then over one hand-built 150-node list with a self edge and a
+repeated neighbor.  Mining only sees the ranking of the affinities, so a
+last-bit change to the propagation solve shows on this line alone.
+``knn-kernel`` hashes the neighbor lists ``build_knn`` gives on the same
+blob rows (k = 10, then 30), on two collapsed sets (1,000 rows at
+1 + 1e-6 N(0, I_30) and at 1e6 + 1e-2 N(0, I_20), k = 10) and on a set with
+exact duplicate rows, then the float64 bytes of ``recall_at_k`` at
+K = 1, 2, 4, 8, 16, 32 on a 1,900 x 16 embedding (the first 16 coordinates
+of 1,900 l2-normalized blob rows, the test split's shape), so it shows
+whether a change to the kNN kernel moved a neighbor list.  The last line,
+``gradcheck-202``, hashes the float64 bytes of the largest relative errors
+``gradcheck.run_all(seed=202, trials=100)`` reports, suite by suite in
+order (acceptance criterion 2's call), so it shows whether a change to a
+gradient, a suite or the harness moved the checks.  Runs on one
 BLAS thread, as the benchmark does, so that the digests do not depend on
 the machine's core count.  The perfbench runs use the CSV files that
 ``perfbench/workloads.make_inputs`` writes to a temporary directory;
@@ -154,6 +161,26 @@ def propagation_digest() -> str:
     return h.hexdigest()[:16]
 
 
+def knn_digest() -> str:
+    blobs = ssdml.make_blobs(10, 200, 5, 45, 6.0, 4.0, seed=0)
+    Z = l2_normalize_rows(ssdml.strip_labels(blobs, 10, seed=0).features)
+    rng = np.random.default_rng(31)
+    duplicated = rng.standard_normal((300, 8))
+    duplicated[100:250] = duplicated[rng.integers(0, 100, size=150)]
+    cases = [(Z, 10), (Z, 30),
+             (1.0 + 1e-6 * rng.standard_normal((1000, 30)), 10),
+             (1e6 + 1e-2 * rng.standard_normal((1000, 20)), 10),
+             (duplicated, 10)]
+    h = hashlib.sha256()
+    for rows, k in cases:
+        h.update(ssdml.build_knn(rows, k).neighbors.tobytes())
+    test = ssdml.make_blobs(10, 190, 5, 45, 6.0, 4.0, seed=1)
+    ks = (1, 2, 4, 8, 16, 32)
+    recall = ssdml.recall_at_k(l2_normalize_rows(test.features)[:, :16], test.labels, ks=ks)
+    h.update(np.array([recall[k] for k in ks]).tobytes())
+    return h.hexdigest()[:16]
+
+
 def main():
     for name, run in RUNS.items():
         (model, report), triplets = with_mined_triplets(run)
@@ -162,6 +189,7 @@ def main():
             print(f"{name}-eval", report_digest(report), flush=True)
         print(f"triplets-{name}", triplets, flush=True)
     print("propagation-criterion8-k10-k30", propagation_digest(), flush=True)
+    print("knn-kernel", knn_digest(), flush=True)
     print("gradcheck-202", gradcheck_digest(202), flush=True)
 
 

@@ -86,10 +86,10 @@ def _kmeanspp_init(Z: np.ndarray, n_clusters: int, rngs) -> np.ndarray:
 def _nearest(Z, sq, centers):
     """(R, n) index of each row's nearest center, ties to the smaller index.
 
-    One GEMM screen with the rounding slack of graph._exact_knn's screen
-    (SCREEN_RTOL) decides which explicit distances can be the smallest; a
-    row with more than one such center has them recomputed from explicit
-    differences, so the result equals the argmin of the explicit distances.
+    One float64 GEMM screen with the relative rounding slack SCREEN_RTOL
+    decides which explicit distances can be the smallest; a row with more
+    than one such center has them recomputed from explicit differences, so
+    the result equals the argmin of the explicit distances.
     Points or centers the screen cannot take raise NumericalError.
     """
     C = centers.shape[1]

@@ -35,15 +35,42 @@ class NeighborGraph:
 # array a block stays cache-sized; larger blocks were no faster, and 1 << 18
 # left the LRML benchmark's peak RSS 8 MiB higher.
 KNN_BLOCK_ENTRIES = 1 << 16
-# The screen ||z_j||^2 - 2 z_i.z_j is one (d+1)-term dot product whose
-# terms' magnitudes sum to at most ||z_i||^2 + 2 ||z_j||^2 (||z_j||^2 carries
-# its own d-term rounding; the scaling by -2 is exact), so it lies within
-# about 3 (d+1) eps (||z_i||^2 + max ||z||^2) of the squared distance less
-# the row constant ||z_i||^2, which is never added and so adds no rounding.
-# The explicit-difference distance lies within about 2 (d+2) eps times the
-# same sum of the true one.  This relative slack covers both for any d below
-# ~1e6.
+# evaluation._nearest's float64 screen ||c||^2 + ||z||^2 - 2 c.z is a
+# (d+2)-term sum whose terms' magnitudes sum to at most 2 (||z||^2 +
+# max ||c||^2), so it lies within about 2 (d+2) eps of that times the
+# squared distance, and so does the explicit-difference distance.  This
+# relative slack covers both for any d below ~1e6.
 SCREEN_RTOL = 1e-9
+
+
+# _exact_knn screens in float32.  With u = 2^-24 and c_i the rows centred at
+# their float64 mean and scaled by 2^e, so that q_i = ||c_i||^2 and
+# M = max q have M in [1/4, 1), the screen S_ij = q_j - 2 c_i.c_j stands for
+# D_ij - q_i, with D_ij the squared distance in those units.  Its error E_ij
+# comes from:
+#   - the centring: every row subtracts the same mean, and a shift by any
+#     one vector keeps every distance, so only each difference's own
+#     rounding counts, 2^-53 |c_ik| per entry: about 4 * 2^-53 (q_i + q_j)
+#     on a distance;
+#   - the float32 casts of c (2u on a product) and of q_j (u), or 2^-150
+#     absolute per entry where float32 underflows;
+#   - the sgemm: a (d+1)-term dot product whose terms' magnitudes sum to
+#     2 sum_k |c_ik c_jk| + q_j <= q_i + 2 q_j, so within gamma_{d+1} =
+#     (d+1) u / (1 - (d+1) u) of that in any summation order, with or
+#     without FMA (Higham, Accuracy and Stability of Numerical Algorithms,
+#     2nd ed., sec. 3.1), plus 2^-150 per underflowing product;
+#   - the float64 explicit distances that rank the candidates: within
+#     2 (d+2) 2^-53 (q_i + q_j) of D_ij, plus d 2^-1075 per distance, in
+#     original units, where squared differences underflow.
+# So |E_ij| <= (3u + 2 gamma_{d+1}) (q_i + M) up to the float64 and
+# underflow terms.  A column that ranks in row i's top k by explicit
+# distance (ties included) screens at most kth + 2 |E|, kth the row's k-th
+# smallest screened value, since k columns screen at or below kth.  The
+# float32 sum kth + bar rounds down by at most u (|kth| + bar), with
+# |kth| <= q_i + 2M up to E.  bar = 2 rtol (q_i + M) with rtol = 4 (d+4) u
+# covers the resulting (8u + 4 gamma_{d+1}) (q_i + M) for any d below 2^22.
+# The underflow terms are absolute: 2^-100 covers the float32 ones for any
+# such d, and d 2^-1073 4^e the float64 one in scaled units.
 
 
 def _check_screen(*sq_norms) -> None:
@@ -74,37 +101,52 @@ def _exact_knn(Z: np.ndarray, k: int) -> np.ndarray:
     """(n, k) indices of each row's k nearest other rows, nearest first.
 
     Rows are ranked by (squared distance, index) with distances from
-    explicit row differences (no inner-product expansion), so duplicated
-    points tie exactly and ties resolve to the smaller index.  Per block of
-    rows, a screen decides which distances need computing: one GEMM of
-    [Z_block, 1] against the (d+1) x n operand [-2 Z^T; ||z||^2], built
-    once per call, gives ||z_j||^2 - 2 z_i.z_j, the squared distance less
-    the row constant ||z_i||^2, which leaves a row's order unchanged.  The
-    k columns at or below a row's k-th smallest screened value s_k have
-    explicit distances within a slack of s_k + ||z_i||^2 (SCREEN_RTOL), so
-    every column that can rank in the top k, ties included, screens at most
-    s_k + 2 * slack, and the result equals a full per-row sort of the
-    explicit distances.  A row's own screened entry is +inf, so it never
-    ranks; points the screen cannot take raise NumericalError.  Scratch
-    memory is the operand and a few KNN_BLOCK_ENTRIES-sized arrays.
+    explicit float64 row differences (no inner-product expansion), so
+    duplicated points tie exactly and ties resolve to the smaller index.
+    A float32 screen decides which distances need computing.  The rows are
+    centred at their float64 mean and scaled by a power of two, so that the
+    largest centred squared norm lies in [1/4, 1), then cast to float32.
+    Per block of rows, one sgemm of [C_block, 1] against the (d+1) x n
+    operand [-2 C^T; ||c||^2], built once per call, gives ||c_j||^2 -
+    2 c_i.c_j, the squared distance less the row constant ||c_i||^2, which
+    leaves a row's order unchanged.  Every column that can rank in the top
+    k, ties included, screens within the slack derived above of the row's
+    k-th smallest screened value, so the result equals a full per-row sort
+    of the explicit distances.  Centring makes the slack scale with the
+    spread of the rows, not with their distance from the origin.  A row's
+    own screened entry is +inf, so it never ranks; points whose squared
+    norms overflow a float64 screen raise NumericalError.  Scratch memory
+    is the two float32 operands and a few KNN_BLOCK_ENTRIES-sized arrays.
     """
     Z = np.ascontiguousarray(Z, dtype=np.float64)
     n, d = Z.shape
     if not 1 <= k < n:
         raise ConfigError(f"k must satisfy 1 <= k < n (got k={k}, n={n})")
-    sq = np.einsum("ij,ij->i", Z, Z)
-    _check_screen(sq)
+    _check_screen(np.einsum("ij,ij->i", Z, Z))
+    C = Z - Z.mean(axis=0)  # the one float64 temporary, scaled in place
+    e = -int(np.frexp(max(C.max(initial=0.0), -C.min(initial=0.0)))[1])
+    np.ldexp(C, e, out=C)  # every entry in (-1, 1)
+    t = (int(np.frexp(np.einsum("ij,ij->i", C, C).max(initial=0.0))[1]) + 1) // 2
+    e -= t
+    np.ldexp(C, -t, out=C)  # scaled by 2^e in all
+    csq = np.einsum("ij,ij->i", C, C)  # the largest in [1/4, 1), or all 0
+    A = np.empty((n, d + 1), dtype=np.float32)  # [C, 1]
+    A[:, :d] = C
+    A[:, d] = 1.0
+    P = np.empty((d + 1, n), dtype=np.float32)  # [-2 C^T; ||c||^2]
+    np.multiply(C.T, -2.0, out=P[:d])
+    P[d] = csq
+    del C
+    rtol = 4.0 * (d + 4) * 2.0 ** -24
+    # the float64 underflow term is capped at 8d: screened values lie in
+    # [-1, 3] up to rounding, so that keeps every column but the +inf self
+    floor = 2.0 ** -100 + np.ldexp(float(d), min(2 * e - 1073, 3))
+    bar = (2.0 * rtol * (csq + csq.max()) + floor).astype(np.float32)
     block = min(n, max(1, KNN_BLOCK_ENTRIES // n))
-    P = np.empty((d + 1, n))
-    np.multiply(Z.T, -2.0, out=P[:d])
-    P[d] = sq
-    Zb = np.ones((block, d + 1))  # [Z_block, 1]
-    bar = 2.0 * SCREEN_RTOL * (sq + sq.max())
     neighbors = np.empty((n, k), dtype=np.int64)
     for start in range(0, n, block):
         stop = min(start + block, n)
-        Zb[:stop - start, :d] = Z[start:stop]
-        S = Zb[:stop - start] @ P
+        S = A[start:stop] @ P
         S.reshape(-1)[start + np.arange(stop - start) * (n + 1)] = np.inf  # self
         kth = np.partition(S, k - 1, axis=1)[:, k - 1]
         hits = np.flatnonzero(S <= (kth + bar[start:stop])[:, None])

@@ -330,6 +330,10 @@ def propagate(graph: NeighborGraph, labels, gamma: float) -> EdgeAffinity:
     X = (1 - gamma) A^-1 W0 from _solve(), read off each column block as
     it comes.  The edges agree with symmetrize(propagate_direct(
     neighbor_matrix(graph), seed_affinity(labels), gamma)) to rounding.
+    Column j of W0 is e_j for an unlabeled node j, so on an edge whose two
+    ends are unlabeled the result is (1 - gamma) (A^-1[i, j] + A^-1[j, i])
+    / 2, which depends on the graph alone: there it agrees with
+    propagate(graph, no labels, gamma) to rounding.
     """
     n, nbrs = graph.n, graph.neighbors
     to, back = np.empty((n, graph.k)), np.empty((n, graph.k))  # X[i, j], X[j, i]

@@ -97,7 +97,8 @@ class TestKnnKernelEdgeCases:
             self.check(Z, k)
 
     def test_large_common_offset(self):
-        # neighbor gaps (~1e-4) are below the screen's rounding (~1e-4)
+        # distance gaps down to ~2e-7 at an offset 1e8 times the spread,
+        # far below the rounding of a screen on the raw rows (~1e-4)
         rng = np.random.default_rng(8)
         self.check(1e-2 * rng.standard_normal((60, 2)) + 1e6, 5)
         Z = 1e-2 * rng.standard_normal((60, 5)) + 1e6
@@ -142,9 +143,9 @@ class TestKnnKernelEdgeCases:
             assert np.array_equal(ssdml.build_knn(Z, k).neighbors, row_loop_knn(Z, k))
 
     def test_large_common_offset_in_fifty_dims(self):
-        # at squared norms ~5e13 the (d+1)-term screen rounds by ~0.1, more
-        # than the ~0.03 gaps between nearest distances, so the explicit
-        # recompute alone must order the candidates
+        # at squared norms ~5e13 a screen on the raw rows rounds by ~0.1,
+        # more than the ~0.03 gaps between nearest distances; on centred
+        # rows the float32 screen rounds by ~1e-5 and keeps k a row
         rng = np.random.default_rng(13)
         Z = 0.1 * rng.standard_normal((300, 50)) + 1e6
         for k in (1, 10):
@@ -180,6 +181,26 @@ class TestKnnKernelEdgeCases:
         assert peak < n * n * 8 / 2
 
 
+@pytest.mark.parametrize("center, spread, d", [(1.0, 1e-6, 30), (1e6, 1e-2, 20)])
+def test_collapsed_rows_cost_about_k_distances_per_row(monkeypatch, center, spread, d):
+    # rows in a small ball far from the origin: a screen whose slack grows
+    # with the rows' distance from the origin keeps every column and pays
+    # about n^2 explicit distances; on centred rows it keeps about k a row
+    n, k = 1000, 10
+    Z = center + spread * np.random.default_rng(16).standard_normal((n, d))
+    computed = []
+    original = graph_mod._pair_sq_dists
+
+    def counting(A, ia, B, ib):
+        computed.append(ia.size)
+        return original(A, ia, B, ib)
+
+    monkeypatch.setattr(graph_mod, "_pair_sq_dists", counting)
+    neighbors = ssdml.build_knn(Z, k).neighbors
+    assert sum(computed) <= 2 * n * k
+    assert np.array_equal(neighbors, row_loop_knn(Z, k))
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_knn_kernel_matches_row_loop_property(data):
@@ -193,6 +214,32 @@ def test_knn_kernel_matches_row_loop_property(data):
     offset = data.draw(st.sampled_from([0.0, 1.0, 1e6]))
     Z = np.array(levels, dtype=float).reshape(n, d) * scale + offset
     assert np.array_equal(ssdml.build_knn(Z, k).neighbors, row_loop_knn(Z, k))
+
+
+@settings(max_examples=300, deadline=5000)
+@given(st.data())
+def test_knn_kernel_matches_row_loop_at_any_scale(data):
+    # clusters of near-duplicates and exact duplicates, a common offset up
+    # to 1e6 times the spread, up to 200 dims, and magnitudes from 1e-170
+    # (squared norms and distances subnormal or 0) to 1e150
+    n = data.draw(st.integers(min_value=2, max_value=40))
+    d = data.draw(st.one_of(st.integers(1, 4), st.integers(5, 200)))
+    k = data.draw(st.integers(min_value=1, max_value=n - 1))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    centers = rng.standard_normal((data.draw(st.integers(1, n)), d))
+    jitter = data.draw(st.sampled_from([0.0, 1e-12, 1e-6, 1e-2, 1.0]))
+    Z = centers[rng.integers(len(centers), size=n)] + jitter * rng.standard_normal((n, d))
+    for a, b in data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                                   max_size=n)):
+        Z[a] = Z[b]
+    Z += data.draw(st.sampled_from([0.0, 1.0, 1e3, 1e6])) * rng.standard_normal(d)
+    Z *= 10.0 ** data.draw(st.integers(-170, 150)) / max(np.abs(Z).max(), 1e-300)
+    expected = row_loop_knn(Z, k)
+    assert np.array_equal(ssdml.build_knn(Z, k).neighbors, expected)
+    labels = rng.integers(0, 3, size=n)
+    hits = np.logical_or.accumulate(labels[expected] == labels[:, None], axis=1).sum(axis=0)
+    ks = sorted({1, k})
+    assert ssdml.recall_at_k(Z, labels, ks=ks) == {j: 100.0 * int(hits[j - 1]) / n for j in ks}
 
 
 class TestNeighborMatrix:

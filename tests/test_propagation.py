@@ -163,6 +163,37 @@ def test_propagate_dispatcher_symmetric_finite(seed, gamma):
     assert_mutual_edges_equal(aff.edges, graph)
 
 
+def gaps_with_and_without_labels(graph, labels):
+    """Edges whose two ends are unlabeled, and the largest gap between
+    propagate() with the labels and with none on those edges and on the
+    other edges."""
+    a = ssdml.propagate(graph, labels, 0.99).edges
+    b = ssdml.propagate(graph, np.full(graph.n, -1), 0.99).edges
+    free = (labels == -1)[:, None] & (labels == -1)[graph.neighbors]
+    gap = np.abs(a - b)
+    return free, gap[free].max(initial=0.0), gap[~free].max(initial=0.0)
+
+
+def test_labels_leave_unlabeled_edges_unchanged_on_criterion8_graph():
+    # column j of W0 is e_j for an unlabeled j, so the affinity between two
+    # unlabeled nodes depends on the graph alone: on criterion 8's graph
+    # about 90% of the edges carry no label information
+    blobs = ssdml.make_blobs(10, 200, 5, 45, 6.0, 4.0, seed=0)
+    semi = ssdml.strip_labels(blobs, 10, seed=0)
+    graph = ssdml.build_knn(ssdml.encoder.l2_normalize_rows(semi.features), 10)
+    free, free_gap, other_gap = gaps_with_and_without_labels(graph, semi.labels)
+    assert free.mean() > 0.9
+    assert free_gap <= 1e-15
+    assert other_gap > 1e-2
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.integers(min_value=0, max_value=2**31 - 1))
+def test_labels_leave_unlabeled_edges_unchanged(seed):
+    graph, labels = random_graph(np.random.default_rng(seed), max_n=60)
+    assert gaps_with_and_without_labels(graph, labels)[1] <= 1e-12
+
+
 def assert_mutual_edges_equal(edges, graph):
     """Edge i -> j and edge j -> i carry exactly the same affinity."""
     pos = {(i, int(j)): s for i in range(graph.n)
