@@ -27,7 +27,12 @@ blob rows (k = 10, then 30), on two collapsed sets (1,000 rows at
 exact duplicate rows, then the float64 bytes of ``recall_at_k`` at
 K = 1, 2, 4, 8, 16, 32 on a 1,900 x 16 embedding (the first 16 coordinates
 of 1,900 l2-normalized blob rows, the test split's shape), so it shows
-whether a change to the kNN kernel moved a neighbor list.  The last line,
+whether a change to the kNN kernel moved a neighbor list.  ``knn-tiled``
+hashes the neighbor lists ``build_knn`` gives (k = 10) on tiled rows, 100
+random rows repeated 20 times, at d = 8 and d = 50, each exact and with
+1e-9 N(0, I) jitter, then the float64 bytes of ``recall_at_k`` at the same
+Ks on the jittered d = 8 rows under random labels: a kernel that groups
+columns could send a row's copies into the same few groups.  The last line,
 ``gradcheck-202``, hashes the float64 bytes of the largest relative errors
 ``gradcheck.run_all(seed=202, trials=100)`` reports, suite by suite in
 order (acceptance criterion 2's call), so it shows whether a change to a
@@ -181,6 +186,21 @@ def knn_digest() -> str:
     return h.hexdigest()[:16]
 
 
+def knn_tiled_digest() -> str:
+    rng = np.random.default_rng(33)
+    h = hashlib.sha256()
+    for d in (8, 50):
+        tiled = np.tile(rng.standard_normal((100, d)), (20, 1))
+        jittered = tiled + 1e-9 * rng.standard_normal(tiled.shape)
+        for rows in (tiled, jittered):
+            h.update(ssdml.build_knn(rows, 10).neighbors.tobytes())
+        if d == 8:
+            ks = (1, 2, 4, 8, 16, 32)
+            recall = ssdml.recall_at_k(jittered, rng.integers(0, 10, size=len(tiled)), ks=ks)
+            h.update(np.array([recall[k] for k in ks]).tobytes())
+    return h.hexdigest()[:16]
+
+
 def main():
     for name, run in RUNS.items():
         (model, report), triplets = with_mined_triplets(run)
@@ -190,6 +210,7 @@ def main():
         print(f"triplets-{name}", triplets, flush=True)
     print("propagation-criterion8-k10-k30", propagation_digest(), flush=True)
     print("knn-kernel", knn_digest(), flush=True)
+    print("knn-tiled", knn_tiled_digest(), flush=True)
     print("gradcheck-202", gradcheck_digest(202), flush=True)
 
 

@@ -41,6 +41,12 @@ KNN_BLOCK_ENTRIES = 1 << 16
 # squared distance, and so does the explicit-difference distance.  This
 # relative slack covers both for any d below ~1e6.
 SCREEN_RTOL = 1e-9
+# _exact_knn thresholds each row at the k-th smallest of about
+# KNN_SCREEN_GROUPS * k column-group minima (10 and 20 were equally fast; 5
+# and 80 were clearly slower) and pads the screen to whole groups with
+# columns that screen at exactly KNN_SCREEN_PAD (see below).
+KNN_SCREEN_GROUPS = 16
+KNN_SCREEN_PAD = 2.0 ** 30
 
 
 # _exact_knn screens in float32.  With u = 2^-24 and c_i the rows centred at
@@ -71,6 +77,25 @@ SCREEN_RTOL = 1e-9
 # covers the resulting (8u + 4 gamma_{d+1}) (q_i + M) for any d below 2^22.
 # The underflow terms are absolute: 2^-100 covers the float32 ones for any
 # such d, and d 2^-1073 4^e the float64 one in scaled units.
+#
+# The threshold is tau, not kth.  The screen's columns are scrambled by a
+# fixed permutation and dealt into g groups of per columns, slot s to group
+# s % g; with per = 1 every group is one column and tau = kth.  tau is the
+# k-th smallest of a row's g group minima, so the k smallest minima come
+# from k distinct columns.  With per >= 2 each group holds a real column
+# (slot j < g <= n), padding fills only the last slot of fewer than per
+# groups, and when there is padding g >= KNN_SCREEN_GROUPS * k + 1; so at
+# least k group minima are screened values of real columns other than the
+# row itself, whose own entry is +inf.  Hence tau is such a screened value,
+# tau >= kth, and the rounding argument above holds with tau for kth.  By
+# pigeonhole, the (k-1) per + 1 smallest screened values fill at least k
+# groups, so tau is at most that one: a row costs at most what the kth
+# threshold would cost at that larger k, and a scramble keeps rows whose
+# near columns repeat at a stride (tiled data) from crowding a few groups.
+# A padding column screens at exactly KNN_SCREEN_PAD (zeros in -2 C^T).
+# That lies above every tau + bar, as tau <= 3 and bar < 8d + 5 < 2^26 for
+# any d below 2^22, so padding never becomes a candidate.  It is finite
+# because +inf padding makes the sgemm's edge kernels form 0 * inf = NaN.
 
 
 def _check_screen(*sq_norms) -> None:
@@ -106,17 +131,21 @@ def _exact_knn(Z: np.ndarray, k: int) -> np.ndarray:
     A float32 screen decides which distances need computing.  The rows are
     centred at their float64 mean and scaled by a power of two, so that the
     largest centred squared norm lies in [1/4, 1), then cast to float32.
-    Per block of rows, one sgemm of [C_block, 1] against the (d+1) x n
-    operand [-2 C^T; ||c||^2], built once per call, gives ||c_j||^2 -
-    2 c_i.c_j, the squared distance less the row constant ||c_i||^2, which
-    leaves a row's order unchanged.  Every column that can rank in the top
-    k, ties included, screens within the slack derived above of the row's
-    k-th smallest screened value, so the result equals a full per-row sort
-    of the explicit distances.  Centring makes the slack scale with the
-    spread of the rows, not with their distance from the origin.  A row's
-    own screened entry is +inf, so it never ranks; points whose squared
-    norms overflow a float64 screen raise NumericalError.  Scratch memory
-    is the two float32 operands and a few KNN_BLOCK_ENTRIES-sized arrays.
+    Per block of rows, one sgemm of [C_block, 1] against the operand
+    [-2 C^T; ||c||^2], built once per call, gives ||c_j||^2 - 2 c_i.c_j,
+    the squared distance less the row constant ||c_i||^2, which leaves a
+    row's order unchanged.  The operand's columns are scrambled and dealt
+    into about KNN_SCREEN_GROUPS * k groups, and a row's threshold is the
+    k-th smallest of its group minima: a partition over the groups, not
+    over all n columns, that bounds the row's k-th smallest screened value
+    from above.  Every column that can rank in the top k, ties included,
+    screens within the slack derived above of that threshold, so the result
+    equals a full per-row sort of the explicit distances.  Centring makes
+    the slack scale with the spread of the rows, not with their distance
+    from the origin.  A row's own screened entry is +inf, so it never
+    ranks; points whose squared norms overflow a float64 screen raise
+    NumericalError.  Scratch memory is the two float32 operands and a few
+    KNN_BLOCK_ENTRIES-sized arrays.
     """
     Z = np.ascontiguousarray(Z, dtype=np.float64)
     n, d = Z.shape
@@ -130,27 +159,35 @@ def _exact_knn(Z: np.ndarray, k: int) -> np.ndarray:
     e -= t
     np.ldexp(C, -t, out=C)  # scaled by 2^e in all
     csq = np.einsum("ij,ij->i", C, C)  # the largest in [1/4, 1), or all 0
+    per = max(1, n // (KNN_SCREEN_GROUPS * k))  # columns per group
+    g = -(-n // per)  # groups; column slot s lies in group s % g
+    width = per * g
+    perm = np.random.default_rng(0).permutation(n)  # slot s holds column perm[s]
+    slot = np.argsort(perm)  # column i sits in slot[i]
     A = np.empty((n, d + 1), dtype=np.float32)  # [C, 1]
     A[:, :d] = C
     A[:, d] = 1.0
-    P = np.empty((d + 1, n), dtype=np.float32)  # [-2 C^T; ||c||^2]
-    np.multiply(C.T, -2.0, out=P[:d])
-    P[d] = csq
+    P = np.zeros((d + 1, width), dtype=np.float32)  # [-2 C^T; ||c||^2], scrambled
+    P[:d, slot] = np.multiply(C, -2.0, out=C).T
+    P[d, slot] = csq
+    P[d, n:] = KNN_SCREEN_PAD  # so a padding slot screens at exactly this
     del C
     rtol = 4.0 * (d + 4) * 2.0 ** -24
     # the float64 underflow term is capped at 8d: screened values lie in
     # [-1, 3] up to rounding, so that keeps every column but the +inf self
     floor = 2.0 ** -100 + np.ldexp(float(d), min(2 * e - 1073, 3))
     bar = (2.0 * rtol * (csq + csq.max()) + floor).astype(np.float32)
-    block = min(n, max(1, KNN_BLOCK_ENTRIES // n))
+    block = min(n, max(1, KNN_BLOCK_ENTRIES // width))
     neighbors = np.empty((n, k), dtype=np.int64)
     for start in range(0, n, block):
         stop = min(start + block, n)
         S = A[start:stop] @ P
-        S.reshape(-1)[start + np.arange(stop - start) * (n + 1)] = np.inf  # self
-        kth = np.partition(S, k - 1, axis=1)[:, k - 1]
-        hits = np.flatnonzero(S <= (kth + bar[start:stop])[:, None])
-        rows, cols = np.divmod(hits, n)  # self stays out: +inf
+        S.reshape(-1)[np.arange(stop - start) * width + slot[start:stop]] = np.inf  # self
+        mins = S.reshape(-1, per, g).min(axis=1)  # (rows, g) group minima
+        tau = np.partition(mins, k - 1, axis=1)[:, k - 1]
+        hits = np.flatnonzero(S <= (tau + bar[start:stop])[:, None])
+        rows, slots = np.divmod(hits, width)  # self and padding stay out
+        cols = perm[slots]
         d2 = _pair_sq_dists(Z, cols, Z, start + rows)
         order = np.lexsort((cols, d2, rows))  # by row, then distance, then index
         counts = np.bincount(rows, minlength=stop - start)
@@ -204,7 +241,8 @@ def knn_laplacian_form(graph: NeighborGraph, Z: np.ndarray) -> np.ndarray:
     Z = np.asarray(Z, dtype=np.float64)
     a = np.repeat(np.arange(graph.n, dtype=np.int64), graph.k)
     b = graph.neighbors.ravel()
-    edges = np.unique(np.minimum(a, b) * graph.n + np.maximum(a, b))
+    edges = np.sort(np.minimum(a, b) * graph.n + np.maximum(a, b))
+    edges = edges[np.diff(edges, prepend=-1) != 0]  # unique: keys are >= 0
     lo, hi = np.divmod(edges, graph.n)
     quad = np.zeros((Z.shape[1], Z.shape[1]))
     for s in range(0, lo.size, LAPLACIAN_EDGE_CHUNK):

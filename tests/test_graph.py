@@ -181,13 +181,9 @@ class TestKnnKernelEdgeCases:
         assert peak < n * n * 8 / 2
 
 
-@pytest.mark.parametrize("center, spread, d", [(1.0, 1e-6, 30), (1e6, 1e-2, 20)])
-def test_collapsed_rows_cost_about_k_distances_per_row(monkeypatch, center, spread, d):
-    # rows in a small ball far from the origin: a screen whose slack grows
-    # with the rows' distance from the origin keeps every column and pays
-    # about n^2 explicit distances; on centred rows it keeps about k a row
-    n, k = 1000, 10
-    Z = center + spread * np.random.default_rng(16).standard_normal((n, d))
+def counted_knn(monkeypatch, Z, k):
+    """The number of explicit distances build_knn computes, after checking
+    its neighbor lists against row_loop_knn."""
     computed = []
     original = graph_mod._pair_sq_dists
 
@@ -197,8 +193,79 @@ def test_collapsed_rows_cost_about_k_distances_per_row(monkeypatch, center, spre
 
     monkeypatch.setattr(graph_mod, "_pair_sq_dists", counting)
     neighbors = ssdml.build_knn(Z, k).neighbors
-    assert sum(computed) <= 2 * n * k
     assert np.array_equal(neighbors, row_loop_knn(Z, k))
+    return sum(computed)
+
+
+@pytest.mark.parametrize("center, spread, d", [(1.0, 1e-6, 30), (1e6, 1e-2, 20)])
+def test_collapsed_rows_cost_about_k_distances_per_row(monkeypatch, center, spread, d):
+    # rows in a small ball far from the origin: a screen whose slack grows
+    # with the rows' distance from the origin keeps every column and pays
+    # about n^2 explicit distances; on centred rows it keeps about k a row
+    n, k = 1000, 10
+    Z = center + spread * np.random.default_rng(16).standard_normal((n, d))
+    assert counted_knn(monkeypatch, Z, k) <= 2 * n * k
+
+
+@pytest.mark.parametrize("rows, per_row", [
+    # criterion 8's 2,000 l2-normalized blob rows: about k distances a row
+    (lambda: ssdml.encoder.l2_normalize_rows(
+        ssdml.make_blobs(10, 200, 5, 45, 6.0, 4.0, seed=0).features), 11),
+    # 20 copies of KNN_SCREEN_GROUPS * k random rows in turn: each row's
+    # 19 copies; grouping columns by a plain stride, without the scramble,
+    # would put all 20 copies of a row into one group at this period
+    (lambda: np.tile(np.random.default_rng(17).standard_normal(
+        (graph_mod.KNN_SCREEN_GROUPS * 10, 8)), (20, 1)), 19),
+], ids=["criterion8", "tiled"])
+def test_group_threshold_costs_about_k_distances_per_row(monkeypatch, rows, per_row):
+    Z = rows()
+    assert counted_knn(monkeypatch, Z, 10) <= len(Z) * per_row
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_padded_screen_stays_finite():
+    # k = 1 and n from 273 to 287: groups of 17 columns, the last ones
+    # padded, in a GEMM large enough for the sgemm's packed edge kernels,
+    # which form 0 * inf = NaN from +inf padding on most of these sizes
+    rng = np.random.default_rng(18)
+    for n in range(273, 288):
+        Z = rng.standard_normal((n, 50))
+        assert np.array_equal(ssdml.build_knn(Z, 1).neighbors, row_loop_knn(Z, 1))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # a NaN from the padding
+@settings(max_examples=100, deadline=5000)
+@given(st.data())
+def test_grouped_screen_matches_row_loop(data):
+    # one group per k columns, so groups hold several columns even at small
+    # n, over tiled rows, exact and near duplicates and padded last groups,
+    # in one block or many
+    if data.draw(st.booleans()):
+        n = data.draw(st.integers(min_value=3, max_value=60))
+        d = data.draw(st.sampled_from([1, 2, 3, 8, 50]))
+        entries = data.draw(st.sampled_from([64, graph_mod.KNN_BLOCK_ENTRIES]))
+    else:  # one block, big enough for the sgemm's packed edge kernels
+        n, d, entries = data.draw(st.integers(130, 200)), 50, graph_mod.KNN_BLOCK_ENTRIES
+    k = data.draw(st.integers(min_value=1, max_value=n - 1))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    period = data.draw(st.integers(1, n))
+    Z = np.resize(rng.standard_normal((period, d)), (n, d))  # row i is row i % period
+    Z += data.draw(st.sampled_from([0.0, 0.0, 1e-12, 1e-9, 1e-3])) * rng.standard_normal((n, d))
+    for a, b in data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                                   max_size=10)):
+        Z[a] = Z[b]
+    Z += data.draw(st.sampled_from([0.0, 1e6])) * rng.standard_normal(d)
+    Z *= data.draw(st.sampled_from([1.0, 1e-165]))  # the latter: the widest slack
+    labels = rng.integers(0, 3, size=n)
+    expected = row_loop_knn(Z, k)
+    hits = np.logical_or.accumulate(labels[expected] == labels[:, None], axis=1).sum(axis=0)
+    ks = sorted({1, k})
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(graph_mod, "KNN_SCREEN_GROUPS", 1)
+        patch.setattr(graph_mod, "KNN_BLOCK_ENTRIES", entries)
+        assert np.array_equal(ssdml.build_knn(Z, k).neighbors, expected)
+        assert ssdml.recall_at_k(Z, labels, ks=ks) == {j: 100.0 * int(hits[j - 1]) / n
+                                                       for j in ks}
 
 
 @settings(max_examples=60, deadline=None)
